@@ -10,7 +10,6 @@ Submodules:
 """
 
 from .errors import (
-    DepthInsufficient,
     DomainViolation,
     HarmonicSpacesError,
     InvalidPoint,
@@ -40,7 +39,6 @@ from .spaces import (
 )
 
 __all__ = [
-    "DepthInsufficient",
     "DomainViolation",
     "HarmonicSpacesError",
     "InvalidPoint",

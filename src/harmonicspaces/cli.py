@@ -175,16 +175,14 @@ def _parse_basepoint(group, text: str | None):
         values = [float(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"basepoint {text!r} is not comma-separated reals") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"basepoint {text!r} has a non-finite coordinate")
     if group.ambient == "flat":
         if len(values) != 2:
             raise ValueError("flat basepoints take 2 coordinates")
         return np.asarray(values)
     if group.ambient == "sphere":
-        v = np.asarray(values)
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ValueError("sphere basepoint must be nonzero")
-        return v / n
+        return _normalized(np.asarray(values), "sphere")
     # projective: 2n reals interpreted as interleaved re,im; n reals as real
     if len(values) == group.ambient_dim:
         v = np.asarray(values, dtype=complex)
@@ -195,16 +193,22 @@ def _parse_basepoint(group, text: str | None):
             f"projective basepoints take {group.ambient_dim} or "
             f"{2 * group.ambient_dim} reals"
         )
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("projective basepoint must be nonzero")
-    return v / n
+    return _normalized(v, "projective")
+
+
+def _normalized(v: np.ndarray, kind: str) -> np.ndarray:
+    # scaling by the largest modulus first keeps the norm from overflowing
+    scale = np.max(np.abs(v))
+    if scale == 0:
+        raise ValueError(f"{kind} basepoint must be nonzero")
+    v = v / scale
+    return v / np.linalg.norm(v)
 
 
 def _quotient_svg(group, base, grid, config) -> str:
     fig = SvgFigure(metadata=config.comment_line())
     if group.ambient == "flat":
-        hw = 1.5
+        hw = quotients.RASTER_HALFWIDTH
         cx, cy = float(base[0]), float(base[1])
         fig.x_range = (cx - hw, cx + hw)
         fig.y_range = (cy - hw, cy + hw)
@@ -263,6 +267,8 @@ def _group_with_inferred_size(group_id: str, basepoint: str | None):
 
 
 def cmd_quotient(args: argparse.Namespace) -> int:
+    if args.resolution < 1:
+        return _fail_usage("resolution must be >= 1")
     try:
         group = _group_with_inferred_size(args.group, args.basepoint)
     except ValueError as exc:
@@ -271,6 +277,15 @@ def cmd_quotient(args: argparse.Namespace) -> int:
         base = _parse_basepoint(group, args.basepoint)
     except ValueError as exc:
         return _fail_usage(str(exc))
+    if group.ambient == "flat":
+        hw = quotients.RASTER_HALFWIDTH
+        spacing = 2.0 * hw / args.resolution
+        # the float step near |p| + hw is at most (|p| + hw) * eps
+        if (np.max(np.abs(base)) + hw) * np.finfo(float).eps >= spacing:
+            return _fail_usage(
+                f"basepoint {args.basepoint!r} is too far out for raster spacing "
+                f"{spacing:g}: neighbouring cells would round to the same float"
+            )
     config = RunConfig(
         command="quotient",
         args={

@@ -22,9 +22,5 @@ class InvalidPoint(HarmonicSpacesError):
     """A point does not satisfy the ambient-space invariants."""
 
 
-class DepthInsufficient(HarmonicSpacesError):
-    """Deck-group enumeration depth below the sufficiency bound for a query."""
-
-
 class SelfCheckFailed(HarmonicSpacesError):
     """A deck-group action violated one of its defining identities."""

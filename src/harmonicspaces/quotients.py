@@ -8,6 +8,11 @@ Points are plain numpy arrays: shape (2,) real for the flat plane, unit
 vectors in R^(m+1) for spheres, and unit complex vectors (projective
 representatives) for complex projective space.  All projective formulas
 use moduli only, so the circle gauge of the representative never matters.
+
+Orbit minima on the flat quotients search a fixed ring of elements about
+the nearest cell of p - q, whatever the basepoint: the nearest image lies
+in that cell, and the next nearest (needed when the identity is excluded)
+is one of its immediate neighbours.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    DepthInsufficient,
     DomainViolation,
     InvalidPoint,
     SelfCheckFailed,
@@ -31,6 +35,9 @@ UNIT_NORM_TOL = 1e-12
 
 #: Default tolerance separating interior/boundary/exterior in analytic queries.
 ANALYTIC_TOL = 1e-9
+
+#: Half the side of the square raster about the basepoint in cut-locus samples.
+RASTER_HALFWIDTH = 1.5
 
 
 # --- ambient distances ------------------------------------------------------
@@ -93,7 +100,10 @@ class DeckGroup:
 
     Concrete groups provide ``ambient`` ("flat", "sphere" or "cproj"),
     ``element_ids(p, q)`` listing the non-identity elements sufficient for
-    distance queries between p and q, and ``apply(eid, point)``.
+    distance queries between p and q, and ``apply(eid, point)``.  The finite
+    groups list all their elements; the flat groups list a fixed ring about
+    the nearest cell ``nearest_cell(p, q)``, since the nearest image and the
+    next nearest lie within it.
     """
 
     ambient: str = "flat"
@@ -109,82 +119,57 @@ class DeckGroup:
         return ambient_distance(self.ambient, p, q)
 
 
-def _required_depth(p: np.ndarray, q: np.ndarray) -> int:
-    # translations moving p by more than 2 d(p,q) + diameter cannot realize
-    # the orbit minimum; this integer bound is conservative and checked
-    return math.ceil(2.0 * (float(np.linalg.norm(p)) + float(np.linalg.norm(q))) + 4.0)
-
-
 @dataclass(frozen=True)
 class TorusGroup(DeckGroup):
-    """Integer-lattice translations of the plane."""
-
-    generators: tuple[tuple[float, float], tuple[float, float]] = ((1.0, 0.0), (0.0, 1.0))
-    depth: int | None = None
+    """Integer-lattice translations of the plane: the square torus R^2/Z^2."""
 
     ambient = "flat"
     name = "torus"
+    #: offsets about the nearest cell; ascending lexicographic order fixes
+    #: which of several tied minimizers injectivity_radius reports
+    ring = tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
 
-    def __post_init__(self):
-        if self.depth is not None and self.depth < 1:
-            raise ValueError("enumeration depth must be a positive integer")
-
-    def _effective_depth(self, p, q) -> int:
-        need = _required_depth(np.asarray(p, float), np.asarray(q, float))
-        if self.depth is not None:
-            if self.depth < need:
-                raise DepthInsufficient(
-                    f"torus enumeration depth {self.depth} below the sufficiency "
-                    f"bound {need} for this query"
-                )
-            return need
-        return need
+    @staticmethod
+    def nearest_cell(p, q) -> np.ndarray:
+        """The translation (i, j) taking q nearest to p; q may hold rows."""
+        return np.rint(p - q)
 
     def element_ids(self, p, q):
-        d = self._effective_depth(p, q)
-        return [
-            (i, j)
-            for i in range(-d, d + 1)
-            for j in range(-d, d + 1)
-            if (i, j) != (0, 0)
-        ]
+        cell = self.nearest_cell(np.asarray(p, float), np.asarray(q, float))
+        ci, cj = (int(c) for c in cell)
+        ids = [(ci + i, cj + j) for i, j in self.ring]
+        return [eid for eid in ids if eid != (0, 0)]
 
     def apply(self, eid, point):
-        i, j = eid
-        g0, g1 = self.generators
-        return np.asarray(point, float) + i * np.asarray(g0) + j * np.asarray(g1)
+        """Translate by eid = (i, j), or row-wise by an (n, 2) array of them."""
+        return np.asarray(point, float) + eid
 
 
 @dataclass(frozen=True)
 class KleinGroup(DeckGroup):
     """The glide group generated by T(x, y) = (x + 1, -y)."""
 
-    depth: int | None = None
-
     ambient = "flat"
     name = "klein"
+    #: glide powers about the nearest cell, ascending: they hold the nearest
+    #: even and the nearest odd power, and the next ones when 0 is excluded
+    ring = (-2, -1, 0, 1, 2)
 
-    def __post_init__(self):
-        if self.depth is not None and self.depth < 1:
-            raise ValueError("enumeration depth must be a positive integer")
-
-    def _effective_depth(self, p, q) -> int:
-        need = _required_depth(np.asarray(p, float), np.asarray(q, float))
-        if self.depth is not None and self.depth < need:
-            raise DepthInsufficient(
-                f"klein enumeration depth {self.depth} below the sufficiency "
-                f"bound {need} for this query"
-            )
-        return need
+    @staticmethod
+    def nearest_cell(p, q) -> np.ndarray:
+        """The glide power n taking q's x nearest to p's; q may hold rows."""
+        return np.rint(p[..., 0] - q[..., 0])
 
     def element_ids(self, p, q):
-        d = self._effective_depth(p, q)
-        return [n for n in range(-d, d + 1) if n != 0]
+        c = int(self.nearest_cell(np.asarray(p, float), np.asarray(q, float)))
+        return [c + k for k in self.ring if c + k != 0]
 
     def apply(self, eid, point):
-        n = int(eid)
-        x, y = np.asarray(point, float)
-        return np.array([x + n, y if n % 2 == 0 else -y])
+        """T^n for eid = n, or row-wise for an (n,) array of powers."""
+        pt = np.asarray(point, float)
+        n = np.asarray(eid)
+        flipped = np.where(n % 2 == 0, pt[..., 1], -pt[..., 1])
+        return np.stack((pt[..., 0] + n, flipped), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -545,32 +530,16 @@ def _flat_orbit_arrays(
     """Vectorized (d_identity, min over gamma != id) for flat groups."""
     if not isinstance(group, (TorusGroup, KleinGroup)):
         raise UnsupportedModel("grid sampling requires a flat deck group")
-    span = float(np.max(np.linalg.norm(qs, axis=1)))
-    need = math.ceil(2.0 * (float(np.linalg.norm(p)) + span) + 4.0)
-    if getattr(group, "depth", None) is not None and group.depth < need:
-        raise DepthInsufficient(
-            f"{group.name} enumeration depth {group.depth} below the "
-            f"sufficiency bound {need} for this grid"
-        )
     d_id = np.linalg.norm(qs - p, axis=1)
     d_min = np.full(qs.shape[0], np.inf)
-    if isinstance(group, TorusGroup):
-        g0 = np.asarray(group.generators[0], float)
-        g1 = np.asarray(group.generators[1], float)
-        for i in range(-need, need + 1):
-            for j in range(-need, need + 1):
-                if (i, j) == (0, 0):
-                    continue
-                shifted = qs + i * g0 + j * g1
-                np.minimum(d_min, np.linalg.norm(shifted - p, axis=1), out=d_min)
-    else:
-        for n in range(-need, need + 1):
-            if n == 0:
-                continue
-            shifted = np.column_stack(
-                (qs[:, 0] + n, qs[:, 1] if n % 2 == 0 else -qs[:, 1])
-            )
-            np.minimum(d_min, np.linalg.norm(shifted - p, axis=1), out=d_min)
+    cells = group.nearest_cell(p, qs)
+    for offset in group.ring:
+        images = group.apply(cells + offset, qs)
+        images -= p
+        d = np.linalg.norm(images, axis=1)
+        # the ring holds the identity on the rows whose nearest cell is -offset
+        d[np.all(cells.reshape(len(qs), -1) == np.negative(offset), axis=1)] = np.inf
+        np.minimum(d_min, d, out=d_min)
     return d_id, d_min
 
 
@@ -596,7 +565,7 @@ def classify_grid(
     group: DeckGroup,
     p,
     resolution: int,
-    halfwidth: float = 1.5,
+    halfwidth: float = RASTER_HALFWIDTH,
     tol: float | None = None,
 ) -> GridClassification:
     """Classify a square grid of side 2*halfwidth about p; tol defaults to
@@ -613,7 +582,7 @@ def classify_grid(
 
 
 def cut_locus_sample(
-    group: DeckGroup, p, resolution: int, halfwidth: float = 1.5
+    group: DeckGroup, p, resolution: int, halfwidth: float = RASTER_HALFWIDTH
 ) -> np.ndarray:
     """Grid points within the raster band of the cut locus (flat groups)."""
     grid = classify_grid(group, p, resolution, halfwidth)

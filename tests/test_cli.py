@@ -1,9 +1,15 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonicspaces.cli import main
 
@@ -158,6 +164,72 @@ def test_quotient_bad_group(capsys):
 def test_quotient_bad_basepoint(capsys):
     code, _, err = run_cli(capsys, "quotient", "torus", "1,2,3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, expected, message",
+    [
+        (["torus", "inf,0"], 2, "non-finite"),
+        (["torus", "1e300,0"], 2, "too far out"),
+        (["torus", "nan,0"], 2, "non-finite"),
+        (["torus", "0,0", "--resolution", "0"], 2, "resolution must be >= 1"),
+        (["torus", "0,0", "--resolution", "-3"], 2, "resolution must be >= 1"),
+        (["rp", "inf,0,0"], 2, "non-finite"),
+        (["cpq", "nan,0,0,0"], 2, "non-finite"),
+        (["lens", "1e300,1e300,0,0"], 0, ""),
+    ],
+)
+def test_quotient_rejects_bad_input_cleanly(capsys, argv, expected, message):
+    # an overflow warning on the way to an answer counts as a failure too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "quotient", *argv)
+    assert code == expected
+    if expected == 2:
+        assert err.startswith("error: ") and message in err
+    else:
+        assert "iota=0.785398163" in out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    r=st.integers(-2, 6),
+    group=st.sampled_from(["torus", "klein"]),
+    x=st.floats(allow_nan=True, allow_infinity=True),
+    y=st.floats(allow_nan=True, allow_infinity=True),
+)
+def test_quotient_fuzz_exit_codes(r, group, x, y):
+    argv = ["quotient", "--resolution", str(r), group, "--", f"{x!r},{y!r}"]
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        assert main(argv) in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, csv_sha, svg_sha",
+    [
+        (
+            ["torus", "--", "-0.6,0.35"],
+            "ca326c131d2711348f49dde14bd6d742bee9112687989b13d9f82024e6d90b63",
+            "c5aabf8e3807f52743d1cabab33a5995042d06c9a08d7814b11c6ed0afb5d0a4",
+        ),
+        (
+            ["klein", "--", "0,1"],
+            "0db80fc76d0d52e5542334447bf288ec6a309fd220d69d9392dddaa4dcbbe467",
+            "8e00ecae98172f1e27a2e68e6f46650d70b11400188f3c10786c95c669c9652b",
+        ),
+    ],
+)
+def test_quotient_outputs_pinned(capsys, tmp_path, monkeypatch, argv, csv_sha, svg_sha):
+    # digests of the outputs of the earlier depth-bounded orbit search: they
+    # guard byte reproducibility across versions, not just within one build
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(
+        capsys, "quotient", "--resolution", "40", "--svg", "fig.svg", *argv
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == csv_sha
+    assert hashlib.sha256((tmp_path / "fig.svg").read_bytes()).hexdigest() == svg_sha
 
 
 def test_bounds_hcp2(capsys):

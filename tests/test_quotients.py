@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,19 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonicspaces.errors import (
-    DepthInsufficient,
     DomainViolation,
     InvalidPoint,
     SelfCheckFailed,
     UnsupportedModel,
 )
 from harmonicspaces.quotients import (
+    ANALYTIC_TOL,
     AntipodalGroup,
     CPInvolutionGroup,
     KleinGroup,
     LensGroup,
     Region,
     TorusGroup,
+    _flat_orbit_arrays,
     ambient_distance,
     classify_grid,
     classify_points,
@@ -96,13 +98,19 @@ def test_lens_same_orbit():
     assert quotient_distance(lens, lens.basepoint(), q) == 0.0
 
 
-def test_depth_insufficient():
-    torus = TorusGroup(depth=2)
-    with pytest.raises(DepthInsufficient):
-        quotient_distance(torus, (0.0, 0.0), (3.0, 3.0))
-    klein = KleinGroup(depth=1)
-    with pytest.raises(DepthInsufficient):
-        quotient_distance(klein, (0.0, 0.0), (2.0, 0.0))
+@pytest.mark.parametrize("group, size", [(TorusGroup(), 8), (KleinGroup(), 4)])
+@pytest.mark.parametrize("p", [(0.0, 0.0), (3.0, 4.0), (600.0, -800.0)])
+def test_element_ring_size_independent_of_basepoint(group, size, p):
+    p = np.asarray(p)
+    for q in (p, p + (0.3, -0.2)):
+        assert len(group.element_ids(p, q)) == size
+
+
+def test_ring_finds_far_orbit_images():
+    # the nearest cell of p - q is far from the identity
+    assert quotient_distance(TorusGroup(), (0.0, 0.0), (3.0, 0.0)) == 0.0
+    assert quotient_distance(TorusGroup(), (1000.2, 0.0), (0.0, 0.0)) == pytest.approx(0.2)
+    assert quotient_distance(KleinGroup(), (0.0, 0.3), (-7.0, -0.3)) == 0.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -171,13 +179,6 @@ def test_metric_axioms_thousand_triples():
             dpq
             <= quotient_distance(cpq, p, r) + quotient_distance(cpq, r, q) + 1e-12
         )
-
-
-def test_depth_must_be_positive():
-    with pytest.raises(ValueError):
-        TorusGroup(depth=0)
-    with pytest.raises(ValueError):
-        KleinGroup(depth=-3)
 
 
 # --- injectivity radii
@@ -322,14 +323,51 @@ def test_projection_isometry_on_interior():
             assert quotient_distance(torus, p, q) == ambient_distance("flat", p, q)
 
 
+def _brute_force_orbit_min(group, p, qs):
+    # every element within 4 cells of p - q, a wider window than the ring;
+    # near the origin, the whole box |i|, |j| <= ceil(|p|) + 3
+    if np.linalg.norm(p) <= 5:
+        lo = -(math.ceil(np.linalg.norm(p)) + 3)
+        hi = -lo
+    else:
+        lo = math.floor(np.min(p - qs)) - 4
+        hi = math.ceil(np.max(p - qs)) + 4
+    powers = range(lo, hi + 1)
+    d_min = np.full(len(qs), np.inf)
+    if isinstance(group, TorusGroup):
+        for i, j in itertools.product(powers, powers):
+            if (i, j) != (0, 0):
+                images = qs + np.array([i, j])
+                np.minimum(d_min, np.linalg.norm(images - p, axis=1), out=d_min)
+    else:
+        for n in powers:
+            if n != 0:
+                images = np.column_stack(
+                    (qs[:, 0] + n, qs[:, 1] if n % 2 == 0 else -qs[:, 1])
+                )
+                np.minimum(d_min, np.linalg.norm(images - p, axis=1), out=d_min)
+    return d_min
+
+
 def test_classify_points_matches_scalar():
-    torus = TorusGroup()
-    p = np.zeros(2)
     rng = np.random.default_rng(17)
-    qs = rng.uniform(-1.3, 1.3, size=(50, 2))
-    regions = classify_points(torus, p, qs)
-    for q, region in zip(qs, regions):
-        assert in_fundamental_domain(torus, p, q) is region
+    for group, p in itertools.product(
+        (TorusGroup(), KleinGroup()),
+        ((0.0, 0.0), (3.7, -2.2), (-40.3, 17.9), (1000.3, -7.0)),
+    ):
+        p = np.asarray(p)
+        qs = p + rng.uniform(-1.5, 1.5, size=(200, 2))
+        case = f"{group.name} at {p}"
+        d_id, d_min = _flat_orbit_arrays(group, p, qs)
+        brute_min = _brute_force_orbit_min(group, p, qs)
+        assert np.array_equal(d_min, brute_min), case
+        expected = np.full(len(qs), Region.EXTERIOR, dtype=object)
+        expected[d_id < brute_min - ANALYTIC_TOL] = Region.INTERIOR
+        expected[np.abs(d_id - brute_min) <= ANALYTIC_TOL] = Region.BOUNDARY
+        regions = classify_points(group, p, qs)
+        assert np.array_equal(regions, expected), case
+        for q, region in zip(qs, regions):
+            assert in_fundamental_domain(group, p, q) is region, case
 
 
 def test_lens_domain_predicate():
