@@ -114,25 +114,31 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
         else [args.r_min]
     )
     if closed:
-        phi0_fn = harmonic.phi0_closed_function(model)
+        phi0_fn = lambda r: harmonic.phi0_closed(model, r)
     else:
-        phi0_fn = harmonic.phi0_numeric_function(model, args.r_ref)
+        phi0_fn = lambda r: harmonic.phi0_numeric(model, r, args.r_ref, tol=args.tol)
     lines = [config.comment_line()]
     lines.append("r,theta,phi1,phi0_closed,phi0_numeric_diff,laplacian_residual")
-    for r in grid:
-        phi0_val = harmonic.phi0_closed(model, r) if closed else None
-        residual = harmonic.harmonicity_residual(model, phi0_fn, r)
-        lines.append(
-            ",".join(
-                (
-                    _fmt(r, p),
-                    _fmt(theta(model, r), p),
-                    _fmt(harmonic.phi1(model, r), p),
-                    _fmt(phi0_val, p),
-                    _fmt(harmonic.phi0_numeric(model, r, args.r_ref, tol=args.tol), p),
-                    f"{residual:.3e}",
+    try:
+        for r in grid:
+            phi0_val = harmonic.phi0_closed(model, r) if closed else None
+            residual = harmonic.harmonicity_residual(model, phi0_fn, r)
+            lines.append(
+                ",".join(
+                    (
+                        _fmt(r, p),
+                        _fmt(theta(model, r), p),
+                        _fmt(harmonic.phi1(model, r), p),
+                        _fmt(phi0_val, p),
+                        _fmt(harmonic.phi0_numeric(model, r, args.r_ref, tol=args.tol), p),
+                        f"{residual:.3e}",
+                    )
                 )
             )
+    except OverflowError:
+        return _fail_usage(
+            f"{model.model_id} values overflow float64 on the grid "
+            f"[{args.r_min}, {args.r_max}] with r_ref={args.r_ref}"
         )
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
@@ -352,8 +358,18 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
+    sub.add_argument("--tol", type=_tolerance, default=1e-10, help="quadrature tolerance")
     sub.add_argument("--seed", type=int, default=42, help="RNG seed for sampling")
     sub.add_argument(
         "--precision", type=int, default=12, help="CSV decimal digits (6..17)"

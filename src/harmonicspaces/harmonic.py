@@ -311,66 +311,19 @@ def phi0_numeric(
     return result.value if r > r_ref else -result.value
 
 
-class Kind(enum.Enum):
-    PHI1 = "phi1"
-    PHI0_CLOSED = "phi0_closed"
-    PHI0_NUMERIC = "phi0_numeric"
-    THETA = "theta"
-
-
-@dataclass(frozen=True)
-class RadialFunction:
-    """An evaluable radial function on the open interval (0, domain_end)."""
-
-    model: SpaceModel
-    kind: Kind
-    evaluator: Callable[[float], float]
-    r_ref: float | None = None
-
-    def __call__(self, r: float) -> float:
-        return self.evaluator(r)
-
-
-def phi1_function(model: SpaceModel) -> RadialFunction:
-    return RadialFunction(model, Kind.PHI1, lambda r: phi1(model, r))
-
-
-def theta_function(model: SpaceModel) -> RadialFunction:
-    return RadialFunction(model, Kind.THETA, lambda r: theta(model, r))
-
-
-def phi0_closed_function(model: SpaceModel) -> RadialFunction:
+def general_solution(model: SpaceModel, a: float, b: float) -> Callable[[float], float]:
+    """a * phi0 + b, the general radial harmonic function."""
     if not has_closed_form(model):
         raise UnsupportedModel(f"no closed-form phi0 for {model}")
-    return RadialFunction(model, Kind.PHI0_CLOSED, lambda r: phi0_closed(model, r))
+    return lambda r: a * phi0_closed(model, r) + b
 
 
-def phi0_numeric_function(model: SpaceModel, r_ref: float) -> RadialFunction:
-    return RadialFunction(
-        model,
-        Kind.PHI0_NUMERIC,
-        lambda r: phi0_numeric(model, r, r_ref),
-        r_ref=r_ref,
-    )
-
-
-def general_solution(model: SpaceModel, a: float, b: float) -> RadialFunction:
-    """a * phi0 + b, the general radial harmonic function."""
-    closed = phi0_closed_function(model)
-    return RadialFunction(
-        model, Kind.PHI0_CLOSED, lambda r: a * closed(r) + b
-    )
-
-
-def laplacian_radial(
-    model: SpaceModel, f: RadialFunction | Callable[[float], float], r: float
-) -> float:
+def laplacian_radial(model: SpaceModel, f: Callable[[float], float], r: float) -> float:
     """Radial Laplace-Beltrami operator -(f'' + (log theta)' f') at r.
 
     Both derivatives are Richardson-extrapolated central differences; for
     phi0 the returned value is a residual near zero.
     """
-    ev = f.evaluator if isinstance(f, RadialFunction) else f
     iv = domain(model)
 
     def refined(order: int) -> float:
@@ -380,8 +333,8 @@ def laplacian_radial(
             h = EPS ** (1.0 / 3.0) * max(1.0, abs(r))
         else:
             h = 2.0 * EPS**0.25 * max(1.0, abs(r))
-        d1 = derivative(ev, r, order, step_hint=h, interval=iv)
-        d2 = derivative(ev, r, order, step_hint=2.0 * h, interval=iv)
+        d1 = derivative(f, r, order, step_hint=h, interval=iv)
+        d2 = derivative(f, r, order, step_hint=2.0 * h, interval=iv)
         return (4.0 * d1 - d2) / 3.0
 
     fp = refined(1)
@@ -389,7 +342,7 @@ def laplacian_radial(
     return -(fpp + log_derivative_theta(model, r) * fp)
 
 
-def harmonicity_residual(model: SpaceModel, f, r: float) -> float:
+def harmonicity_residual(model: SpaceModel, f: Callable[[float], float], r: float) -> float:
     """|radial Laplacian| scaled by max(1, phi1).
 
     phi1 is the natural magnitude of the two cancelling terms; on rows with

@@ -110,31 +110,20 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return resk * h, abs((resk - resg) * h)
 
 
-class _Counter:
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
-
-
-def _counting(f: Callable[[float], float], counter: _Counter) -> Callable[[float], float]:
-    def g(x: float) -> float:
-        counter.n += 1
-        return f(x)
-
-    return g
-
-
-def _adaptive_closed(f, a: float, b: float, tol: float) -> tuple[float, float]:
+def _adaptive_closed(f, a: float, b: float, tol: float) -> tuple[float, float, int]:
     """Adaptive bisection on a closed panel heap until the summed error
-    estimate drops below max(tol, relative floor)."""
+    estimate drops below max(tol, relative floor).
+
+    Returns (value, error estimate, panels evaluated).
+    """
     v, e = _gk15(f, a, b)
     heap = [(-e, a, b, v)]
     total_v, total_e = v, e
+    panels = 1
     splits = 0
     while splits < _MAX_INTERIOR_SPLITS:
         if total_e <= max(tol, _REL_FLOOR * abs(total_v)):
-            return total_v, total_e
+            return total_v, total_e, panels
         neg_e0, a0, b0, v0 = heapq.heappop(heap)
         m = 0.5 * (a0 + b0)
         if not (a0 < m < b0):
@@ -148,16 +137,19 @@ def _adaptive_closed(f, a: float, b: float, tol: float) -> tuple[float, float]:
         heapq.heappush(heap, (-e2, m, b0, v2))
         total_v += v1 + v2 - v0
         total_e += e1 + e2 + neg_e0
+        panels += 2
         splits += 1
     if total_e > max(tol, _REL_FLOOR * abs(total_v)) or not math.isfinite(total_v):
         raise NonConvergence(
             f"interior error estimate {total_e:.3e} above tolerance after "
             f"{_MAX_INTERIOR_SPLITS} subdivisions on [{a}, {b}]"
         )
-    return total_v, total_e
+    return total_v, total_e, panels
 
 
-def _open_end_zone(f, endpoint: float, delta: float, at_hi: bool, tol: float) -> tuple[float, float]:
+def _open_end_zone(
+    f, endpoint: float, delta: float, at_hi: bool, tol: float
+) -> tuple[float, float, int]:
     """Integrate the zone adjacent to an open endpoint with geometric panels.
 
     Marches panels whose distance to the endpoint shrinks by
@@ -165,6 +157,8 @@ def _open_end_zone(f, endpoint: float, delta: float, at_hi: bool, tol: float) ->
     panel contributions bounds the remaining tail below ``tol``; raises
     NonConvergence if the panel floor (or float64 resolution) is exhausted
     first, which is the signature of a non-integrable endpoint.
+
+    Returns (value, error estimate, panels evaluated).
     """
     q = ENDPOINT_PANEL_RATIO
     d = delta
@@ -172,7 +166,7 @@ def _open_end_zone(f, endpoint: float, delta: float, at_hi: bool, tol: float) ->
     err = 0.0
     prev = math.inf
     decays = 0
-    for _ in range(ENDPOINT_PANEL_FLOOR):
+    for k in range(ENDPOINT_PANEL_FLOOR):
         d_next = d * q
         if at_hi:
             x0, x1 = endpoint - d, endpoint - d_next
@@ -192,7 +186,7 @@ def _open_end_zone(f, endpoint: float, delta: float, at_hi: bool, tol: float) ->
             tail = c * ratio / (1.0 - ratio)
             if decays >= 3 and tail <= tol and c <= tol:
                 # geometric extrapolation of the remaining tail
-                return total + v * ratio / (1.0 - ratio), err + tail
+                return total + v * ratio / (1.0 - ratio), err + tail, k + 1
         else:
             decays = 0
         prev = c
@@ -205,17 +199,15 @@ def _open_end_zone(f, endpoint: float, delta: float, at_hi: bool, tol: float) ->
 
 
 def integrate(f: Callable[[float], float], iv: Interval, tol: float = DEFAULT_TOL) -> QuadratureResult:
-    """Integrate ``f`` over ``iv`` to absolute tolerance ``tol``.
+    """Integrate ``f`` over ``iv`` to absolute tolerance ``tol`` (0 < tol < inf).
 
     The returned ``error_estimate`` is the honest accumulated estimate;
     values larger than ``tol`` can only occur via the relative floor of
     float64 on large integrals.  Raises NonConvergence when an open
     endpoint is not integrable (or the subdivision budget is exhausted).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    counter = _Counter()
-    g = _counting(f, counter)
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     open_lo, open_hi = iv.open_ends
     a, b = iv.lo, iv.hi
     width = b - a
@@ -226,18 +218,23 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float = DEFAULT_TO
 
     total = 0.0
     err = 0.0
+    panels = 0
     if open_lo:
-        v, e = _open_end_zone(g, a, delta, at_hi=False, tol=tol / 4.0)
+        v, e, n = _open_end_zone(f, a, delta, at_hi=False, tol=tol / 4.0)
         total += v
         err += e
+        panels += n
     if open_hi:
-        v, e = _open_end_zone(g, b, delta, at_hi=True, tol=tol / 4.0)
+        v, e, n = _open_end_zone(f, b, delta, at_hi=True, tol=tol / 4.0)
         total += v
         err += e
-    v, e = _adaptive_closed(g, lo_edge, hi_edge, tol / 2.0)
+        panels += n
+    v, e, n = _adaptive_closed(f, lo_edge, hi_edge, tol / 2.0)
     total += v
     err += e
-    return QuadratureResult(value=total, error_estimate=err, evaluations=counter.n)
+    panels += n
+    # every _gk15 panel evaluates f at its 15 Kronrod nodes
+    return QuadratureResult(value=total, error_estimate=err, evaluations=15 * panels)
 
 
 def derivative(

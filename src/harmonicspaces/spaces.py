@@ -16,6 +16,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainViolation, UnsupportedModel
 from .numerics import Interval, integrate
@@ -74,6 +75,7 @@ class DensityProfile:
     sine_exponent: int
     cosine_exponent: int
     trig_kind: TrigKind
+    domain_end: float  # upper end of the open radial domain
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,9 @@ class SpaceModel:
             return -1
         return 0
 
-    @property
+    @cached_property
     def density(self) -> DensityProfile:
+        """Exponents, kind and domain end, resolved once per model."""
         if self.family in _COMPLEX:
             b = 1
         elif self.family in _QUATERNION:
@@ -119,7 +122,11 @@ class SpaceModel:
         kind = {1: TrigKind.CIRCULAR, -1: TrigKind.HYPERBOLIC, 0: TrigKind.POLYNOMIAL}[
             self.curvature_sign
         ]
-        return DensityProfile(self.dimension - 1, b, kind)
+        if self.curvature_sign <= 0:
+            end = math.inf
+        else:
+            end = math.pi if self.family is Family.SPHERE else 0.5 * math.pi
+        return DensityProfile(self.dimension - 1, b, kind, end)
 
     @property
     def model_id(self) -> str:
@@ -237,26 +244,25 @@ def positive_dual(model: SpaceModel) -> SpaceModel:
 
 def domain_end(model: SpaceModel) -> float:
     """Upper end of the open radial domain (diameter for compact models)."""
-    if model.curvature_sign <= 0:
-        return math.inf
-    return math.pi if model.family is Family.SPHERE else 0.5 * math.pi
+    return model.density.domain_end
 
 
 def domain(model: SpaceModel) -> Interval:
     return Interval(0.0, domain_end(model), (True, True))
 
 
-def _check_radius(model: SpaceModel, r: float) -> None:
-    if not (0.0 < r < domain_end(model)):
+def _check_radius(model: SpaceModel, r: float) -> DensityProfile:
+    prof = model.density
+    if not (0.0 < r < prof.domain_end):
         raise DomainViolation(
-            f"r={r!r} outside the open domain (0, {domain_end(model)}) of {model}"
+            f"r={r!r} outside the open domain (0, {prof.domain_end}) of {model}"
         )
+    return prof
 
 
 def theta(model: SpaceModel, r: float) -> float:
     """Volume density at geodesic distance r from the basepoint."""
-    _check_radius(model, r)
-    prof = model.density
+    prof = _check_radius(model, r)
     a, b = prof.sine_exponent, prof.cosine_exponent
     if prof.trig_kind is TrigKind.CIRCULAR:
         return math.sin(r) ** a * math.cos(r) ** b
@@ -267,14 +273,12 @@ def theta(model: SpaceModel, r: float) -> float:
 
 def theta_tilde(model: SpaceModel, r: float) -> float:
     """Density with the flat factor removed; tends to 1 as r -> 0."""
-    _check_radius(model, r)
     return theta(model, r) / r ** (model.dimension - 1)
 
 
 def log_derivative_theta(model: SpaceModel, r: float) -> float:
     """d/dr log(theta), in closed form."""
-    _check_radius(model, r)
-    prof = model.density
+    prof = _check_radius(model, r)
     a, b = prof.sine_exponent, prof.cosine_exponent
     if prof.trig_kind is TrigKind.CIRCULAR:
         return a / math.tan(r) - b * math.tan(r)
@@ -310,11 +314,7 @@ def model_volume(model: SpaceModel) -> float:
         raise UnsupportedModel(
             f"{model} is not compact; use ball_volume with an explicit radius"
         )
-    end = domain_end(model)
-    result = integrate(
-        lambda r: theta(model, r), Interval(0.0, end, (True, True)), tol=_VOLUME_TOL
-    )
-    return unit_sphere_volume(model.dimension - 1) * result.value
+    return ball_volume(model, domain_end(model))
 
 
 def ball_volume(model: SpaceModel, radius: float) -> float:

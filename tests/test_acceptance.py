@@ -59,7 +59,7 @@ def test_criterion_1_residual_tolerances():
 def test_criterion_2_harmonicity():
     worst = 0.0
     for model in ALL_ROWS:
-        f = harmonic.phi0_closed_function(model)
+        f = lambda r: harmonic.phi0_closed(model, r)
         for r in harmonic.verification_grid(model):
             worst = max(worst, harmonic.harmonicity_residual(model, f, r))
     assert worst <= 1e-5, worst

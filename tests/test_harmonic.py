@@ -15,11 +15,8 @@ from harmonicspaces.harmonic import (
     harmonicity_residual,
     laplacian_radial,
     phi0_closed,
-    phi0_closed_function,
     phi0_numeric,
-    phi0_numeric_function,
     phi1,
-    phi1_function,
     verification_grid,
     verify_table_entry,
 )
@@ -81,7 +78,7 @@ def test_phi0_numeric_antisymmetric():
 
 def test_laplacian_closed_form_is_harmonic():
     model = sphere(3)
-    assert abs(laplacian_radial(model, phi0_closed_function(model), 1.0)) <= 1e-5
+    assert abs(laplacian_radial(model, lambda r: phi0_closed(model, r), 1.0)) <= 1e-5
 
 
 def test_laplacian_constant_function():
@@ -181,13 +178,6 @@ def test_verification_grid_bounds():
 
 def test_harmonicity_residual_scaled():
     model = parse_model_id("OP2")
-    f = phi0_closed_function(model)
+    f = lambda r: phi0_closed(model, r)
     for r in (0.2, 0.8, 1.3):
         assert harmonicity_residual(model, f, r) <= 1e-5
-
-
-def test_phi1_function_wrapper():
-    f = phi1_function(sphere(3))
-    assert f(1.0) == phi1(sphere(3), 1.0)
-    g = phi0_numeric_function(sphere(3), 0.5)
-    assert g(0.5) == 0.0

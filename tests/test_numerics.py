@@ -65,8 +65,32 @@ def test_integrate_never_touches_open_endpoints():
 
 
 def test_invalid_tol():
-    with pytest.raises(ValueError):
-        integrate(math.sin, Interval(0.0, 1.0), tol=0.0)
+    # NaN fails every comparison, so only a check of the form 0 < tol < inf
+    # rejects it
+    for tol in (0.0, -1e-10, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            integrate(math.sin, Interval(0.0, 1.0), tol=tol)
+
+
+@pytest.mark.parametrize(
+    "f, iv",
+    [
+        (lambda x: 1.0 / math.sin(x) ** 2, Interval(0.1, 1.5)),
+        (lambda x: x ** (-0.25), Interval(0.0, 1.0, (True, False))),
+        (math.sin, Interval(0.0, math.pi, (True, True))),
+    ],
+)
+def test_evaluations_match_integrand_calls(f, iv):
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return f(x)
+
+    res = integrate(counted, iv, tol=1e-8)
+    assert calls > 15
+    assert res.evaluations == calls
 
 
 @settings(max_examples=40, deadline=None)

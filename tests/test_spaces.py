@@ -225,3 +225,22 @@ def test_density_profiles():
     assert (prof.sine_exponent, prof.cosine_exponent) == (15, 7)
     assert sphere(9).density.cosine_exponent == 0
     assert parse_model_id("hCP3").density.cosine_exponent == 1
+
+
+def test_density_resolved_once_per_model():
+    model = complex_projective(2)
+    assert model.density is model.density
+    assert model.density.domain_end == domain_end(model) == math.pi / 2
+    # the cached profile is not part of the model's identity
+    fresh = complex_projective(2)
+    assert model == fresh and hash(model) == hash(fresh)
+    assert repr(model) == (
+        "SpaceModel(family=<Family.COMPLEX_PROJECTIVE: 'complex_projective'>, "
+        "dimension=4, projective_index=2)"
+    )
+    assert {model: 1}[fresh] == 1
+
+
+def test_model_volume_is_ball_of_diameter():
+    for model in (sphere(3), complex_projective(2), octonion_plane()):
+        assert model_volume(model) == ball_volume(model, domain_end(model))
