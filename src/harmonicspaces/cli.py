@@ -3,7 +3,8 @@
 Subcommands: phi-table, verify, quotient, bounds.  Exit codes: 0 success,
 1 verification failure, 2 usage error.  All angles are radians; CSV is the
 single data format and SVG the single figure format, both deterministic
-for a fixed configuration (seed included).
+for a fixed configuration.  Each subcommand accepts only the options it
+reads, and its parsed arguments are the configuration every output echoes.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,31 +25,13 @@ USAGE_ERROR = 2
 VERIFY_FAIL = 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run parameters, echoed at the top of every output."""
+def _run_config(args: argparse.Namespace) -> dict:
+    """The parsed arguments: every option the subcommand accepts, as given."""
+    return {key: value for key, value in vars(args).items() if key != "func"}
 
-    command: str
-    args: dict
-    output_path: str | None
-    csv_precision: int = 12
-    seed: int = 42
-    tol: float = 1e-10
 
-    def __post_init__(self):
-        if not (6 <= self.csv_precision <= 17):
-            raise ValueError("precision must lie in [6, 17]")
-
-    def comment_line(self) -> str:
-        payload = {
-            "command": self.command,
-            "precision": self.csv_precision,
-            "seed": self.seed,
-            "tol": self.tol,
-            "out": self.output_path,
-            **self.args,
-        }
-        return "# config " + json.dumps(payload, sort_keys=True)
+def _config_line(args: argparse.Namespace) -> str:
+    return "# config " + json.dumps(_run_config(args), sort_keys=True)
 
 
 def _fmt(value: float | None, precision: int) -> str:
@@ -92,21 +74,6 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
         return _fail_usage(
             f"{model.model_id} has no closed form; numeric only with --numeric-only"
         )
-    config = RunConfig(
-        command="phi-table",
-        args={
-            "model": args.model,
-            "r_min": args.r_min,
-            "r_max": args.r_max,
-            "n": args.n,
-            "r_ref": args.r_ref,
-            "numeric_only": bool(args.numeric_only),
-        },
-        output_path=args.out,
-        csv_precision=args.precision,
-        seed=args.seed,
-        tol=args.tol,
-    )
     p = args.precision
     grid = (
         [args.r_min + (args.r_max - args.r_min) * i / (args.n - 1) for i in range(args.n)]
@@ -117,7 +84,7 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
         phi0_fn = lambda r: harmonic.phi0_closed(model, r)
     else:
         phi0_fn = lambda r: harmonic.phi0_numeric(model, r, args.r_ref, tol=args.tol)
-    lines = [config.comment_line()]
+    lines = [_config_line(args)]
     lines.append("r,theta,phi1,phi0_closed,phi0_numeric_diff,laplacian_residual")
     try:
         for r in grid:
@@ -148,19 +115,11 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        command="verify",
-        args={"scope": args.scope},
-        output_path=args.out,
-        csv_precision=args.precision,
-        seed=args.seed,
-        tol=args.tol,
-    )
     try:
         results = verify_mod.run_all(scope=args.scope, seed=args.seed)
     except (UnsupportedModel, ValueError) as exc:
         return _fail_usage(str(exc))
-    lines = [config.comment_line()]
+    lines = [_config_line(args)]
     lines += [r.line() for r in results]
     n_fail = sum(1 for r in results if r.status == "FAIL")
     n_warn = sum(1 for r in results if r.status == "WARN")
@@ -176,7 +135,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _parse_basepoint(group, text: str | None):
     if text is None:
-        return verify_mod.default_basepoint(group)
+        return group.basepoint()
     try:
         values = [float(tok) for tok in text.split(",")]
     except ValueError:
@@ -211,8 +170,8 @@ def _normalized(v: np.ndarray, kind: str) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _quotient_svg(group, base, grid, config) -> str:
-    fig = SvgFigure(metadata=config.comment_line())
+def _quotient_svg(group, base, grid, config_line: str) -> str:
+    fig = SvgFigure(metadata=config_line)
     if group.ambient == "flat":
         hw = quotients.RASTER_HALFWIDTH
         cx, cy = float(base[0]), float(base[1])
@@ -292,22 +251,10 @@ def cmd_quotient(args: argparse.Namespace) -> int:
                 f"basepoint {args.basepoint!r} is too far out for raster spacing "
                 f"{spacing:g}: neighbouring cells would round to the same float"
             )
-    config = RunConfig(
-        command="quotient",
-        args={
-            "group": args.group,
-            "basepoint": args.basepoint,
-            "resolution": args.resolution,
-            "svg": args.svg,
-        },
-        output_path=args.out,
-        csv_precision=args.precision,
-        seed=args.seed,
-        tol=args.tol,
-    )
     p = args.precision
     report = quotients.injectivity_radius(group, base)
-    lines = [config.comment_line()]
+    config_line = _config_line(args)
+    lines = [config_line]
     lines.append(
         f"# iota={report.radius:.{p}g} minimizer={report.minimizer} "
         f"method={report.method}"
@@ -322,7 +269,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     if args.svg is not None:
         path = args.svg if args.svg != "" else f"quotient_{args.group}.svg"
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_quotient_svg(group, base, grid, config))
+            fh.write(_quotient_svg(group, base, grid, config_line))
     return 0
 
 
@@ -336,21 +283,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         return _fail_usage(str(exc))
     if model.curvature_sign != -1:
         return _fail_usage(f"{model.model_id} is not a negative-curvature model")
-    orientable = args.orientable == "true"
-    config = RunConfig(
-        command="bounds",
-        args={"model": args.model, "orientable": orientable},
-        output_path=args.out,
-        csv_precision=args.precision,
-        seed=args.seed,
-        tol=args.tol,
-    )
     try:
-        report = topology.volume_bounds(model, orientable=orientable)
+        report = topology.volume_bounds(model, orientable=args.orientable)
     except UnsupportedModel as exc:
         return _fail_usage(str(exc))
     payload = report.to_json_dict()
-    payload["config"] = json.loads(config.comment_line()[len("# config ") :])
+    payload["config"] = _run_config(args)
     _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -368,12 +306,35 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=_tolerance, default=1e-10, help="quadrature tolerance")
-    sub.add_argument("--seed", type=int, default=42, help="RNG seed for sampling")
-    sub.add_argument(
-        "--precision", type=int, default=12, help="CSV decimal digits (6..17)"
-    )
+def _precision(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not (6 <= value <= 17):
+        raise argparse.ArgumentTypeError(f"must be an integer in 6..17, got {text!r}")
+    return value
+
+
+def _true_or_false(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"must be true or false, got {text!r}")
+    return text == "true"
+
+
+_SHARED_OPTIONS = {
+    "tol": dict(type=_tolerance, default=1e-10, help="quadrature tolerance"),
+    "seed": dict(
+        type=int, default=42, help="RNG seed for sampling; only 'verify all' uses it"
+    ),
+    "precision": dict(type=_precision, default=12, help="CSV decimal digits (6..17)"),
+}
+
+
+def _add_options(sub: argparse.ArgumentParser, *names: str) -> None:
+    """Add --out and the named shared options: only those the command reads."""
+    for name in names:
+        sub.add_argument(f"--{name}", **_SHARED_OPTIONS[name])
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -398,12 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="allow models without a closed form (phi0_closed column left empty)",
     )
-    _add_common(pt)
+    _add_options(pt, "tol", "precision")
     pt.set_defaults(func=cmd_phi_table)
 
     vf = subs.add_parser("verify", help="run the oracle verification suite")
     vf.add_argument("scope", nargs="?", default="all", help="'all' or a model id")
-    _add_common(vf)
+    _add_options(vf, "seed")
     vf.set_defaults(func=cmd_verify)
 
     qt = subs.add_parser("quotient", help="injectivity radius and cut locus")
@@ -417,15 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write an SVG figure (optional path)",
     )
-    _add_common(qt)
+    _add_options(qt, "precision")
     qt.set_defaults(func=cmd_quotient)
 
     bd = subs.add_parser("bounds", help="volume lower bounds for hyperbolic duals")
     bd.add_argument("model", help="negative-curvature model id, e.g. hCP2")
     bd.add_argument(
-        "--orientable", choices=("true", "false"), default="true"
+        "--orientable", type=_true_or_false, default=True, metavar="{true,false}"
     )
-    _add_common(bd)
+    _add_options(bd)
     bd.set_defaults(func=cmd_bounds)
     return parser
 

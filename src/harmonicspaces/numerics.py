@@ -80,10 +80,6 @@ class Interval:
             raise ValueError(f"interval requires lo < hi, got ({self.lo}, {self.hi})")
 
 
-def open_interval(lo: float, hi: float) -> Interval:
-    return Interval(lo, hi, (True, True))
-
-
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
@@ -121,7 +117,7 @@ def _adaptive_closed(f, a: float, b: float, tol: float) -> tuple[float, float, i
     total_v, total_e = v, e
     panels = 1
     splits = 0
-    while splits < _MAX_INTERIOR_SPLITS:
+    while splits < _MAX_INTERIOR_SPLITS and math.isfinite(total_v):
         if total_e <= max(tol, _REL_FLOOR * abs(total_v)):
             return total_v, total_e, panels
         neg_e0, a0, b0, v0 = heapq.heappop(heap)
@@ -139,7 +135,10 @@ def _adaptive_closed(f, a: float, b: float, tol: float) -> tuple[float, float, i
         total_e += e1 + e2 + neg_e0
         panels += 2
         splits += 1
-    if total_e > max(tol, _REL_FLOOR * abs(total_v)) or not math.isfinite(total_v):
+    if not math.isfinite(total_v):
+        # the running sum never returns from inf or nan, so splitting stops
+        raise NonConvergence(f"integral over [{a}, {b}] is not finite: {total_v!r}")
+    if total_e > max(tol, _REL_FLOOR * abs(total_v)):
         raise NonConvergence(
             f"interior error estimate {total_e:.3e} above tolerance after "
             f"{_MAX_INTERIOR_SPLITS} subdivisions on [{a}, {b}]"

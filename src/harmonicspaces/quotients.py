@@ -100,7 +100,8 @@ class DeckGroup:
 
     Concrete groups provide ``ambient`` ("flat", "sphere" or "cproj"),
     ``element_ids(p, q)`` listing the non-identity elements sufficient for
-    distance queries between p and q, and ``apply(eid, point)``.  The finite
+    distance queries between p and q, and ``apply(eid, point)``; curved
+    ones also give ``ambient_dim``, the length of a point vector.  The finite
     groups list all their elements; the flat groups list a fixed ring about
     the nearest cell ``nearest_cell(p, q)``, since the nearest image and the
     next nearest lie within it.
@@ -117,6 +118,14 @@ class DeckGroup:
 
     def distance(self, p, q) -> float:
         return ambient_distance(self.ambient, p, q)
+
+    def basepoint(self) -> np.ndarray:
+        """The default basepoint: the origin of the plane, or e1."""
+        if self.ambient == "flat":
+            return np.zeros(2)
+        e1 = np.zeros(self.ambient_dim, complex if self.ambient == "cproj" else float)
+        e1[0] = 1.0
+        return e1
 
 
 @dataclass(frozen=True)
@@ -181,6 +190,10 @@ class AntipodalGroup(DeckGroup):
     ambient = "sphere"
     name = "rp"
 
+    @property
+    def ambient_dim(self) -> int:
+        return self.m + 1
+
     def element_ids(self, p=None, q=None):
         return ["-id"]
 
@@ -217,11 +230,6 @@ class LensGroup(DeckGroup):
             v = self._t(v)
         return v
 
-    def basepoint(self) -> np.ndarray:
-        e1 = np.zeros(self.ambient_dim)
-        e1[0] = 1.0
-        return e1
-
 
 @dataclass(frozen=True)
 class CPInvolutionGroup(DeckGroup):
@@ -249,11 +257,6 @@ class CPInvolutionGroup(DeckGroup):
         out[0::2] = -np.conj(z[1::2])
         out[1::2] = np.conj(z[0::2])
         return out
-
-    def basepoint(self) -> np.ndarray:
-        e1 = np.zeros(self.ambient_dim, dtype=complex)
-        e1[0] = 1.0
-        return e1
 
 
 def _validate_point(group: DeckGroup, p) -> np.ndarray:
@@ -414,8 +417,7 @@ def _random_points(group: DeckGroup, rng: np.random.Generator, n: int) -> list[n
         if group.ambient == "flat":
             pts.append(rng.uniform(-2.0, 2.0, size=2))
         elif group.ambient == "sphere":
-            dim = group.ambient_dim if hasattr(group, "ambient_dim") else group.m + 1
-            v = rng.standard_normal(dim)
+            v = rng.standard_normal(group.ambient_dim)
             pts.append(v / np.linalg.norm(v))
         else:
             dim = group.ambient_dim

@@ -90,18 +90,6 @@ def make_group(group_id: str, **kwargs) -> quotients.DeckGroup:
         raise ValueError(f"unknown group id {group_id!r}") from None
 
 
-def default_basepoint(group: quotients.DeckGroup):
-    import numpy as np
-
-    if group.ambient == "flat":
-        return np.zeros(2)
-    if isinstance(group, quotients.AntipodalGroup):
-        e1 = np.zeros(group.m + 1)
-        e1[0] = 1.0
-        return e1
-    return group.basepoint()
-
-
 def group_checks(seed: int = 42) -> list[CheckResult]:
     out = []
     for gid in _GROUPS:
@@ -159,7 +147,7 @@ def injectivity_checks(seed: int = 42) -> list[CheckResult]:
 
     for gid, expected in (("rp", 0.5 * math.pi), ("lens", 0.25 * math.pi), ("cpq", 0.25 * math.pi)):
         group = make_group(gid)
-        got = quotients.injectivity_radius(group, default_basepoint(group)).radius
+        got = quotients.injectivity_radius(group, group.basepoint()).radius
         out.append(
             CheckResult(
                 f"injectivity {gid}",

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonicspaces.cli import main
+from harmonicspaces.cli import build_parser, main
 from harmonicspaces.harmonic import harmonicity_residual, phi0_numeric
 from harmonicspaces.spaces import parse_model_id
 
@@ -212,18 +213,20 @@ def test_quotient_fuzz_exit_codes(r, group, x, y):
     [
         (
             ["torus", "--", "-0.6,0.35"],
-            "ca326c131d2711348f49dde14bd6d742bee9112687989b13d9f82024e6d90b63",
-            "c5aabf8e3807f52743d1cabab33a5995042d06c9a08d7814b11c6ed0afb5d0a4",
+            "cdba9a12381f04bba997aa3c7252fd10f30cb5f1d6f9184517d8dffd4c69ba4d",
+            "9d7ab3848a487cd0db72977d25f6e434de3ec7c1461cc99ee11793aba1a3c5ce",
         ),
         (
             ["klein", "--", "0,1"],
-            "0db80fc76d0d52e5542334447bf288ec6a309fd220d69d9392dddaa4dcbbe467",
-            "8e00ecae98172f1e27a2e68e6f46650d70b11400188f3c10786c95c669c9652b",
+            "b11ec1c04208d5d70f09dc7969dd320e131fd012556b9b3c83f47853a42f7c8e",
+            "f4c859192c27aa89b711638ea9183b2fdaad0ed8f5393dcb4a17f2ef5464ed0a",
         ),
     ],
+    ids=["torus", "klein"],
 )
 def test_quotient_outputs_pinned(capsys, tmp_path, monkeypatch, argv, csv_sha, svg_sha):
-    # digests of the outputs of the earlier depth-bounded orbit search: they
+    # digests of the outputs of the earlier depth-bounded orbit search, with
+    # the never-used --seed and --tol since deleted from the config line: they
     # guard byte reproducibility across versions, not just within one build
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(
@@ -239,31 +242,34 @@ def test_quotient_outputs_pinned(capsys, tmp_path, monkeypatch, argv, csv_sha, s
     [
         (
             ["phi-table", "S3", "0.3", "1.5", "5", "0.7854"],
-            "c61d08b06bc522d6fc235773421d0b01b314e068e9aecc3f589a5cd1d5944240",
+            "75c445a06dec28698e3c3b19fd380a0759a31f13edc8a165192de8cc610ba7b8",
         ),
         (
             ["phi-table", "hHP3", "0.3", "2.5", "5", "1.0"],
-            "13eb36b909006e371b37461da865742559fa41ce68cec668ca59501453f08c02",
+            "5b83e8a4184b7ea532dc7230e84f41d2d940fbf5e5222259b59f3b306ddd6c6c",
         ),
         (
             ["phi-table", "OP2", "0.2", "1.3", "5", "0.7"],
-            "cacf210a499243c3fe5ee4a8344693cce1466e80d0518f597e3a39fd5f6bd9a0",
+            "a836b82a9db8b49e5ae581f4aaa93cf78c881e066bc8dbc5d2c1a38300d36032",
         ),
         (
             ["phi-table", "E4", "0.5", "2", "4", "1.0"],
-            "b73e7a03d80e5ced80be0626d91c901035af7ca7a583afcb2debc2acfb24f920",
+            "c84deebf905352d2301d46ef5c858090a247dbcfb5f985a79435ea27cf85a3d7",
         ),
         (
             ["phi-table", "S9", "0.3", "1.5", "4", "0.7854", "--numeric-only"],
-            "51a130a77e681c5fce2054ec8aff2e8551e9654c81773a5ac5c2fbb2f6571555",
+            "b4363c0a73897f051222cafd2c359e1e945b66ad543106263ba9d0ad712a3c00",
         ),
-        (["verify", "S3"], "ae6eee94a3cd5336e525ded5365aec96258c21a0adba12095dd4691aa7fba279"),
-        (["verify", "hHP3"], "d163eb886ea36d83d344ffc9f70385f49f2e619f9e09750f21f8b84a16ca09ef"),
+        (["verify", "S3"], "f357afe928e27681a588679aac477f183a29306d7163f0d3f9c1012a8939466d"),
+        (["verify", "hHP3"], "53ed05839c37e8c731cfe6f1b3b8cb92e0b3ee993fab3c4ccc8d2f0d7dd70050"),
     ],
+    ids=["phi-S3", "phi-hHP3", "phi-OP2", "phi-E4", "phi-S9", "verify-S3", "verify-hHP3"],
 )
 def test_phi_table_and_verify_outputs_pinned(capsys, argv, digest):
     # digests of the outputs before the radial-function wrappers were
-    # removed: they guard byte reproducibility across versions
+    # removed, with the never-used config keys since deleted (phi-table
+    # --seed; verify --tol and --precision): they guard byte reproducibility
+    # across versions
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -285,7 +291,64 @@ def test_tol_must_be_positive_and_finite(capsys, argv, tol):
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert "error: argument --tol: must be a positive finite number" in captured.err
+    if argv[0] == "phi-table":
+        assert "error: argument --tol: must be a positive finite number" in captured.err
+    else:
+        # no other subcommand integrates, so none takes --tol at any value
+        assert f"error: unrecognized arguments: --tol={tol}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "S3", "--tol", "1e-3"],
+        ["verify", "S3", "--precision", "6"],
+        ["quotient", "klein", "0,0.25", "--seed", "9"],
+        ["quotient", "klein", "0,0.25", "--tol", "1e-2"],
+        ["bounds", "hOP2", "--seed", "7"],
+        ["bounds", "hOP2", "--tol", "1e-3"],
+        ["bounds", "hOP2", "--precision", "6"],
+    ],
+)
+def test_unused_options_are_usage_errors(capsys, argv):
+    # an option a subcommand would ignore is refused, not echoed as if used
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+
+
+def _option_dests(command: str) -> set[str]:
+    subs = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {a.dest for a in subs.choices[command]._actions if a.dest != "help"}
+
+
+def _config_of(line: str) -> dict:
+    assert line.startswith("# config ")
+    return json.loads(line[len("# config "):])
+
+
+def test_config_echoes_exactly_the_accepted_options(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    configs = {}
+    _, out, _ = run_cli(capsys, "phi-table", "S3", "0.3", "1.5", "2", "0.7854")
+    configs["phi-table"] = _config_of(out.splitlines()[0])
+    _, out, _ = run_cli(capsys, "verify", "S3")
+    configs["verify"] = _config_of(out.splitlines()[0])
+    _, out, _ = run_cli(capsys, "quotient", "torus", "0,0", "--resolution", "4", "--svg")
+    configs["quotient"] = _config_of(out.splitlines()[0])
+    svg = (tmp_path / "quotient_torus.svg").read_text()
+    assert f"<metadata>{out.splitlines()[0]}</metadata>" in svg
+    _, out, _ = run_cli(capsys, "bounds", "hS4")
+    configs["bounds"] = json.loads(out)["config"]
+    for command, config in configs.items():
+        assert config["command"] == command
+        assert set(config) == _option_dests(command) | {"command"}, command
+    assert configs["bounds"]["orientable"] is True
 
 
 def test_phi_table_numeric_residual_uses_tol(capsys):
@@ -316,6 +379,19 @@ def test_phi_table_overflow_is_usage_error(capsys, argv):
     assert err.startswith("error: ") and "overflow float64" in err
 
 
+@pytest.mark.parametrize("model_id", ["S9", "S3", "E3"])
+def test_phi_table_divergent_numeric_integral_is_nonconvergence(capsys, model_id):
+    # r_ref = 1e-300 puts the quadrature next to the pole of phi1, where the
+    # integral overflows; an infinite total is not a converged answer
+    code, out, err = run_cli(
+        capsys, "phi-table", model_id, "0.3", "1.5", "2", "1e-300", "--numeric-only"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "not finite" in err
+    assert "Traceback" not in err
+
+
 _FUZZ_REAL = st.one_of(
     st.floats(-1.0, 1000.0),
     st.sampled_from(["nan", "inf", "-inf", "0", "1e-300", "1e300", "x"]),
@@ -339,7 +415,7 @@ def test_phi_table_verify_bounds_fuzz_exit_codes(
 ):
     if command == "phi-table":
         r_min, r_max, r_ref = (str(v) for v in reals)
-        argv = ["phi-table", mid, r_min, r_max, str(n), r_ref]
+        argv = ["phi-table", mid, r_min, r_max, str(n), r_ref, "--tol", str(tol)]
         if numeric_only:
             argv.append("--numeric-only")
     elif command == "verify":
@@ -347,7 +423,6 @@ def test_phi_table_verify_bounds_fuzz_exit_codes(
         argv = ["verify", "S4" if mid == "all" else mid]
     else:
         argv = ["bounds", mid, "--orientable", orientable]
-    argv += ["--tol", str(tol)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -365,7 +440,7 @@ def test_bounds_hcp2(capsys):
     assert payload["dual"] == "CP2"
     assert payload["gb_bound"] == pytest.approx(payload["dual_volume"] / 3.0)
     assert payload["sig_bound"] == pytest.approx(payload["dual_volume"])
-    assert payload["config"]["seed"] == 42
+    assert "seed" not in payload["config"]
 
 
 def test_bounds_hs4_no_signature(capsys):
@@ -401,10 +476,11 @@ def test_bounds_deterministic(capsys, tmp_path):
 
 
 def test_precision_flag_validated(capsys):
-    code, _, err = run_cli(
-        capsys, "phi-table", "S3", "0.3", "1.5", "3", "0.7854", "--precision", "30"
-    )
-    assert code == 2
+    for value in ("30", "5", "18", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main(["phi-table", "S3", "0.3", "1.5", "3", "0.7854", "--precision", value])
+        assert exc.value.code == 2
+        assert "argument --precision: must be an integer in 6..17" in capsys.readouterr().err
 
 
 def test_module_entry_point():

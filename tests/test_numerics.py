@@ -38,6 +38,13 @@ def test_integrate_divergent_endpoint_raises():
         integrate(lambda r: (math.pi - r) ** (-3.0), iv)
 
 
+def test_infinite_total_is_not_converged():
+    # 1e308 / x overflows to inf near 0; an infinite total must not pass
+    # the tolerance test through its relative floor
+    with pytest.raises(NonConvergence, match="not finite"):
+        integrate(lambda x: 1e308 / x, Interval(1e-10, 1.0))
+
+
 def test_integrate_log_divergence_raises():
     # 1/(pi - r) diverges logarithmically; still not integrable
     iv = Interval(math.pi - 0.1, math.pi, (False, True))

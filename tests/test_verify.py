@@ -7,7 +7,6 @@ from harmonicspaces.cli import main
 from harmonicspaces.spaces import euclidean, parse_model_id
 from harmonicspaces.verify import (
     check_table_row,
-    default_basepoint,
     make_group,
     run_all,
     table_checks,
@@ -74,10 +73,20 @@ def test_table_checks_default_row_count():
 def test_make_group_and_basepoints():
     import numpy as np
 
-    for gid in ("torus", "klein", "rp", "lens", "cpq"):
+    expected = {
+        "torus": [0.0, 0.0],
+        "klein": [0.0, 0.0],
+        "rp": [1.0, 0.0, 0.0],
+        "lens": [1.0, 0.0, 0.0, 0.0],
+        "cpq": [1.0, 0.0, 0.0, 0.0],
+    }
+    for gid, coords in expected.items():
         group = make_group(gid)
-        base = default_basepoint(group)
-        assert np.asarray(base).ndim == 1
+        base = group.basepoint()
+        assert np.array_equal(base, coords)
+        assert np.iscomplexobj(base) == (group.ambient == "cproj")
+        if group.ambient != "flat":
+            assert len(base) == group.ambient_dim
     with pytest.raises(ValueError):
         make_group("mobius")
 
