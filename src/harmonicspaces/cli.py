@@ -23,6 +23,9 @@ from .svgfig import SvgFigure
 
 USAGE_ERROR = 2
 VERIFY_FAIL = 1
+#: A fixed cap on phi-table rows: the grid is built before any row is written.
+MAX_TABLE_POINTS = 100_000
+VERIFY_SEED = 42
 
 
 def _run_config(args: argparse.Namespace) -> dict:
@@ -67,8 +70,8 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
             f"grid [{args.r_min}, {args.r_max}] with r_ref={args.r_ref} must lie "
             f"inside the open domain (0, {end})"
         )
-    if args.n < 1:
-        return _fail_usage("n must be >= 1")
+    if not 1 <= args.n <= MAX_TABLE_POINTS:
+        return _fail_usage(f"n must be in 1..{MAX_TABLE_POINTS}, got {args.n}")
     closed = harmonic.has_closed_form(model)
     if not closed and not args.numeric_only:
         return _fail_usage(
@@ -115,8 +118,16 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # only 'verify all' samples, so only it takes a seed and echoes one
+    seed = getattr(args, "seed", VERIFY_SEED)
+    if args.scope == "all":
+        args.seed = seed
+    elif "seed" in args:
+        return _fail_usage(
+            f"--seed applies only to 'verify all'; {args.scope!r} samples nothing"
+        )
     try:
-        results = verify_mod.run_all(scope=args.scope, seed=args.seed)
+        results = verify_mod.run_all(scope=args.scope, seed=seed)
     except (UnsupportedModel, ValueError) as exc:
         return _fail_usage(str(exc))
     lines = [_config_line(args)]
@@ -133,32 +144,44 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # --- quotient ----------------------------------------------------------------
 
 
-def _parse_basepoint(group, text: str | None):
+def _group_and_basepoint(group_id: str, text: str | None):
+    """The deck group and the basepoint parsed from `text`, or the group's
+    default basepoint.  Sphere and projective groups size themselves from
+    the number of reals."""
     if text is None:
-        return group.basepoint()
+        group = verify_mod.make_group(group_id)
+        return group, group.basepoint()
     try:
         values = [float(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"basepoint {text!r} is not comma-separated reals") from None
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"basepoint {text!r} has a non-finite coordinate")
-    if group.ambient == "flat":
-        if len(values) != 2:
-            raise ValueError("flat basepoints take 2 coordinates")
-        return np.asarray(values)
-    if group.ambient == "sphere":
-        return _normalized(np.asarray(values), "sphere")
-    # projective: 2n reals interpreted as interleaved re,im; n reals as real
-    if len(values) == group.ambient_dim:
-        v = np.asarray(values, dtype=complex)
-    elif len(values) == 2 * group.ambient_dim:
-        v = np.asarray(values[0::2]) + 1j * np.asarray(values[1::2])
-    else:
-        raise ValueError(
-            f"projective basepoints take {group.ambient_dim} or "
-            f"{2 * group.ambient_dim} reals"
-        )
-    return _normalized(v, "projective")
+    n = len(values)
+    if group_id == "rp":
+        if n < 3:
+            raise ValueError("rp basepoints live on S^m, m >= 2: give m+1 reals")
+        group = verify_mod.make_group(group_id, m=n - 1)
+        return group, _normalized(np.asarray(values), "sphere")
+    if group_id == "lens":
+        if n < 4 or n % 2 != 0:
+            raise ValueError("lens basepoints live on S^(2k+1): give 2k+2 reals")
+        group = verify_mod.make_group(group_id, k=n // 2 - 1)
+        return group, _normalized(np.asarray(values), "sphere")
+    if group_id == "cpq":
+        # 4k+4 reals are interleaved re,im; 2k+2 reals a real vector
+        if n % 4 == 0 and n >= 8:
+            v = np.asarray(values[0::2]) + 1j * np.asarray(values[1::2])
+        elif n % 2 == 0 and n >= 4:
+            v = np.asarray(values, dtype=complex)
+        else:
+            raise ValueError("cpq basepoints take 2k+2 reals or 4k+4 interleaved re,im")
+        group = verify_mod.make_group(group_id, k=len(v) // 2 - 1)
+        return group, _normalized(v, "projective")
+    group = verify_mod.make_group(group_id)
+    if n != 2:
+        raise ValueError("flat basepoints take 2 coordinates")
+    return group, np.asarray(values)
 
 
 def _normalized(v: np.ndarray, kind: str) -> np.ndarray:
@@ -208,38 +231,11 @@ def _quotient_svg(group, base, grid, config_line: str) -> str:
     return fig.render()
 
 
-def _group_with_inferred_size(group_id: str, basepoint: str | None):
-    """Sphere and projective groups size themselves from the basepoint."""
-    if basepoint is None or group_id in ("torus", "klein"):
-        return verify_mod.make_group(group_id)
-    n = len(basepoint.split(","))
-    if group_id == "rp":
-        if n < 3:
-            raise ValueError("rp basepoints live on S^m, m >= 2: give m+1 reals")
-        return verify_mod.make_group(group_id, m=n - 1)
-    if group_id == "lens":
-        if n < 4 or n % 2 != 0:
-            raise ValueError("lens basepoints live on S^(2k+1): give 2k+2 reals")
-        return verify_mod.make_group(group_id, k=n // 2 - 1)
-    if group_id == "cpq":
-        # n reals (real vector) or 2n interleaved re,im
-        if n % 4 == 0 and n >= 8:
-            return verify_mod.make_group(group_id, k=n // 4 - 1)
-        if n % 2 == 0 and n >= 4:
-            return verify_mod.make_group(group_id, k=n // 2 - 1)
-        raise ValueError("cpq basepoints take 2k+2 reals or 4k+4 interleaved re,im")
-    return verify_mod.make_group(group_id)
-
-
 def cmd_quotient(args: argparse.Namespace) -> int:
     if args.resolution < 1:
         return _fail_usage("resolution must be >= 1")
     try:
-        group = _group_with_inferred_size(args.group, args.basepoint)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    try:
-        base = _parse_basepoint(group, args.basepoint)
+        group, base = _group_and_basepoint(args.group, args.basepoint)
     except ValueError as exc:
         return _fail_usage(str(exc))
     if group.ambient == "flat":
@@ -261,10 +257,14 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     )
     grid = None
     if group.ambient == "flat":
-        grid = quotients.classify_grid(group, base, args.resolution)
+        res = args.resolution
+        grid = quotients.classify_grid(group, base, res)
         lines.append("x,y,class")
-        for pt, region in zip(grid.points, grid.regions):
-            lines.append(f"{_fmt(pt[0], p)},{_fmt(pt[1], p)},{region.value}")
+        # the raster is a meshgrid: row k is (xs[k % res], ys[k // res])
+        xs = [_fmt(x, p) for x in grid.points[:res, 0]]
+        ys = [_fmt(y, p) for y in grid.points[::res, 1]]
+        for y, row in zip(ys, grid.regions.reshape(res, res)):
+            lines += [f"{x},{y},{region.value}" for x, region in zip(xs, row)]
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.svg is not None:
         path = args.svg if args.svg != "" else f"quotient_{args.group}.svg"
@@ -281,8 +281,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         model = parse_model_id(args.model)
     except UnsupportedModel as exc:
         return _fail_usage(str(exc))
-    if model.curvature_sign != -1:
-        return _fail_usage(f"{model.model_id} is not a negative-curvature model")
     try:
         report = topology.volume_bounds(model, orientable=args.orientable)
     except UnsupportedModel as exc:
@@ -324,9 +322,6 @@ def _true_or_false(text: str) -> bool:
 
 _SHARED_OPTIONS = {
     "tol": dict(type=_tolerance, default=1e-10, help="quadrature tolerance"),
-    "seed": dict(
-        type=int, default=42, help="RNG seed for sampling; only 'verify all' uses it"
-    ),
     "precision": dict(type=_precision, default=12, help="CSV decimal digits (6..17)"),
 }
 
@@ -352,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("model", help="model id, e.g. S3, CP2, hHP4, E2")
     pt.add_argument("r_min", type=float)
     pt.add_argument("r_max", type=float)
-    pt.add_argument("n", type=int)
+    pt.add_argument("n", type=int, help=f"grid points (1..{MAX_TABLE_POINTS})")
     pt.add_argument("r_ref", type=float)
     pt.add_argument(
         "--numeric-only",
@@ -364,7 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = subs.add_parser("verify", help="run the oracle verification suite")
     vf.add_argument("scope", nargs="?", default="all", help="'all' or a model id")
-    _add_options(vf, "seed")
+    vf.add_argument(
+        "--seed",
+        type=int,
+        default=argparse.SUPPRESS,
+        help=f"RNG seed for sampling (default {VERIFY_SEED}); 'verify all' only",
+    )
+    _add_options(vf)
     vf.set_defaults(func=cmd_verify)
 
     qt = subs.add_parser("quotient", help="injectivity radius and cut locus")

@@ -117,69 +117,25 @@ OP2_STATEMENT_NOTE = (
 )
 
 
-def volume_bound_gauss_bonnet(negative_model: SpaceModel) -> VolumeBoundReport:
-    """vol(M) >= vol(dual)/chi(dual) for even-dimensional duals."""
+def volume_bounds(negative_model: SpaceModel, orientable: bool = True) -> VolumeBoundReport:
+    """Gauss-Bonnet bound vol(dual)/chi(dual) and, when the dual has
+    signature 1, the signature bound eps * vol(dual); sig_bound is None
+    otherwise."""
     if negative_model.curvature_sign != -1:
-        raise UnsupportedModel(f"{negative_model} is not negatively curved")
+        raise UnsupportedModel(f"{negative_model} is not a negative-curvature model")
     dual = positive_dual(negative_model)
     if dual.dimension % 2 != 0:
         raise UnsupportedModel(
             f"gauss-bonnet bound needs even dimension, {dual} has chi = 0"
         )
     chi = euler_characteristic(dual)
+    sig = signature(dual)
+    eps = 1.0 if orientable else 0.5
     vol = model_volume(dual)
     notes = []
     if dual.family is Family.OCTONION_PLANE:
         notes.append(OP2_STATEMENT_NOTE)
-    return VolumeBoundReport(
-        negative_model=negative_model,
-        dual=dual,
-        dual_volume=vol,
-        euler=chi,
-        signature=signature(dual),
-        gb_bound=vol / chi,
-        sig_bound=None,
-        epsilon=1.0,
-        notes=tuple(notes),
-    )
-
-
-def volume_bound_signature(
-    negative_model: SpaceModel, orientable: bool = True
-) -> VolumeBoundReport:
-    """vol(M) >= eps * vol(dual) when the dual has signature 1."""
-    if negative_model.curvature_sign != -1:
-        raise UnsupportedModel(f"{negative_model} is not negatively curved")
-    dual = positive_dual(negative_model)
-    sig = signature(dual)
     if sig != 1:
-        raise UnsupportedModel(
-            f"signature bound needs sign(dual) = 1; {dual} has {sig!r}"
-        )
-    eps = 1.0 if orientable else 0.5
-    vol = model_volume(dual)
-    return VolumeBoundReport(
-        negative_model=negative_model,
-        dual=dual,
-        dual_volume=vol,
-        euler=euler_characteristic(dual),
-        signature=sig,
-        gb_bound=None,
-        sig_bound=eps * vol,
-        epsilon=eps,
-    )
-
-
-def volume_bounds(negative_model: SpaceModel, orientable: bool = True) -> VolumeBoundReport:
-    """Both bounds merged into one report; sig_bound is None when the dual
-    signature differs from 1."""
-    gb = volume_bound_gauss_bonnet(negative_model)
-    notes = list(gb.notes)
-    sig_bound = None
-    try:
-        sig = volume_bound_signature(negative_model, orientable)
-        sig_bound = sig.sig_bound
-    except UnsupportedModel:
         notes.append("signature bound undefined: dual signature is not 1")
     if (
         negative_model.family is Family.QUATERNION_HYPERBOLIC
@@ -188,12 +144,12 @@ def volume_bounds(negative_model: SpaceModel, orientable: bool = True) -> Volume
         notes.append(WOLF_SHARPENING_NOTE)
     return VolumeBoundReport(
         negative_model=negative_model,
-        dual=gb.dual,
-        dual_volume=gb.dual_volume,
-        euler=gb.euler,
-        signature=gb.signature,
-        gb_bound=gb.gb_bound,
-        sig_bound=sig_bound,
-        epsilon=1.0 if orientable else 0.5,
+        dual=dual,
+        dual_volume=vol,
+        euler=chi,
+        signature=sig,
+        gb_bound=vol / chi,
+        sig_bound=eps * vol if sig == 1 else None,
+        epsilon=eps,
         notes=tuple(notes),
     )

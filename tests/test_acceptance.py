@@ -134,15 +134,15 @@ def test_criterion_6_bound_ratios():
         "hOP2": 3,
     }
     for mid, chi in expectations.items():
-        rep = topology.volume_bound_gauss_bonnet(parse_model_id(mid))
+        rep = topology.volume_bounds(parse_model_id(mid))
         assert rep.euler == chi
         assert rep.gb_bound == rep.dual_volume / chi
-    hop2 = topology.volume_bound_gauss_bonnet(parse_model_id("hOP2"))
+    hop2 = topology.volume_bounds(parse_model_id("hOP2"))
     assert any("bound_statement_discrepancy" in n for n in hop2.notes)
     for mid in ("hCP2", "hHP2", "hOP2"):
         model = parse_model_id(mid)
-        orientable = topology.volume_bound_signature(model, orientable=True)
-        flipped = topology.volume_bound_signature(model, orientable=False)
+        orientable = topology.volume_bounds(model, orientable=True)
+        flipped = topology.volume_bounds(model, orientable=False)
         assert orientable.epsilon == 1.0
         assert orientable.sig_bound == orientable.dual_volume
         assert flipped.epsilon == 0.5

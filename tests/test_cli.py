@@ -8,13 +8,16 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonicspaces.cli import build_parser, main
 from harmonicspaces.harmonic import harmonicity_residual, phi0_numeric
+from harmonicspaces.quotients import classify_grid
 from harmonicspaces.spaces import parse_model_id
+from harmonicspaces.verify import make_group
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +183,10 @@ def test_quotient_bad_basepoint(capsys):
         (["rp", "inf,0,0"], 2, "non-finite"),
         (["cpq", "nan,0,0,0"], 2, "non-finite"),
         (["lens", "1e300,1e300,0,0"], 0, ""),
+        (["rp", "x"], 2, "not comma-separated reals"),
+        (["rp", "inf,0"], 2, "non-finite"),
+        (["lens", "1,0,0"], 2, "give 2k+2 reals"),
+        (["cpq", "1,0,0,0,0,0,0,0"], 0, ""),
     ],
 )
 def test_quotient_rejects_bad_input_cleanly(capsys, argv, expected, message):
@@ -192,6 +199,23 @@ def test_quotient_rejects_bad_input_cleanly(capsys, argv, expected, message):
         assert err.startswith("error: ") and message in err
     else:
         assert "iota=0.785398163" in out
+
+
+@pytest.mark.parametrize(
+    "argv", [["torus", "0,0"], ["klein", "--", "-0.6,0.35"], ["torus", "--", "3.7,-2.2"]]
+)
+@pytest.mark.parametrize("resolution", [1, 7])
+def test_quotient_csv_rows_follow_grid_points(capsys, argv, resolution):
+    # reference: one row per grid point, each coordinate formatted on its own
+    code, out, _ = run_cli(
+        capsys, "quotient", "--resolution", str(resolution), "--precision", "17", *argv
+    )
+    assert code == 0
+    group = make_group(argv[0])
+    base = np.array([float(v) for v in argv[-1].split(",")])
+    grid = classify_grid(group, base, resolution)
+    expected = [f"{x:.17g},{y:.17g},{r.value}" for (x, y), r in zip(grid.points, grid.regions)]
+    assert out.splitlines()[3:] == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -221,8 +245,13 @@ def test_quotient_fuzz_exit_codes(r, group, x, y):
             "b11ec1c04208d5d70f09dc7969dd320e131fd012556b9b3c83f47853a42f7c8e",
             "f4c859192c27aa89b711638ea9183b2fdaad0ed8f5393dcb4a17f2ef5464ed0a",
         ),
+        (
+            ["--precision", "17", "klein", "--", "-0.6,0.35"],
+            "b9222bee5579b491da6500c963638bb58976569e1de3a028009d771d6d16ae73",
+            "5a8ae90a2de8b088c5ec09cc24f91ab8e9f9944d02c12b58747f90ecb23374a8",
+        ),
     ],
-    ids=["torus", "klein"],
+    ids=["torus", "klein", "klein-p17"],
 )
 def test_quotient_outputs_pinned(capsys, tmp_path, monkeypatch, argv, csv_sha, svg_sha):
     # digests of the outputs of the earlier depth-bounded orbit search, with
@@ -260,16 +289,26 @@ def test_quotient_outputs_pinned(capsys, tmp_path, monkeypatch, argv, csv_sha, s
             ["phi-table", "S9", "0.3", "1.5", "4", "0.7854", "--numeric-only"],
             "b4363c0a73897f051222cafd2c359e1e945b66ad543106263ba9d0ad712a3c00",
         ),
-        (["verify", "S3"], "f357afe928e27681a588679aac477f183a29306d7163f0d3f9c1012a8939466d"),
-        (["verify", "hHP3"], "53ed05839c37e8c731cfe6f1b3b8cb92e0b3ee993fab3c4ccc8d2f0d7dd70050"),
+        (["verify", "S3"], "24ba50f43496f6ad2c6f9b82e029d69c7e7e3e314409726cfac44d3bd16cab7c"),
+        (["verify", "hHP3"], "0580e8e2da3004be170ddc4fe907b40f0015651c1692779ba46302a7c6ce08bc"),
+        (
+            ["bounds", "hCP2", "--orientable", "false"],
+            "c3c3df7971d1e821dc7283b871861c7bb4e40337ca6de44b9321adef2ec304ab",
+        ),
+        (["bounds", "hHP3"], "933b5e192a8576cdb12c7ea95ad5ae6f9fc2b418f2f80ebcdeb84ddec56ef322"),
+        (["bounds", "hOP2"], "5d5c22a23e648d9d4b3375f272389328dbf40b2d21d8d112532ac19d1c9a5dd9"),
     ],
-    ids=["phi-S3", "phi-hHP3", "phi-OP2", "phi-E4", "phi-S9", "verify-S3", "verify-hHP3"],
+    ids=[
+        "phi-S3", "phi-hHP3", "phi-OP2", "phi-E4", "phi-S9", "verify-S3", "verify-hHP3",
+        "bounds-hCP2-nonorientable", "bounds-hHP3", "bounds-hOP2",
+    ],
 )
 def test_phi_table_and_verify_outputs_pinned(capsys, argv, digest):
     # digests of the outputs before the radial-function wrappers were
     # removed, with the never-used config keys since deleted (phi-table
-    # --seed; verify --tol and --precision): they guard byte reproducibility
-    # across versions
+    # --seed; verify --tol and --precision; model-scope verify --seed), and of
+    # bounds before its two partial builders were merged: they guard byte
+    # reproducibility across versions
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -345,10 +384,47 @@ def test_config_echoes_exactly_the_accepted_options(capsys, tmp_path, monkeypatc
     assert f"<metadata>{out.splitlines()[0]}</metadata>" in svg
     _, out, _ = run_cli(capsys, "bounds", "hS4")
     configs["bounds"] = json.loads(out)["config"]
+    # only 'verify all' samples, so a model scope neither takes nor echoes --seed
+    scope_unused = {"verify": {"seed"}}
     for command, config in configs.items():
         assert config["command"] == command
-        assert set(config) == _option_dests(command) | {"command"}, command
+        expected = _option_dests(command) - scope_unused.get(command, set())
+        assert set(config) == expected | {"command"}, command
     assert configs["bounds"]["orientable"] is True
+
+
+def test_verify_all_echoes_its_seed(capsys, monkeypatch):
+    seeds = []
+    monkeypatch.setattr(
+        "harmonicspaces.cli.verify_mod.run_all",
+        lambda scope, seed: seeds.append((scope, seed)) or [],
+    )
+    for argv, seed in ((["verify"], 42), (["verify", "all", "--seed", "7"], 7)):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert _config_of(out.splitlines()[0]) == {
+            "command": "verify", "out": None, "scope": "all", "seed": seed,
+        }
+    assert seeds == [("all", 42), ("all", 7)]
+
+
+@pytest.mark.parametrize("argv", [["S3", "--seed", "7"], ["--seed", "42", "hHP3"]])
+def test_model_scope_verify_rejects_seed(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --seed applies only to 'verify all'")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n", [100_001, 10**11])
+def test_phi_table_point_count_is_capped(capsys, n):
+    # the grid is built before any row is written, so a huge n would
+    # exhaust memory; n beyond the fixed cap is a usage error
+    code, out, err = run_cli(capsys, "phi-table", "S3", "0.3", "1.5", str(n), "0.7854")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: n must be in 1..100000, got {n}\n"
 
 
 def test_phi_table_numeric_residual_uses_tol(capsys):

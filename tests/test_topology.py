@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from harmonicspaces import topology
 from harmonicspaces.errors import UnsupportedModel
 from harmonicspaces.spaces import model_volume, parse_model_id
 from harmonicspaces.topology import (
@@ -12,10 +13,10 @@ from harmonicspaces.topology import (
     euler_characteristic,
     signature,
     topology_record,
-    volume_bound_gauss_bonnet,
-    volume_bound_signature,
     volume_bounds,
 )
+
+SIGNATURE_UNDEFINED = "signature bound undefined: dual signature is not 1"
 
 # the characteristic-number catalogue, table-driven
 CHI_SIGN = {
@@ -69,53 +70,69 @@ def test_topology_record():
 
 
 def test_gauss_bonnet_bounds():
-    hs4 = volume_bound_gauss_bonnet(parse_model_id("hS4"))
+    hs4 = volume_bounds(parse_model_id("hS4"))
     vol_s4 = model_volume(parse_model_id("S4"))
     assert hs4.gb_bound == vol_s4 / 2
     assert hs4.gb_bound == pytest.approx(4.0 * math.pi**2 / 3.0, rel=1e-9)
 
-    hcp2 = volume_bound_gauss_bonnet(parse_model_id("hCP2"))
+    hcp2 = volume_bounds(parse_model_id("hCP2"))
     assert hcp2.gb_bound == hcp2.dual_volume / 3
 
-    hop2 = volume_bound_gauss_bonnet(parse_model_id("hOP2"))
+    hop2 = volume_bounds(parse_model_id("hOP2"))
     assert hop2.gb_bound == hop2.dual_volume / 3
     assert any("bound_statement_discrepancy" in n for n in hop2.notes)
 
 
 def test_gauss_bonnet_requires_negative_even():
-    with pytest.raises(UnsupportedModel):
-        volume_bound_gauss_bonnet(parse_model_id("CP2"))
-    with pytest.raises(UnsupportedModel):
-        volume_bound_gauss_bonnet(parse_model_id("hS3"))
+    with pytest.raises(UnsupportedModel, match="CP2 is not a negative-curvature model"):
+        volume_bounds(parse_model_id("CP2"))
+    with pytest.raises(UnsupportedModel, match="E3 is not a negative-curvature model"):
+        volume_bounds(parse_model_id("E3"))
+    with pytest.raises(UnsupportedModel, match="needs even dimension, S3 has chi = 0"):
+        volume_bounds(parse_model_id("hS3"))
 
 
 def test_signature_bounds():
-    hcp2 = volume_bound_signature(parse_model_id("hCP2"), orientable=True)
+    hcp2 = volume_bounds(parse_model_id("hCP2"), orientable=True)
     assert hcp2.sig_bound == hcp2.dual_volume
     assert hcp2.epsilon == 1.0
-    flipped = volume_bound_signature(parse_model_id("hCP2"), orientable=False)
+    flipped = volume_bounds(parse_model_id("hCP2"), orientable=False)
     assert flipped.sig_bound == 0.5 * flipped.dual_volume
     assert flipped.epsilon == 0.5
-    with pytest.raises(UnsupportedModel):
-        volume_bound_signature(parse_model_id("hHP3"))
-    with pytest.raises(UnsupportedModel):
-        volume_bound_signature(parse_model_id("hS4"))
+    # duals of signature 0 (HP3, S4) have no signature bound
+    for mid in ("hHP3", "hS4"):
+        rep = volume_bounds(parse_model_id(mid))
+        assert rep.signature == 0
+        assert rep.sig_bound is None
+        assert SIGNATURE_UNDEFINED in rep.notes
 
 
 @pytest.mark.parametrize("mid", ["hCP2", "hCP4", "hHP2", "hHP4", "hOP2"])
 def test_signature_dominates_gauss_bonnet(mid):
-    model = parse_model_id(mid)
-    gb = volume_bound_gauss_bonnet(model)
-    sig = volume_bound_signature(model, orientable=True)
-    assert sig.sig_bound >= gb.gb_bound
+    rep = volume_bounds(parse_model_id(mid), orientable=True)
+    assert rep.sig_bound >= rep.gb_bound
 
 
 def test_bound_ratios_exact():
     # ratio gb_bound / dual_volume is exactly 1/chi as computed
     for mid, chi in (("hS4", 2), ("hS6", 2), ("hCP2", 3), ("hCP3", 4), ("hHP2", 3), ("hOP2", 3)):
-        rep = volume_bound_gauss_bonnet(parse_model_id(mid))
+        rep = volume_bounds(parse_model_id(mid))
         assert rep.euler == chi
         assert rep.gb_bound == rep.dual_volume / chi
+
+
+def test_volume_bounds_integrates_once(monkeypatch):
+    # the dual's volume is one open-interval quadrature; both bounds share it
+    calls = []
+
+    def counted(model):
+        calls.append(model.model_id)
+        return model_volume(model)
+
+    monkeypatch.setattr(topology, "model_volume", counted)
+    rep = volume_bounds(parse_model_id("hCP2"))
+    assert calls == ["CP2"]
+    assert rep.gb_bound is not None and rep.sig_bound is not None
 
 
 def test_merged_report_hhp3():
@@ -124,7 +141,7 @@ def test_merged_report_hhp3():
     assert rep.sig_bound is None
     assert any("signature bound undefined" in n for n in rep.notes)
     assert any("sharpening" in n for n in rep.notes)
-    assert WOLF_SHARPENING_NOTE in rep.notes
+    assert rep.notes == (SIGNATURE_UNDEFINED, WOLF_SHARPENING_NOTE)
 
 
 def test_report_json_fields():
