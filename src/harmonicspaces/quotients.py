@@ -9,10 +9,13 @@ vectors in R^(m+1) for spheres, and unit complex vectors (projective
 representatives) for complex projective space.  All projective formulas
 use moduli only, so the circle gauge of the representative never matters.
 
-Orbit minima on the flat quotients search a fixed ring of elements about
-the nearest cell of p - q, whatever the basepoint: the nearest image lies
-in that cell, and the next nearest (needed when the identity is excluded)
-is one of its immediate neighbours.
+Every query runs through one kernel, ``orbit_distances``, on (n, d) arrays
+of points; the single-point functions are its n = 1 calls and give the
+same bits.  Orbit minima on the flat quotients search a fixed ring of
+elements about the nearest cell of p - q, whatever the basepoint: the
+nearest image lies in that cell, and the next nearest (needed when the
+identity is excluded) is one of its immediate neighbours.  Non-finite
+coordinates raise InvalidPoint.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -39,57 +41,79 @@ ANALYTIC_TOL = 1e-9
 #: Half the side of the square raster about the basepoint in cut-locus samples.
 RASTER_HALFWIDTH = 1.5
 
+#: Rows per pass of orbit_distances: it bounds the (ring, rows) temporaries.
+_BLOCK_ROWS = 4096
+
 
 # --- ambient distances ------------------------------------------------------
+#
+# Every distance works row-wise on (..., d) arrays, and a query on n points
+# gives exactly the n single-point answers.  Row dot products go through a
+# batched matmul, which equals np.dot on each row bit for bit (norm(axis=1)
+# sums in another order); arccosines and complex moduli go through the
+# Python builtins, which np.arccos and np.abs may miss in the last bit.
 
 
-def _as_vector(p, size: int | None = None, complex_ok: bool = False) -> np.ndarray:
-    arr = np.asarray(p, dtype=complex if complex_ok else float)
-    if arr.ndim != 1:
-        raise InvalidPoint(f"expected a flat vector, got shape {arr.shape}")
-    if size is not None and arr.shape[0] != size:
-        raise InvalidPoint(f"expected {size} coordinates, got {arr.shape[0]}")
+def _row_dot(a, b) -> np.ndarray:
+    """Dot products along the last axis, without conjugation."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _row_norm(v) -> np.ndarray:
+    if np.iscomplexobj(v):
+        return np.sqrt(_row_dot(v.real, v.real) + _row_dot(v.imag, v.imag))
+    return np.sqrt(_row_dot(v, v))
+
+
+def _each(f, a) -> np.ndarray:
+    """The float function f applied to each entry of a."""
+    a = np.asarray(a)
+    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+def flat_distances(a, b) -> np.ndarray:
+    return _row_norm(a - b)
+
+
+def sphere_distances(a, b) -> np.ndarray:
+    return _each(math.acos, np.clip(_row_dot(a, b), -1.0, 1.0))
+
+
+def cproj_distances(a, b) -> np.ndarray:
+    """Fubini-Study distances between projective points given by unit vectors."""
+    return _each(math.acos, np.minimum(1.0, _each(abs, _row_dot(np.conj(a), b))))
+
+
+_DISTANCES = {"flat": flat_distances, "sphere": sphere_distances, "cproj": cproj_distances}
+
+
+def _validate_points(kind: str, p, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
+    """p as a point (ndim 1) or rows of points (ndim 2) of the ambient kind:
+    finite coordinates, two of them on the plane, unit norm otherwise."""
+    arr = np.asarray(p, dtype=complex if kind == "cproj" else float)
+    if arr.ndim not in ndims:
+        shapes = " or ".join({1: "a flat vector", 2: "rows of points"}[d] for d in ndims)
+        raise InvalidPoint(f"expected {shapes}, got shape {arr.shape}")
+    if kind == "flat" and arr.shape[-1] != 2:
+        raise InvalidPoint(f"expected 2 coordinates, got {arr.shape[-1]}")
+    if not np.isfinite(arr).all():
+        raise InvalidPoint("point coordinates must be finite")
+    if kind != "flat":
+        norms = _row_norm(arr)
+        off = np.abs(norms - 1.0) > UNIT_NORM_TOL
+        if off.any():
+            raise InvalidPoint(f"point must be unit norm, |v| = {norms[off].flat[0]!r}")
     return arr
-
-
-def _check_unit(v: np.ndarray) -> None:
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
-        raise InvalidPoint(f"point must be unit norm, |v| = {np.linalg.norm(v)!r}")
-
-
-def flat_distance(p, q) -> float:
-    p, q = _as_vector(p, 2), _as_vector(q, 2)
-    return float(np.linalg.norm(p - q))
-
-
-def sphere_distance(p, q) -> float:
-    p, q = _as_vector(p), _as_vector(q)
-    if p.shape != q.shape:
-        raise InvalidPoint("sphere points must share the ambient dimension")
-    _check_unit(p)
-    _check_unit(q)
-    return math.acos(min(1.0, max(-1.0, float(np.dot(p, q)))))
-
-
-def cproj_distance(p, q) -> float:
-    """Fubini-Study distance between projective points given by unit vectors."""
-    p, q = _as_vector(p, complex_ok=True), _as_vector(q, complex_ok=True)
-    if p.shape != q.shape:
-        raise InvalidPoint("projective points must share the ambient dimension")
-    _check_unit(p)
-    _check_unit(q)
-    return math.acos(min(1.0, abs(complex(np.vdot(p, q)))))
 
 
 def ambient_distance(kind: str, p, q) -> float:
     """Distance in the named ambient geometry: flat | sphere | cproj."""
-    if kind == "flat":
-        return flat_distance(p, q)
-    if kind == "sphere":
-        return sphere_distance(p, q)
-    if kind == "cproj":
-        return cproj_distance(p, q)
-    raise InvalidPoint(f"unknown ambient kind {kind!r}")
+    if kind not in _DISTANCES:
+        raise InvalidPoint(f"unknown ambient kind {kind!r}")
+    p, q = _validate_points(kind, p), _validate_points(kind, q)
+    if p.shape != q.shape:
+        raise InvalidPoint(f"{kind} points must share the ambient dimension")
+    return float(_DISTANCES[kind](p, q))
 
 
 # --- deck groups -------------------------------------------------------------
@@ -99,25 +123,24 @@ class DeckGroup:
     """A finitely enumerable discrete isometry group of a model space.
 
     Concrete groups provide ``ambient`` ("flat", "sphere" or "cproj"),
-    ``element_ids(p, q)`` listing the non-identity elements sufficient for
-    distance queries between p and q, and ``apply(eid, point)``; curved
-    ones also give ``ambient_dim``, the length of a point vector.  The finite
-    groups list all their elements; the flat groups list a fixed ring about
-    the nearest cell ``nearest_cell(p, q)``, since the nearest image and the
-    next nearest lie within it.
+    ``ring`` and ``apply(eid, points)``, which acts row-wise on an (n, d)
+    array as on one point; curved ones also give ``ambient_dim``, the length
+    of a point vector.  The finite groups list their non-identity elements
+    in ``ring``.  The flat groups list offsets about the nearest cell
+    ``nearest_cell(p, q)``, since the nearest image and the next nearest lie
+    within them; ``element_ids(p, q)`` gives the elements themselves.  The
+    ascending ring order fixes which of several tied minimizers is reported.
     """
 
     ambient: str = "flat"
     name: str = "group"
+    ring: tuple = ()
 
-    def element_ids(self, p, q) -> Sequence:
-        raise NotImplementedError
+    def element_ids(self, p=None, q=None) -> list:
+        return list(self.ring)
 
     def apply(self, eid, point) -> np.ndarray:
         raise NotImplementedError
-
-    def distance(self, p, q) -> float:
-        return ambient_distance(self.ambient, p, q)
 
     def basepoint(self) -> np.ndarray:
         """The default basepoint: the origin of the plane, or e1."""
@@ -134,8 +157,6 @@ class TorusGroup(DeckGroup):
 
     ambient = "flat"
     name = "torus"
-    #: offsets about the nearest cell; ascending lexicographic order fixes
-    #: which of several tied minimizers injectivity_radius reports
     ring = tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
 
     @staticmethod
@@ -160,8 +181,8 @@ class KleinGroup(DeckGroup):
 
     ambient = "flat"
     name = "klein"
-    #: glide powers about the nearest cell, ascending: they hold the nearest
-    #: even and the nearest odd power, and the next ones when 0 is excluded
+    #: glide powers about the nearest cell: they hold the nearest even and
+    #: the nearest odd power, and the next ones when 0 is excluded
     ring = (-2, -1, 0, 1, 2)
 
     @staticmethod
@@ -189,13 +210,11 @@ class AntipodalGroup(DeckGroup):
 
     ambient = "sphere"
     name = "rp"
+    ring = ("-id",)
 
     @property
     def ambient_dim(self) -> int:
         return self.m + 1
-
-    def element_ids(self, p=None, q=None):
-        return ["-id"]
 
     def apply(self, eid, point):
         return -np.asarray(point, float)
@@ -209,18 +228,16 @@ class LensGroup(DeckGroup):
 
     ambient = "sphere"
     name = "lens"
+    ring = ("T", "T^2", "T^3")
 
     @property
     def ambient_dim(self) -> int:
         return 2 * self.k + 2
 
-    def element_ids(self, p=None, q=None):
-        return ["T", "T^2", "T^3"]
-
     def _t(self, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
-        out[0::2] = -v[1::2]
-        out[1::2] = v[0::2]
+        out[..., 0::2] = -v[..., 1::2]
+        out[..., 1::2] = v[..., 0::2]
         return out
 
     def apply(self, eid, point):
@@ -243,45 +260,60 @@ class CPInvolutionGroup(DeckGroup):
 
     ambient = "cproj"
     name = "cpq"
+    ring = ("T",)
 
     @property
     def ambient_dim(self) -> int:
         return 2 * self.k + 2
 
-    def element_ids(self, p=None, q=None):
-        return ["T"]
-
     def apply(self, eid, point):
         z = np.asarray(point, complex)
         out = np.empty_like(z)
-        out[0::2] = -np.conj(z[1::2])
-        out[1::2] = np.conj(z[0::2])
+        out[..., 0::2] = -np.conj(z[..., 1::2])
+        out[..., 1::2] = np.conj(z[..., 0::2])
         return out
-
-
-def _validate_point(group: DeckGroup, p) -> np.ndarray:
-    if group.ambient == "flat":
-        return _as_vector(p, 2)
-    if group.ambient == "sphere":
-        v = _as_vector(p)
-        _check_unit(v)
-        return v
-    v = _as_vector(p, complex_ok=True)
-    _check_unit(v)
-    return v
 
 
 # --- quotient metric and domains ---------------------------------------------
 
 
+def orbit_distances(group: DeckGroup, p, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d_identity, min over gamma != id of d(p, gamma q), first) for each
+    row q of qs; p is one point, or one point per row of qs.
+
+    first indexes ``group.ring`` at the first element, in ascending order,
+    that realizes the minimum; on the flat groups that element is the row's
+    nearest cell shifted by the ring offset.
+    """
+    kind = group.ambient
+    p = _validate_points(kind, p, ndims=(1, 2))
+    qs = _validate_points(kind, qs, ndims=(2,))
+    n = len(qs)
+    if p.shape[-1] != qs.shape[-1] or (p.ndim == 2 and len(p) != n):
+        raise InvalidPoint(f"points of shape {p.shape} do not pair with rows {qs.shape}")
+    distance = _DISTANCES[kind]
+    d_id = distance(p, qs)
+    d_min, first = np.empty(n), np.empty(n, int)
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        pb, qb = (p[rows] if p.ndim == 2 else p), qs[rows]
+        # d[k, i]: distance from p to the image of row i under ring element k
+        if kind == "flat":
+            eids = group.nearest_cell(pb, qb) + np.array(group.ring)[:, None]
+            d = distance(pb, group.apply(eids, qb))
+            # the ring holds the identity on the rows whose nearest cell is -offset
+            d[~eids.reshape(d.shape + (-1,)).any(axis=-1)] = np.inf
+        else:
+            d = distance(pb, np.stack([group.apply(eid, qb) for eid in group.ring]))
+        first[rows] = np.argmin(d, axis=0)
+        d_min[rows] = np.min(d, axis=0)
+    return d_id, d_min, first
+
+
 def quotient_distance(group: DeckGroup, p, q) -> float:
     """min over enumerated deck transformations gamma of d(p, gamma q)."""
-    p = _validate_point(group, p)
-    q = _validate_point(group, q)
-    best = group.distance(p, q)
-    for eid in group.element_ids(p, q):
-        best = min(best, group.distance(p, group.apply(eid, q)))
-    return best
+    d_id, d_min, _ = orbit_distances(group, p, [q])
+    return float(min(d_id[0], d_min[0]))
 
 
 @dataclass(frozen=True)
@@ -294,14 +326,10 @@ class InjectivityReport:
 
 def injectivity_radius(group: DeckGroup, p) -> InjectivityReport:
     """Half the minimal displacement of p under non-identity elements."""
-    p = _validate_point(group, p)
-    best = math.inf
-    best_id = None
-    for eid in group.element_ids(p, p):
-        d = group.distance(p, group.apply(eid, p))
-        if d < best:
-            best, best_id = d, eid
-    return InjectivityReport(base=p, radius=0.5 * best, minimizer=best_id)
+    p = _validate_points(group.ambient, p)
+    _, d_min, first = orbit_distances(group, p, p[None])
+    # p's nearest cell to itself is the origin, so the ring offset is the element
+    return InjectivityReport(p, 0.5 * float(d_min[0]), group.ring[first[0]])
 
 
 def klein_injectivity_closed(a: float) -> float:
@@ -311,26 +339,18 @@ def klein_injectivity_closed(a: float) -> float:
 
 def injectivity_radius_closed(group: DeckGroup, p) -> InjectivityReport:
     """Closed-form counterpart of injectivity_radius; agrees within 1e-12."""
-    p = _validate_point(group, p)
-    return InjectivityReport(
-        base=p,
-        radius=closed_form_injectivity(group, p),
-        minimizer=None,
-        method="closed_form",
-    )
-
-
-def closed_form_injectivity(group: DeckGroup, p) -> float:
-    """Closed-form injectivity radius at p, where one is known."""
+    p = _validate_points(group.ambient, p)
     if isinstance(group, TorusGroup):
-        return 0.5
-    if isinstance(group, KleinGroup):
-        return klein_injectivity_closed(abs(float(np.asarray(p, float)[1])))
-    if isinstance(group, AntipodalGroup):
-        return 0.5 * math.pi
-    if isinstance(group, (LensGroup, CPInvolutionGroup)):
-        return 0.25 * math.pi
-    raise UnsupportedModel(f"no closed-form injectivity radius for {group.name}")
+        radius = 0.5
+    elif isinstance(group, KleinGroup):
+        radius = klein_injectivity_closed(abs(float(p[1])))
+    elif isinstance(group, AntipodalGroup):
+        radius = 0.5 * math.pi
+    elif isinstance(group, (LensGroup, CPInvolutionGroup)):
+        radius = 0.25 * math.pi
+    else:
+        raise UnsupportedModel(f"no closed-form injectivity radius for {group.name}")
+    return InjectivityReport(p, radius, None, method="closed_form")
 
 
 class Region(enum.Enum):
@@ -345,15 +365,10 @@ def in_fundamental_domain(group: DeckGroup, p, q, tol: float = ANALYTIC_TOL) -> 
     Interior when the identity strictly realizes the orbit distance by more
     than tol; Boundary within +-tol of a tie; Exterior otherwise.
     """
-    p = _validate_point(group, p)
-    q = _validate_point(group, q)
-    d_id = group.distance(p, q)
-    d_min = math.inf
-    for eid in group.element_ids(p, q):
-        d_min = min(d_min, group.distance(p, group.apply(eid, q)))
-    if d_id < d_min - tol:
+    d_id, d_min, _ = orbit_distances(group, p, [q])
+    if d_id[0] < d_min[0] - tol:
         return Region.INTERIOR
-    if d_id <= d_min + tol:
+    if d_id[0] <= d_min[0] + tol:
         return Region.BOUNDARY
     return Region.EXTERIOR
 
@@ -371,8 +386,7 @@ def klein_fundamental_region(a: float, q) -> bool:
 
 def lens_domain(q) -> bool:
     """Open fundamental domain of the lens quotient at e1: x1 > |x2|."""
-    v = _as_vector(q)
-    _check_unit(v)
+    v = _validate_points("sphere", q)
     return bool(v[0] > abs(v[1]))
 
 
@@ -385,16 +399,14 @@ def cp_quotient_distance(z) -> float:
     modulus instead, which fails the two-element orbit oracle already at
     the basepoint.  Verified against the brute-force orbit minimum.
     """
-    v = _as_vector(z, complex_ok=True)
-    _check_unit(v)
+    v = _validate_points("cproj", z)
     return math.acos(min(1.0, max(abs(complex(v[0])), abs(complex(v[1])))))
 
 
 def cp_domain(z) -> bool:
     """Open fundamental domain of the projective involution at <e1>:
     |z2| < |z1|."""
-    v = _as_vector(z, complex_ok=True)
-    _check_unit(v)
+    v = _validate_points("cproj", z)
     return bool(abs(complex(v[1])) < abs(complex(v[0])))
 
 
@@ -411,19 +423,22 @@ class SelfCheckReport:
 _ISOMETRY_TOL = 1e-12
 
 
-def _random_points(group: DeckGroup, rng: np.random.Generator, n: int) -> list[np.ndarray]:
-    pts = []
-    for _ in range(n):
-        if group.ambient == "flat":
-            pts.append(rng.uniform(-2.0, 2.0, size=2))
-        elif group.ambient == "sphere":
-            v = rng.standard_normal(group.ambient_dim)
-            pts.append(v / np.linalg.norm(v))
-        else:
-            dim = group.ambient_dim
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            pts.append(v / np.linalg.norm(v))
-    return pts
+def _random_points(group: DeckGroup, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n random points as rows, drawn from rng as n single draws would be."""
+    if group.ambient == "flat":
+        return rng.uniform(-2.0, 2.0, size=(n, 2))
+    if group.ambient == "sphere":
+        v = rng.standard_normal((n, group.ambient_dim))
+    else:
+        x = rng.standard_normal((n, 2, group.ambient_dim))
+        v = x[:, 0] + 1j * x[:, 1]
+    return v / _row_norm(v)[:, None]
+
+
+def _first_row(bad: np.ndarray):
+    """Index of the first True entry of bad in C order, or None."""
+    hits = np.argwhere(bad)
+    return tuple(hits[0]) if len(hits) else None
 
 
 def group_action_selfcheck(
@@ -435,63 +450,62 @@ def group_action_selfcheck(
 ) -> SelfCheckReport:
     """Verify the defining identities of a deck-group action.
 
-    Raises SelfCheckFailed naming the violated identity.  Checks: the group
-    law on generators (flat groups), T^4 = id and T^2 = -id (lens), the
-    projective involution identity and fixed-point freeness via sampled
-    displacements (cp), and the isometry property on random pairs (all).
+    Raises SelfCheckFailed naming the violated identity, at the first
+    violation in sample order.  Checks: the group law on generators (flat
+    groups), T^4 = id and T^2 = -id (lens), the projective involution
+    identity and fixed-point freeness via sampled displacements (cp), and
+    the isometry property on random pairs (all).
     """
     rng = np.random.default_rng(seed)
+    distance = _DISTANCES[group.ambient]
     checks: list[str] = []
     min_disp: float | None = None
 
     if isinstance(group, (TorusGroup, KleinGroup)):
-        # group law closure on generators up to depth 2
-        for q in _random_points(group, rng, 20):
-            if isinstance(group, TorusGroup):
-                ids = [(i, j) for i in (-2, -1, 0, 1, 2) for j in (-2, -1, 0, 1, 2)]
-                compose = lambda e1, e2: (e1[0] + e2[0], e1[1] + e2[1])
-                apply_ = lambda e, x: x if e == (0, 0) else group.apply(e, x)
-            else:
-                ids = [-2, -1, 0, 1, 2]
-                compose = lambda e1, e2: e1 + e2
-                apply_ = lambda e, x: x if e == 0 else group.apply(e, x)
-            for e1 in ids:
-                for e2 in ids:
-                    lhs = apply_(e1, apply_(e2, q))
-                    rhs = apply_(compose(e1, e2), q)
-                    if np.linalg.norm(lhs - rhs) > _ISOMETRY_TOL:
-                        raise SelfCheckFailed(
-                            f"{group.name}: group law violated at {e1} o {e2}"
-                        )
+        # group law closure on generators up to depth 2, broadcast over
+        # 20 points x e1 x e2
+        if isinstance(group, TorusGroup):
+            ids = [(i, j) for i in (-2, -1, 0, 1, 2) for j in (-2, -1, 0, 1, 2)]
+        else:
+            ids = [-2, -1, 0, 1, 2]
+        e = np.array(ids)
+        q = _random_points(group, rng, 20)[:, None, None]
+        lhs = group.apply(e[:, None], group.apply(e[None, :], q))
+        rhs = group.apply(e[:, None] + e[None, :], q)
+        hit = _first_row(_row_norm(lhs - rhs) > _ISOMETRY_TOL)
+        if hit is not None:
+            raise SelfCheckFailed(
+                f"{group.name}: group law violated at {ids[hit[1]]} o {ids[hit[2]]}"
+            )
         checks.append("group_law_depth2")
 
     if isinstance(group, LensGroup):
-        for q in _random_points(group, rng, 20):
-            t1 = group.apply("T", q)
-            t2 = group.apply("T", t1)
-            t4 = group.apply("T^2", t2)
-            if np.linalg.norm(t4 - q) > _ISOMETRY_TOL:
-                raise SelfCheckFailed("lens: T^4 != id")
-            if np.linalg.norm(t2 + q) > _ISOMETRY_TOL:
-                raise SelfCheckFailed("lens: T^2 != -id")
+        q = _random_points(group, rng, 20)
+        t2 = group.apply("T", group.apply("T", q))
+        t4 = group.apply("T^2", t2)
+        not_id = _row_norm(t4 - q) > _ISOMETRY_TOL
+        hit = _first_row(not_id | (_row_norm(t2 + q) > _ISOMETRY_TOL))
+        if hit is not None:
+            raise SelfCheckFailed("lens: T^4 != id" if not_id[hit] else "lens: T^2 != -id")
         checks.append("T4_identity")
         checks.append("T2_antipodal")
 
     if isinstance(group, CPInvolutionGroup):
-        for q in _random_points(group, rng, 20):
-            tt = group.apply("T", group.apply("T", q))
-            tt = tt / np.linalg.norm(tt)
-            # projectively T^2 = id: representatives differ by a phase, so
-            # |<T^2 q, q>| = 1; arccos would amplify rounding here
-            if abs(complex(np.vdot(tt, q))) < 1.0 - 1e-12:
-                raise SelfCheckFailed("cp involution: <T>^2 != id projectively")
+        q = _random_points(group, rng, 20)
+        tt = group.apply("T", group.apply("T", q))
+        tt = tt / _row_norm(tt)[:, None]
+        # projectively T^2 = id: representatives differ by a phase, so
+        # |<T^2 q, q>| = 1; arccos would amplify rounding here
+        if np.any(np.abs(_row_dot(np.conj(tt), q)) < 1.0 - 1e-12):
+            raise SelfCheckFailed("cp involution: <T>^2 != id projectively")
         checks.append("involution_projective")
 
     if isinstance(group, (AntipodalGroup, LensGroup, CPInvolutionGroup)):
-        worst = math.inf
-        for q in _random_points(group, rng, samples):
-            for eid in group.element_ids(q, q):
-                worst = min(worst, group.distance(q, group.apply(eid, q)))
+        q = _random_points(group, rng, samples)
+        worst = min(
+            float(np.min(distance(q, group.apply(eid, q)), initial=math.inf))
+            for eid in group.ring
+        )
         min_disp = worst
         if worst <= displacement_floor:
             raise SelfCheckFailed(
@@ -500,49 +514,31 @@ def group_action_selfcheck(
             )
         checks.append("fixed_point_free_sampled")
 
-    if group.ambient == "flat":
-        isometry_ids = (
-            [(1, 0), (0, 1), (-1, 1), (2, -2)]
-            if isinstance(group, TorusGroup)
-            else [-2, -1, 1, 2]
-        )
+    if group.ambient != "flat":
+        isometry_ids = list(group.ring)
+    elif isinstance(group, TorusGroup):
+        isometry_ids = [(1, 0), (0, 1), (-1, 1), (2, -2)]
     else:
-        isometry_ids = list(group.element_ids(None, None))
-    for _ in range(pairs):
-        p, q = _random_points(group, rng, 2)
-        d = group.distance(p, q)
-        for eid in isometry_ids:
-            gp, gq = group.apply(eid, p), group.apply(eid, q)
-            if group.ambient != "flat":
-                gp = gp / np.linalg.norm(gp)
-                gq = gq / np.linalg.norm(gq)
-            if abs(group.distance(gp, gq) - d) > _ISOMETRY_TOL:
-                raise SelfCheckFailed(f"{group.name}: element {eid} is not an isometry")
+        isometry_ids = [-2, -1, 1, 2]
+    pts = _random_points(group, rng, 2 * pairs)
+    p, q = pts.reshape(pairs, 2, pts.shape[-1]).transpose(1, 0, 2)
+    d = distance(p, q)
+    broken = []
+    for eid in isometry_ids:
+        gp, gq = group.apply(eid, p), group.apply(eid, q)
+        if group.ambient != "flat":
+            gp = gp / _row_norm(gp)[:, None]
+            gq = gq / _row_norm(gq)[:, None]
+        broken.append(np.abs(distance(gp, gq) - d) > _ISOMETRY_TOL)
+    hit = _first_row(np.stack(broken, axis=1))
+    if hit is not None:
+        raise SelfCheckFailed(f"{group.name}: element {isometry_ids[hit[1]]} is not an isometry")
     checks.append("isometry_random_pairs")
 
     return SelfCheckReport(group.name, tuple(checks), min_disp)
 
 
 # --- cut-locus sampling and areas ---------------------------------------------
-
-
-def _flat_orbit_arrays(
-    group: DeckGroup, p: np.ndarray, qs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (d_identity, min over gamma != id) for flat groups."""
-    if not isinstance(group, (TorusGroup, KleinGroup)):
-        raise UnsupportedModel("grid sampling requires a flat deck group")
-    d_id = np.linalg.norm(qs - p, axis=1)
-    d_min = np.full(qs.shape[0], np.inf)
-    cells = group.nearest_cell(p, qs)
-    for offset in group.ring:
-        images = group.apply(cells + offset, qs)
-        images -= p
-        d = np.linalg.norm(images, axis=1)
-        # the ring holds the identity on the rows whose nearest cell is -offset
-        d[np.all(cells.reshape(len(qs), -1) == np.negative(offset), axis=1)] = np.inf
-        np.minimum(d_min, d, out=d_min)
-    return d_id, d_min
 
 
 @dataclass(frozen=True)
@@ -553,11 +549,9 @@ class GridClassification:
 
 
 def classify_points(group: DeckGroup, p, qs, tol: float = ANALYTIC_TOL) -> np.ndarray:
-    """Vectorized in_fundamental_domain over an (n, 2) array of points."""
-    p = _validate_point(group, p)
-    qs = np.atleast_2d(np.asarray(qs, float))
-    d_id, d_min = _flat_orbit_arrays(group, p, qs)
-    regions = np.full(qs.shape[0], Region.EXTERIOR, dtype=object)
+    """Vectorized in_fundamental_domain over an (n, d) array of points."""
+    d_id, d_min, _ = orbit_distances(group, p, np.atleast_2d(qs))
+    regions = np.full(len(d_id), Region.EXTERIOR, dtype=object)
     regions[d_id < d_min - tol] = Region.INTERIOR
     regions[np.abs(d_id - d_min) <= tol] = Region.BOUNDARY
     return regions
@@ -572,7 +566,9 @@ def classify_grid(
 ) -> GridClassification:
     """Classify a square grid of side 2*halfwidth about p; tol defaults to
     2 * grid spacing (raster band for cut-locus pictures)."""
-    p = _validate_point(group, p)
+    if group.ambient != "flat":
+        raise UnsupportedModel("grid sampling requires a flat deck group")
+    p = _validate_points("flat", p)
     spacing = 2.0 * halfwidth / resolution
     if tol is None:
         tol = 2.0 * spacing
@@ -672,30 +668,19 @@ def flat_extension_is_radial(
     inside the window; any value disagreement breaks radiality.
     """
     lo, hi = flat_extension_domain(delta)
-    torus = TorusGroup()
-    origin = np.zeros(2)
     rng = np.random.default_rng(seed)
-    probes = [
-        np.array([0.96 * hi, 0.02]),
-        np.array([0.96 * lo, 0.02]),
-        np.array([0.02, 0.96 * hi]),
-        np.array([0.02, 0.96 * lo]),
-    ]
-    candidates = probes + [
-        rng.uniform(lo + 1e-3, hi - 1e-3, size=2) for _ in range(samples)
-    ]
-    for q in candidates:
-        if not (lo < q[0] < hi and lo < q[1] < hi) or np.linalg.norm(q) < 0.05:
-            continue
-        d = quotient_distance(torus, origin, q)
-        ref = np.array([d, 0.0])
-        if not (lo < d < hi):
-            continue
-        if abs(quotient_distance(torus, origin, ref) - d) > 1e-12:
-            continue
-        if abs(flat_radial_extension(delta, q) - flat_radial_extension(delta, ref)) > gap:
-            return False
-    return True
+    probes = [[0.96 * hi, 0.02], [0.96 * lo, 0.02], [0.02, 0.96 * hi], [0.02, 0.96 * lo]]
+    qs = np.vstack((probes, rng.uniform(lo + 1e-3, hi - 1e-3, size=(samples, 2))))
+    qs = qs[np.all((lo < qs) & (qs < hi), axis=1) & (_row_norm(qs) >= 0.05)]
+    torus, origin = TorusGroup(), np.zeros(2)
+    d = np.minimum(*orbit_distances(torus, origin, qs)[:2])
+    refs = np.column_stack((d, np.zeros_like(d)))
+    d_ref = np.minimum(*orbit_distances(torus, origin, refs)[:2])
+    keep = (lo < d) & (d < hi) & (np.abs(d_ref - d) <= 1e-12)
+    return all(
+        abs(flat_radial_extension(delta, q) - flat_radial_extension(delta, ref)) <= gap
+        for q, ref in zip(qs[keep], refs[keep])
+    )
 
 
 def flat_extension_reflection_symmetric(delta: float, samples: int = 200, seed: int = 11) -> bool:

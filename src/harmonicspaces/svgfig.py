@@ -7,7 +7,11 @@ keeps them diffable in regression runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
+
+
+def escape(text: str) -> str:
+    # as xml.sax.saxutils.escape, whose import pulls in urllib.request
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass

@@ -292,6 +292,14 @@ def test_quotient_outputs_pinned(capsys, tmp_path, monkeypatch, argv, csv_sha, s
         (["verify", "S3"], "24ba50f43496f6ad2c6f9b82e029d69c7e7e3e314409726cfac44d3bd16cab7c"),
         (["verify", "hHP3"], "0580e8e2da3004be170ddc4fe907b40f0015651c1692779ba46302a7c6ce08bc"),
         (
+            ["verify", "all", "--seed", "42"],
+            "a1f926a69eec9ed9fab9c8ebd1a7c9664496b0451f3f22221d2da1c9d187f6ef",
+        ),
+        (
+            ["verify", "all", "--seed", "7"],
+            "fd4e5148de0ddc7da0fee05d0d74db2038967c14ea901a61beafd0e5e0675b24",
+        ),
+        (
             ["bounds", "hCP2", "--orientable", "false"],
             "c3c3df7971d1e821dc7283b871861c7bb4e40337ca6de44b9321adef2ec304ab",
         ),
@@ -300,6 +308,7 @@ def test_quotient_outputs_pinned(capsys, tmp_path, monkeypatch, argv, csv_sha, s
     ],
     ids=[
         "phi-S3", "phi-hHP3", "phi-OP2", "phi-E4", "phi-S9", "verify-S3", "verify-hHP3",
+        "verify-all-42", "verify-all-7",
         "bounds-hCP2-nonorientable", "bounds-hHP3", "bounds-hOP2",
     ],
 )
@@ -307,7 +316,8 @@ def test_phi_table_and_verify_outputs_pinned(capsys, argv, digest):
     # digests of the outputs before the radial-function wrappers were
     # removed, with the never-used config keys since deleted (phi-table
     # --seed; verify --tol and --precision; model-scope verify --seed), and of
-    # bounds before its two partial builders were merged: they guard byte
+    # bounds before its two partial builders were merged, and of verify all
+    # before the group checks became array checks: they guard byte
     # reproducibility across versions
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -557,6 +567,27 @@ def test_precision_flag_validated(capsys):
             main(["phi-table", "S3", "0.3", "1.5", "3", "0.7854", "--precision", value])
         assert exc.value.code == 2
         assert "argument --precision: must be an integer in 6..17" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_urllib():
+    # a fresh interpreter: svgfig escapes text itself instead of importing
+    # xml.sax.saxutils, which pulls in urllib.request
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, harmonicspaces.cli; print('urllib.request' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("text", ["plain", "a & b", "<tag>", "&lt; stays escaped", "x<&>y\"'"])
+def test_svg_escape_matches_saxutils(text):
+    from xml.sax.saxutils import escape as sax_escape
+
+    from harmonicspaces.svgfig import escape
+
+    assert escape(text) == sax_escape(text)
 
 
 def test_module_entry_point():

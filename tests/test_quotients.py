@@ -20,7 +20,8 @@ from harmonicspaces.quotients import (
     LensGroup,
     Region,
     TorusGroup,
-    _flat_orbit_arrays,
+    _random_points,
+    _row_norm,
     ambient_distance,
     classify_grid,
     classify_points,
@@ -39,6 +40,7 @@ from harmonicspaces.quotients import (
     klein_injectivity_closed,
     lens_domain,
     lens_domain_volume_mc,
+    orbit_distances,
     quotient_distance,
     sample_sphere,
 )
@@ -150,35 +152,31 @@ def test_metric_axioms_thousand_triples():
     assert np.max(np.abs(dpq - dqp)) <= 1e-12
     assert np.all(dpq <= dpr + drq + 1e-12)
 
-    klein = KleinGroup()
-    for _ in range(n):
-        p, q, r = rng.uniform(-0.6, 0.6, size=(3, 2))
-        dpq = quotient_distance(klein, p, q)
-        assert abs(dpq - quotient_distance(klein, q, p)) <= 1e-12
-        assert dpq <= quotient_distance(klein, p, r) + quotient_distance(klein, r, q) + 1e-12
+    # the other groups as array calls: one orbit_distances call per pairing
+    p, q, r = rng.uniform(-0.6, 0.6, size=(n, 3, 2)).transpose(1, 0, 2)
+    _assert_metric_axioms(KleinGroup(), p, q, r)
 
     for group, dim in ((AntipodalGroup(m=2), 3), (LensGroup(), 4)):
         pts = sample_sphere(rng, 3 * n, dim)
-        for i in range(n):
-            p, q, r = pts[3 * i], pts[3 * i + 1], pts[3 * i + 2]
-            dpq = quotient_distance(group, p, q)
-            assert abs(dpq - quotient_distance(group, q, p)) <= 1e-12
-            assert (
-                dpq
-                <= quotient_distance(group, p, r) + quotient_distance(group, r, q) + 1e-12
-            )
+        _assert_metric_axioms(group, pts[0::3], pts[1::3], pts[2::3])
 
-    cpq = CPInvolutionGroup()
     zs = rng.standard_normal((3 * n, 4)) + 1j * rng.standard_normal((3 * n, 4))
     zs /= np.linalg.norm(zs, axis=1, keepdims=True)
-    for i in range(n):
-        p, q, r = zs[3 * i], zs[3 * i + 1], zs[3 * i + 2]
-        dpq = quotient_distance(cpq, p, q)
-        assert abs(dpq - quotient_distance(cpq, q, p)) <= 1e-12
-        assert (
-            dpq
-            <= quotient_distance(cpq, p, r) + quotient_distance(cpq, r, q) + 1e-12
-        )
+    _assert_metric_axioms(CPInvolutionGroup(), zs[0::3], zs[1::3], zs[2::3])
+
+
+def _quotient_distances(group, p, q):
+    d_id, d_min, _ = orbit_distances(group, p, q)
+    return np.minimum(d_id, d_min)
+
+
+def _assert_metric_axioms(group, p, q, r):
+    # symmetry and the triangle inequality on each row's triple
+    dpq = _quotient_distances(group, p, q)
+    assert np.max(np.abs(dpq - _quotient_distances(group, q, p))) <= 1e-12
+    assert np.all(
+        dpq <= _quotient_distances(group, p, r) + _quotient_distances(group, r, q) + 1e-12
+    )
 
 
 # --- injectivity radii
@@ -338,14 +336,14 @@ def _brute_force_orbit_min(group, p, qs):
         for i, j in itertools.product(powers, powers):
             if (i, j) != (0, 0):
                 images = qs + np.array([i, j])
-                np.minimum(d_min, np.linalg.norm(images - p, axis=1), out=d_min)
+                np.minimum(d_min, _row_norm(images - p), out=d_min)
     else:
         for n in powers:
             if n != 0:
                 images = np.column_stack(
                     (qs[:, 0] + n, qs[:, 1] if n % 2 == 0 else -qs[:, 1])
                 )
-                np.minimum(d_min, np.linalg.norm(images - p, axis=1), out=d_min)
+                np.minimum(d_min, _row_norm(images - p), out=d_min)
     return d_min
 
 
@@ -358,7 +356,7 @@ def test_classify_points_matches_scalar():
         p = np.asarray(p)
         qs = p + rng.uniform(-1.5, 1.5, size=(200, 2))
         case = f"{group.name} at {p}"
-        d_id, d_min = _flat_orbit_arrays(group, p, qs)
+        d_id, d_min, _ = orbit_distances(group, p, qs)
         brute_min = _brute_force_orbit_min(group, p, qs)
         assert np.array_equal(d_min, brute_min), case
         expected = np.full(len(qs), Region.EXTERIOR, dtype=object)
@@ -368,6 +366,139 @@ def test_classify_points_matches_scalar():
         assert np.array_equal(regions, expected), case
         for q, region in zip(qs, regions):
             assert in_fundamental_domain(group, p, q) is region, case
+
+
+def _scalar_distance(kind, p, q):
+    # the single-point formulas that the row-wise distances reproduce
+    if kind == "flat":
+        return float(np.linalg.norm(p - q))
+    if kind == "sphere":
+        return math.acos(min(1.0, max(-1.0, float(np.dot(p, q)))))
+    return math.acos(min(1.0, abs(complex(np.vdot(p, q)))))
+
+
+def _brute_orbit(group, p, q):
+    # every enumerated element in ascending order; the first minimizer wins
+    d_min, first = math.inf, None
+    for eid in group.element_ids(p, q):
+        d = _scalar_distance(group.ambient, p, group.apply(eid, q))
+        if d < d_min:
+            d_min, first = d, eid
+    return _scalar_distance(group.ambient, p, q), d_min, first
+
+
+def _kernel_element(group, p, q, k):
+    offset = group.ring[k]
+    if group.ambient != "flat":
+        return offset
+    cell = group.nearest_cell(p, q)
+    if isinstance(group, TorusGroup):
+        return tuple(int(c) + o for c, o in zip(cell, offset))
+    return int(cell) + offset
+
+
+def _orbit_sample(group, p, n, rng):
+    # random rows about p, then p itself and images of p, where elements tie
+    if group.ambient == "flat":
+        qs = p + rng.uniform(-1.5, 1.5, size=(n, 2))
+    else:
+        qs = _random_points(group, rng, n)
+    if n > 1:
+        qs[0] = p
+        qs[1] = group.apply(group.element_ids(p, p)[0], p)
+    return qs
+
+
+@pytest.mark.parametrize("n", [1, 64])
+@pytest.mark.parametrize(
+    "group, p",
+    [
+        (TorusGroup(), (0.0, 0.0)),
+        (TorusGroup(), (1000.3, -7.0)),
+        (KleinGroup(), (0.0, 0.0)),
+        (KleinGroup(), (-40.3, 17.9)),
+        (AntipodalGroup(), None),
+        (LensGroup(), None),
+        (CPInvolutionGroup(), None),
+    ],
+    ids=["torus", "torus-far", "klein", "klein-far", "rp", "lens", "cpq"],
+)
+def test_orbit_distances_match_brute_force(group, p, n):
+    rng = np.random.default_rng(31)
+    if p is None:
+        p = _random_points(group, rng, 1)[0]
+    p = np.asarray(p)
+    qs = _orbit_sample(group, p, n, rng)
+    d_id, d_min, first = orbit_distances(group, p, qs)
+    for i, q in enumerate(qs):
+        brute_id, brute_min, brute_first = _brute_orbit(group, p, q)
+        assert d_id[i] == brute_id and d_min[i] == brute_min, i
+        assert _kernel_element(group, p, q, first[i]) == brute_first, i
+    # one basepoint per row gives the same answers
+    rows = orbit_distances(group, np.broadcast_to(p, qs.shape), qs)
+    assert all(np.array_equal(a, b) for a, b in zip(rows, (d_id, d_min, first)))
+
+
+@pytest.mark.parametrize(
+    "group, p, minimizer",
+    [
+        (TorusGroup(), (0.3, -0.2), (-1, 0)),
+        (KleinGroup(), (0.0, 0.0), -1),
+        (LensGroup(), None, "T"),
+    ],
+)
+def test_injectivity_reports_first_tied_minimizer(group, p, minimizer):
+    # four lattice neighbours, T^-1 and T, and T and T^3 tie at these points
+    p = group.basepoint() if p is None else p
+    assert injectivity_radius(group, p).minimizer == minimizer
+
+
+@pytest.mark.parametrize(
+    "group", [TorusGroup(), LensGroup(), CPInvolutionGroup()], ids=["flat", "sphere", "cproj"]
+)
+def test_random_points_match_single_draws(group):
+    rows = _random_points(group, np.random.default_rng(37), 50)
+    rng = np.random.default_rng(37)
+    for row in rows:
+        if group.ambient == "flat":
+            v = rng.uniform(-2.0, 2.0, size=2)
+        else:
+            dim = group.ambient_dim
+            v = rng.standard_normal(dim)
+            if group.ambient == "cproj":
+                v = v + 1j * rng.standard_normal(dim)
+            v = v / np.linalg.norm(v)
+        assert np.array_equal(row, v)
+
+
+NAN4 = [math.nan, 0.0, 0.0, 0.0]
+E1_C4 = CPInvolutionGroup().basepoint()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: quotient_distance(CPInvolutionGroup(), E1_C4, NAN4),
+        lambda: injectivity_radius(LensGroup(), NAN4),
+        lambda: injectivity_radius(KleinGroup(), (0.0, math.inf)),
+        lambda: quotient_distance(TorusGroup(), (math.nan, 0.0), (0.0, 0.0)),
+        lambda: in_fundamental_domain(TorusGroup(), (0.0, 0.0), (math.inf, 0.0)),
+        lambda: lens_domain(NAN4),
+        lambda: cp_domain(NAN4),
+        lambda: ambient_distance("sphere", E1_S2, [0.0, -math.inf, 0.0]),
+        lambda: classify_points(TorusGroup(), (0.0, 0.0), [(0.1, 0.2), (math.nan, 0.0)]),
+        lambda: classify_points(KleinGroup(), (0.0, -math.inf), [(0.1, 0.2)]),
+        lambda: classify_points(LensGroup(), LensGroup().basepoint(), [NAN4]),
+    ],
+    ids=[
+        "cpq-distance", "lens-injectivity", "klein-injectivity-inf", "torus-distance",
+        "torus-domain-inf", "lens-domain", "cp-domain", "sphere-distance",
+        "classify-row", "classify-base", "classify-lens",
+    ],
+)
+def test_non_finite_points_are_invalid(call):
+    with pytest.raises(InvalidPoint, match="finite"):
+        call()
 
 
 def test_lens_domain_predicate():
@@ -380,12 +511,24 @@ def test_lens_domain_predicate():
 
 def test_lens_domain_matches_quotient_interior():
     lens = LensGroup()
-    rng = np.random.default_rng(19)
-    for q in sample_sphere(rng, 200, 4):
-        region = in_fundamental_domain(lens, lens.basepoint(), q)
-        if region is Region.BOUNDARY:
-            continue
+    qs = sample_sphere(np.random.default_rng(19), 2000, 4)
+    regions = classify_points(lens, lens.basepoint(), qs)
+    checked = regions != Region.BOUNDARY
+    assert np.sum(checked) > 1900
+    for q, region in zip(qs[checked], regions[checked]):
         assert lens_domain(q) == (region is Region.INTERIOR)
+
+
+def test_cp_domain_matches_quotient_interior():
+    cpq = CPInvolutionGroup()
+    rng = np.random.default_rng(19)
+    zs = rng.standard_normal((2000, 4)) + 1j * rng.standard_normal((2000, 4))
+    zs /= np.linalg.norm(zs, axis=1, keepdims=True)
+    regions = classify_points(cpq, cpq.basepoint(), zs)
+    checked = regions != Region.BOUNDARY
+    assert np.sum(checked) > 1900
+    for z, region in zip(zs[checked], regions[checked]):
+        assert cp_domain(z) == (region is Region.INTERIOR)
 
 
 def test_cp_quotient_distance_formula():
@@ -440,6 +583,9 @@ def test_selfcheck_fixed_point_floor():
     report = group_action_selfcheck(CPInvolutionGroup(), samples=2000)
     assert report.min_sampled_displacement is not None
     assert report.min_sampled_displacement > 0.1
+    # -id displaces every point by pi, which a floor of 4 rejects
+    with pytest.raises(SelfCheckFailed, match=r"^rp: sampled displacement 3\.142e\+00 at or below"):
+        group_action_selfcheck(AntipodalGroup(), samples=100, pairs=20, displacement_floor=4.0)
 
 
 class _CorruptedLens(LensGroup):
@@ -447,7 +593,7 @@ class _CorruptedLens(LensGroup):
 
     def apply(self, eid, point):
         out = np.array(super().apply(eid, point))
-        out[-1] *= 1.5
+        out[..., -1] *= 1.5
         return out
 
 
@@ -458,11 +604,67 @@ class _FixedPointLens(LensGroup):
         return np.asarray(point, float).copy()
 
 
+class _EvenFlipKlein(KleinGroup):
+    """Negative control: odd powers keep y and even ones flip it, so that
+    T^a T^b and T^(a+b) disagree when a and b are both odd or both even."""
+
+    def apply(self, eid, point):
+        pt = np.asarray(point, float)
+        n = np.asarray(eid)
+        flipped = np.where(n % 2 == 0, -pt[..., 1], pt[..., 1])
+        return np.stack((pt[..., 0] + n, flipped), axis=-1)
+
+
+class _Order2Lens(LensGroup):
+    """Negative control: powers of T taken mod 2, as if T had order 2."""
+
+    def apply(self, eid, point):
+        v = np.asarray(point, float)
+        return self._t(v) if eid in ("T", "T^3") else v.copy()
+
+
+class _HalfConjCP(CPInvolutionGroup):
+    """Negative control: T without conj on its odd slots, so T^2 = -conj is
+    no projective identity.  (Dropping both conj gives a unitary T with
+    T^2 = -id, which is a projective involution.)"""
+
+    def apply(self, eid, point):
+        z = np.asarray(point, complex)
+        out = np.empty_like(z)
+        out[..., 0::2] = -np.conj(z[..., 1::2])
+        out[..., 1::2] = z[..., 0::2]
+        return out
+
+
+class _DilatingTorus(TorusGroup):
+    """Negative control: (i, j) scales x by 2^i and shifts y by j.  That is
+    an action of Z^2, so the group law holds, but i != 0 is no isometry."""
+
+    def apply(self, eid, point):
+        pt, e = np.asarray(point, float), np.asarray(eid, float)
+        return np.stack((pt[..., 0] * 2.0 ** e[..., 0], pt[..., 1] + e[..., 1]), axis=-1)
+
+
 def test_selfcheck_catches_corruption():
-    with pytest.raises(SelfCheckFailed):
+    with pytest.raises(SelfCheckFailed, match=r"^lens: T\^4 != id$"):
         group_action_selfcheck(_CorruptedLens(), samples=100, pairs=20)
-    with pytest.raises(SelfCheckFailed):
+    with pytest.raises(SelfCheckFailed, match=r"^lens: T\^2 != -id$"):
         group_action_selfcheck(_FixedPointLens(), samples=100, pairs=20)
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        (_EvenFlipKlein(), r"^klein: group law violated at -2 o -2$"),
+        (_Order2Lens(), r"^lens: T\^4 != id$"),
+        (_HalfConjCP(), r"^cp involution: <T>\^2 != id projectively$"),
+        (_DilatingTorus(), r"^torus: element \(1, 0\) is not an isometry$"),
+    ],
+    ids=["even-flip-klein", "order-2-lens", "half-conj-cp", "dilating-torus"],
+)
+def test_selfcheck_names_the_violated_identity(group, message):
+    with pytest.raises(SelfCheckFailed, match=message):
+        group_action_selfcheck(group, samples=100, pairs=20)
 
 
 # --- cut locus sampling and measures
