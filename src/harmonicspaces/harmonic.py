@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainViolation, NonConvergence, UnsupportedModel
+from .errors import DomainViolation, UnsupportedModel
 from .numerics import DEFAULT_TOL, EPS, Interval, derivative, integrate
 from .spaces import (
     Family,
@@ -260,15 +260,6 @@ CLOSED_FORMS: dict[str, Callable[[float], float]] = {
     "hOP2": _phi0_hOP2,
 }
 
-#: Rows whose source transcription looked questionable (a sign and a
-#: missing-looking overall factor); the oracle decides.  Each maps to the
-#: alternate reading that would apply if the verbatim entry failed.
-SUSPECT_ALTERNATES: dict[str, Callable[[float], float]] = {
-    "hS5": lambda r: -2.0 / 3.0 * _coth(r) - _coth(r) * _csch(r) ** 2 / 3.0,
-    "hHP3": lambda r: 0.5 * _phi0_hHP3(r),
-}
-
-
 def has_closed_form(model: SpaceModel) -> bool:
     return model.family is Family.EUCLIDEAN or model.model_id in CLOSED_FORMS
 
@@ -363,31 +354,32 @@ class BoundaryClassification:
     at_far_end: BoundaryBehavior
 
 
-_BOUNDARY_EPS = 0.1
-_BOUNDARY_TOL = 1e-8
+def _end_behavior(order: int) -> BoundaryBehavior:
+    """phi1 ~ x^(-order) at an end where theta vanishes to that order, so
+    phi0 blows up there exactly when order >= 1."""
+    return BoundaryBehavior.DIVERGENT if order >= 1 else BoundaryBehavior.EXTENDABLE
 
 
 def classify_boundary(model: SpaceModel) -> BoundaryClassification:
     """Integrability of phi1 at the ends of the radial domain.
 
-    The origin is always divergent (theta vanishes at the basepoint).  For
-    a compact model the far end is probed by attempted quadrature of phi1
-    on (D - eps, D); NonConvergence means phi0 blows up at the cut locus.
+    Read from the density, not from quadrature: theta vanishes to order
+    sine_exponent at the origin.  On a compact model it vanishes at the cut
+    locus to order sine_exponent at pi (spheres) or cosine_exponent at pi/2
+    (CP, HP, OP), since sin has a simple zero at pi and cos at pi/2.
     """
+    prof = model.density
+    origin = _end_behavior(prof.sine_exponent)
     if model.curvature_sign <= 0:
-        return BoundaryClassification(BoundaryBehavior.DIVERGENT, BoundaryBehavior.NO_BOUNDARY)
-    end = domain_end(model)
-    try:
-        integrate(
-            lambda s: phi1(model, s),
-            Interval(end - _BOUNDARY_EPS, end, (False, True)),
-            tol=_BOUNDARY_TOL,
-        )
-    except NonConvergence:
-        far = BoundaryBehavior.DIVERGENT
-    else:
-        far = BoundaryBehavior.EXTENDABLE
-    return BoundaryClassification(BoundaryBehavior.DIVERGENT, far)
+        return BoundaryClassification(origin, BoundaryBehavior.NO_BOUNDARY)
+    far = prof.sine_exponent if prof.domain_end == math.pi else prof.cosine_exponent
+    return BoundaryClassification(origin, _end_behavior(far))
+
+
+#: Largest scaled residuals a table row may show: the closed form's
+#: derivative against phi1, and its differences against quadrature.
+ODE_TOLERANCE = 1e-6
+MATCH_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -403,14 +395,12 @@ class TableVerification:
     model_id: str
     max_ode_residual: float
     max_match_residual: float
-    ode_tolerance: float = 1e-6
-    match_tolerance: float = 1e-8
 
     @property
     def passed(self) -> bool:
         return (
-            self.max_ode_residual <= self.ode_tolerance
-            and self.max_match_residual <= self.match_tolerance
+            self.max_ode_residual <= ODE_TOLERANCE
+            and self.max_match_residual <= MATCH_TOLERANCE
         )
 
 
@@ -418,29 +408,22 @@ def scaled_residual(x: float, y: float) -> float:
     return abs(x - y) / max(1.0, abs(x), abs(y))
 
 
-def verification_grid(model: SpaceModel, n: int = 50) -> list[float]:
-    """n points spanning (0.1 D', 0.9 D') with D' = min(domain_end, 3)."""
+def verification_grid(model: SpaceModel) -> list[float]:
+    """50 points spanning (0.1 D', 0.9 D') with D' = min(domain_end, 3)."""
     d = min(domain_end(model), 3.0)
-    return [0.1 * d + (0.8 * d) * i / (n - 1) for i in range(n)]
+    return [0.1 * d + (0.8 * d) * i / 49 for i in range(50)]
 
 
-def verify_table_entry(
-    model: SpaceModel,
-    phi0_override: Callable[[float], float] | None = None,
-    n: int = 50,
-) -> TableVerification:
+def verify_table_entry(model: SpaceModel) -> TableVerification:
     """Check a closed form against the two independent oracles.
 
     ODE check: central-difference d/dr of the closed form against phi1.
     Match check: quadrature differences against closed-form differences.
     """
-    if phi0_override is None:
-        if not has_closed_form(model):
-            raise UnsupportedModel(f"no closed-form phi0 for {model}")
-        form = lambda r: phi0_closed(model, r)
-    else:
-        form = phi0_override
-    grid = verification_grid(model, n)
+    if not has_closed_form(model):
+        raise UnsupportedModel(f"no closed-form phi0 for {model}")
+    form = lambda r: phi0_closed(model, r)
+    grid = verification_grid(model)
     r_ref = grid[len(grid) // 2]
     iv = domain(model)
 

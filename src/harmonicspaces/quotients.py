@@ -15,7 +15,8 @@ same bits.  Orbit minima on the flat quotients search a fixed ring of
 elements about the nearest cell of p - q, whatever the basepoint: the
 nearest image lies in that cell, and the next nearest (needed when the
 identity is excluded) is one of its immediate neighbours.  Non-finite
-coordinates raise InvalidPoint.
+coordinates, and a point whose length is not the group's ``ambient_dim``,
+raise InvalidPoint.
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ class DeckGroup:
 
     Concrete groups provide ``ambient`` ("flat", "sphere" or "cproj"),
     ``ring`` and ``apply(eid, points)``, which acts row-wise on an (n, d)
-    array as on one point; curved ones also give ``ambient_dim``, the length
-    of a point vector.  The finite groups list their non-identity elements
+    array as on one point; ``ambient_dim`` is the length of a point vector,
+    2 on the plane.  The finite groups list their non-identity elements
     in ``ring``.  The flat groups list offsets about the nearest cell
     ``nearest_cell(p, q)``, since the nearest image and the next nearest lie
     within them; ``element_ids(p, q)`` gives the elements themselves.  The
@@ -133,6 +134,7 @@ class DeckGroup:
     """
 
     ambient: str = "flat"
+    ambient_dim: int = 2
     name: str = "group"
     ring: tuple = ()
 
@@ -277,6 +279,16 @@ class CPInvolutionGroup(DeckGroup):
 # --- quotient metric and domains ---------------------------------------------
 
 
+def _group_points(group: DeckGroup, p, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
+    """p validated as in _validate_points, with group.ambient_dim coordinates."""
+    arr = _validate_points(group.ambient, p, ndims)
+    if arr.shape[-1] != group.ambient_dim:
+        raise InvalidPoint(
+            f"{group.name} points have {group.ambient_dim} coordinates, got {arr.shape[-1]}"
+        )
+    return arr
+
+
 def orbit_distances(group: DeckGroup, p, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d_identity, min over gamma != id of d(p, gamma q), first) for each
     row q of qs; p is one point, or one point per row of qs.
@@ -286,10 +298,10 @@ def orbit_distances(group: DeckGroup, p, qs) -> tuple[np.ndarray, np.ndarray, np
     nearest cell shifted by the ring offset.
     """
     kind = group.ambient
-    p = _validate_points(kind, p, ndims=(1, 2))
-    qs = _validate_points(kind, qs, ndims=(2,))
+    p = _group_points(group, p, ndims=(1, 2))
+    qs = _group_points(group, qs, ndims=(2,))
     n = len(qs)
-    if p.shape[-1] != qs.shape[-1] or (p.ndim == 2 and len(p) != n):
+    if p.ndim == 2 and len(p) != n:
         raise InvalidPoint(f"points of shape {p.shape} do not pair with rows {qs.shape}")
     distance = _DISTANCES[kind]
     d_id = distance(p, qs)
@@ -326,7 +338,7 @@ class InjectivityReport:
 
 def injectivity_radius(group: DeckGroup, p) -> InjectivityReport:
     """Half the minimal displacement of p under non-identity elements."""
-    p = _validate_points(group.ambient, p)
+    p = _group_points(group, p)
     _, d_min, first = orbit_distances(group, p, p[None])
     # p's nearest cell to itself is the origin, so the ring offset is the element
     return InjectivityReport(p, 0.5 * float(d_min[0]), group.ring[first[0]])
@@ -339,7 +351,7 @@ def klein_injectivity_closed(a: float) -> float:
 
 def injectivity_radius_closed(group: DeckGroup, p) -> InjectivityReport:
     """Closed-form counterpart of injectivity_radius; agrees within 1e-12."""
-    p = _validate_points(group.ambient, p)
+    p = _group_points(group, p)
     if isinstance(group, TorusGroup):
         radius = 0.5
     elif isinstance(group, KleinGroup):
@@ -596,11 +608,6 @@ def fundamental_domain_area(
     return n_interior * grid.spacing**2
 
 
-def sample_sphere(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    v = rng.standard_normal((n, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def lens_domain_volume_mc(
     k: int = 1, samples: int = 100_000, seed: int = 42
 ) -> tuple[float, float]:
@@ -611,7 +618,7 @@ def lens_domain_volume_mc(
     from .spaces import unit_sphere_volume
 
     rng = np.random.default_rng(seed)
-    pts = sample_sphere(rng, samples, 2 * k + 2)
+    pts = _random_points(LensGroup(k), rng, samples)
     inside = pts[:, 0] > np.abs(pts[:, 1])
     frac = float(np.mean(inside))
     total = unit_sphere_volume(2 * k + 1)

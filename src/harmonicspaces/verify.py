@@ -1,18 +1,20 @@
 """Aggregated verification suite behind the `verify` CLI command.
 
-Every check is PASS/WARN/FAIL.  WARN covers the two flagged table rows
-whose verbatim transcription fails but whose alternate reading passes, and
-permanent advisory notes; the suite fails only on silent disagreement.
+Every check is PASS/WARN/FAIL, and each has one verdict path.  A table row
+passes when its closed form agrees with both quadrature oracles, and fails
+otherwise.  A compact model's far end must be divergent, as read from the
+vanishing order of its density.  Brute-force injectivity radii must equal
+``quotients.injectivity_radius_closed``.  WARN is kept for permanent
+advisory notes; the suite fails only on disagreement.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import harmonic, quotients, topology
 from .errors import SelfCheckFailed
-from .harmonic import BoundaryBehavior, SUSPECT_ALTERNATES, verify_table_entry
+from .harmonic import BoundaryBehavior, verify_table_entry
 from .spaces import SpaceModel, euclidean, parse_model_id, positive_curvature_catalogue
 
 
@@ -27,27 +29,13 @@ class CheckResult:
 
 
 def check_table_row(model: SpaceModel) -> CheckResult:
-    """Oracle verdict for one closed-form row, with the WARN policy for the
-    flagged transcriptions."""
+    """Oracle verdict for one closed-form row."""
     res = verify_table_entry(model)
     detail = (
         f"ode_residual={res.max_ode_residual:.3e} "
         f"match_residual={res.max_match_residual:.3e}"
     )
-    if res.passed:
-        return CheckResult(f"table {model.model_id}", "PASS", detail)
-    alt = SUSPECT_ALTERNATES.get(model.model_id)
-    if alt is not None:
-        alt_res = verify_table_entry(model, phi0_override=alt)
-        if alt_res.passed:
-            return CheckResult(
-                f"table {model.model_id}",
-                "WARN",
-                f"verbatim entry fails ({detail}); oracle-corrected "
-                f"sign/factor reading passes "
-                f"(ode_residual={alt_res.max_ode_residual:.3e})",
-            )
-    return CheckResult(f"table {model.model_id}", "FAIL", detail)
+    return CheckResult(f"table {model.model_id}", "PASS" if res.passed else "FAIL", detail)
 
 
 def table_checks(models: list[SpaceModel] | None = None) -> list[CheckResult]:
@@ -111,51 +99,33 @@ def group_checks(seed: int = 42) -> list[CheckResult]:
     return out
 
 
+def _radius_gap(group: quotients.DeckGroup, p) -> float:
+    """|brute-force - closed-form| injectivity radius at p."""
+    brute = quotients.injectivity_radius(group, p).radius
+    return abs(brute - quotients.injectivity_radius_closed(group, p).radius)
+
+
 def injectivity_checks(seed: int = 42) -> list[CheckResult]:
     """Brute-force orbit minima against the closed forms."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    out = []
-
-    torus = quotients.TorusGroup()
-    worst = 0.0
-    for _ in range(20):
-        p = rng.uniform(-1.0, 1.0, size=2)
-        worst = max(worst, abs(quotients.injectivity_radius(torus, p).radius - 0.5))
-    out.append(
-        CheckResult(
-            "injectivity torus",
-            "PASS" if worst <= 1e-12 else "FAIL",
-            f"max |brute - 1/2| = {worst:.2e} over 20 basepoints",
-        )
-    )
-
-    klein = quotients.KleinGroup()
-    worst = 0.0
-    for i in range(41):
-        a = 0.05 * i
-        got = quotients.injectivity_radius(klein, (0.0, a)).radius
-        worst = max(worst, abs(got - quotients.klein_injectivity_closed(a)))
-    out.append(
-        CheckResult(
-            "injectivity klein",
-            "PASS" if worst <= 1e-12 else "FAIL",
-            f"max |brute - closed| = {worst:.2e} over a in 0..2",
-        )
-    )
-
-    for gid, expected in (("rp", 0.5 * math.pi), ("lens", 0.25 * math.pi), ("cpq", 0.25 * math.pi)):
+    torus, klein = quotients.TorusGroup(), quotients.KleinGroup()
+    worst_torus = max(_radius_gap(torus, rng.uniform(-1.0, 1.0, size=2)) for _ in range(20))
+    worst_klein = max(_radius_gap(klein, (0.0, 0.05 * i)) for i in range(41))
+    rows = [
+        ("torus", worst_torus, f"max |brute - 1/2| = {worst_torus:.2e} over 20 basepoints"),
+        ("klein", worst_klein, f"max |brute - closed| = {worst_klein:.2e} over a in 0..2"),
+    ]
+    for gid in ("rp", "lens", "cpq"):
         group = make_group(gid)
         got = quotients.injectivity_radius(group, group.basepoint()).radius
-        out.append(
-            CheckResult(
-                f"injectivity {gid}",
-                "PASS" if abs(got - expected) <= 1e-12 else "FAIL",
-                f"brute={got!r} expected={expected!r}",
-            )
-        )
-    return out
+        expected = quotients.injectivity_radius_closed(group, group.basepoint()).radius
+        rows.append((gid, abs(got - expected), f"brute={got!r} expected={expected!r}"))
+    return [
+        CheckResult(f"injectivity {gid}", "PASS" if gap <= 1e-12 else "FAIL", detail)
+        for gid, gap, detail in rows
+    ]
 
 
 _LEMMA_TABLE = {

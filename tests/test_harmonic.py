@@ -8,7 +8,6 @@ from harmonicspaces.errors import DomainViolation, UnsupportedModel
 from harmonicspaces.harmonic import (
     BoundaryBehavior,
     CLOSED_FORMS,
-    SUSPECT_ALTERNATES,
     classify_boundary,
     closed_form_models,
     general_solution,
@@ -118,17 +117,13 @@ def test_verify_table_entry_spot_checks(mid):
     assert res.passed
 
 
-def test_verify_flags_wrong_entry():
+def test_verify_flags_wrong_entry(monkeypatch):
     # a corrupted transcription must fail both oracles
-    res = verify_table_entry(sphere(3), phi0_override=lambda r: +1.0 / math.tan(r))
+    monkeypatch.setitem(CLOSED_FORMS, "S3", lambda r: +1.0 / math.tan(r))
+    res = verify_table_entry(sphere(3))
     assert not res.passed
-
-
-def test_suspect_alternates_fail_where_verbatim_passes():
-    # the flagged rows verify as printed; their alternate readings do not
-    for mid, alt in SUSPECT_ALTERNATES.items():
-        assert verify_table_entry(parse_model_id(mid)).passed
-        assert not verify_table_entry(parse_model_id(mid), phi0_override=alt).passed
+    assert res.max_ode_residual > 1e-6
+    assert res.max_match_residual > 1e-8
 
 
 def test_closed_form_catalogue_size():

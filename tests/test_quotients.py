@@ -36,13 +36,13 @@ from harmonicspaces.quotients import (
     group_action_selfcheck,
     in_fundamental_domain,
     injectivity_radius,
+    injectivity_radius_closed,
     klein_fundamental_region,
     klein_injectivity_closed,
     lens_domain,
     lens_domain_volume_mc,
     orbit_distances,
     quotient_distance,
-    sample_sphere,
 )
 
 E1_S2 = np.array([1.0, 0.0, 0.0])
@@ -156,8 +156,8 @@ def test_metric_axioms_thousand_triples():
     p, q, r = rng.uniform(-0.6, 0.6, size=(n, 3, 2)).transpose(1, 0, 2)
     _assert_metric_axioms(KleinGroup(), p, q, r)
 
-    for group, dim in ((AntipodalGroup(m=2), 3), (LensGroup(), 4)):
-        pts = sample_sphere(rng, 3 * n, dim)
+    for group in (AntipodalGroup(m=2), LensGroup()):
+        pts = _random_points(group, rng, 3 * n)
         _assert_metric_axioms(group, pts[0::3], pts[1::3], pts[2::3])
 
     zs = rng.standard_normal((3 * n, 4)) + 1j * rng.standard_normal((3 * n, 4))
@@ -223,7 +223,7 @@ def test_lens_injectivity():
     assert rep.radius == pytest.approx(math.pi / 4, abs=1e-12)
     # the quotient is homogeneous: same radius at random points
     rng = np.random.default_rng(3)
-    for p in sample_sphere(rng, 5, 4):
+    for p in _random_points(lens, rng, 5):
         assert injectivity_radius(lens, p).radius == pytest.approx(
             math.pi / 4, abs=1e-12
         )
@@ -236,8 +236,6 @@ def test_cp_involution_injectivity():
 
 
 def test_brute_force_report_agrees_with_closed_form_report():
-    from harmonicspaces.quotients import injectivity_radius_closed
-
     cases = [
         (TorusGroup(), np.array([0.2, -0.4])),
         (KleinGroup(), np.array([0.0, 0.7])),
@@ -501,6 +499,32 @@ def test_non_finite_points_are_invalid(call):
         call()
 
 
+E1_R3, E1_R4, E1_R5 = np.eye(3)[0], np.eye(4)[0], np.eye(5)[0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: injectivity_radius(LensGroup(), E1_R3),
+        lambda: injectivity_radius(CPInvolutionGroup(), E1_R3),
+        lambda: injectivity_radius(AntipodalGroup(m=2), E1_R5),
+        lambda: injectivity_radius_closed(AntipodalGroup(m=2), E1_R5),
+        lambda: injectivity_radius_closed(LensGroup(k=2), E1_R4),
+        lambda: quotient_distance(LensGroup(), E1_R3, E1_R3),
+        lambda: in_fundamental_domain(CPInvolutionGroup(), E1_R3, E1_R3),
+        lambda: classify_points(AntipodalGroup(m=3), E1_R5, [E1_R5]),
+        lambda: orbit_distances(LensGroup(k=2), E1_R4, np.eye(4)[:2]),
+    ],
+    ids=[
+        "lens-injectivity", "cpq-injectivity", "rp-injectivity", "rp-closed",
+        "lens-closed", "lens-distance", "cpq-domain", "rp-classify", "lens-rows",
+    ],
+)
+def test_points_of_the_wrong_length_are_invalid(call):
+    with pytest.raises(InvalidPoint, match="coordinates"):
+        call()
+
+
 def test_lens_domain_predicate():
     assert lens_domain(np.array([1.0, 0.0, 0.0, 0.0]))
     assert not lens_domain(unit([1.0, 1.0, 0.0, 0.0]))
@@ -511,7 +535,7 @@ def test_lens_domain_predicate():
 
 def test_lens_domain_matches_quotient_interior():
     lens = LensGroup()
-    qs = sample_sphere(np.random.default_rng(19), 2000, 4)
+    qs = _random_points(lens, np.random.default_rng(19), 2000)
     regions = classify_points(lens, lens.basepoint(), qs)
     checked = regions != Region.BOUNDARY
     assert np.sum(checked) > 1900

@@ -12,36 +12,16 @@ from harmonicspaces.verify import (
     table_checks,
 )
 
-_CORRECT_HS5 = harmonic.CLOSED_FORMS["hS5"]
-_WRONG_HS5 = harmonic.SUSPECT_ALTERNATES["hS5"]
-
-
 def test_check_table_row_pass():
     res = check_table_row(parse_model_id("S3"))
     assert res.status == "PASS"
     assert "ode_residual" in res.details
 
 
-def test_check_table_row_warn_on_corrected_suspect(monkeypatch):
-    # simulate the feared transcription: verbatim entry wrong, alternate right
-    monkeypatch.setitem(harmonic.CLOSED_FORMS, "hS5", _WRONG_HS5)
-    monkeypatch.setitem(harmonic.SUSPECT_ALTERNATES, "hS5", _CORRECT_HS5)
-    res = check_table_row(parse_model_id("hS5"))
-    assert res.status == "WARN"
-    assert "oracle-corrected" in res.details
-
-
 def test_check_table_row_fails_silent_disagreement(monkeypatch):
-    # a corrupted row with no flagged alternate must FAIL, never WARN
+    # a corrupted row must FAIL, never WARN
     monkeypatch.setitem(harmonic.CLOSED_FORMS, "S3", lambda r: math.tan(r))
     res = check_table_row(parse_model_id("S3"))
-    assert res.status == "FAIL"
-
-
-def test_check_table_row_fails_when_alternate_also_wrong(monkeypatch):
-    monkeypatch.setitem(harmonic.CLOSED_FORMS, "hS5", lambda r: math.sinh(r))
-    monkeypatch.setitem(harmonic.SUSPECT_ALTERNATES, "hS5", lambda r: math.cosh(r))
-    res = check_table_row(parse_model_id("hS5"))
     assert res.status == "FAIL"
 
 
@@ -89,6 +69,22 @@ def test_make_group_and_basepoints():
             assert len(base) == group.ambient_dim
     with pytest.raises(ValueError):
         make_group("mobius")
+
+
+def test_verify_all_theta_calls_bounded(monkeypatch):
+    # deterministic work gate: the boundary verdicts evaluate no integrand
+    # (62,440 theta calls; a budget-exhausting probe made it 272,980)
+    calls = 0
+    theta = harmonic.theta
+
+    def counting_theta(model, r):
+        nonlocal calls
+        calls += 1
+        return theta(model, r)
+
+    monkeypatch.setattr(harmonic, "theta", counting_theta)
+    run_all(seed=42)
+    assert calls < 70_000
 
 
 def test_check_result_line_format():
