@@ -6,8 +6,9 @@ class HarmonicSpacesError(Exception):
 
 
 class NonConvergence(HarmonicSpacesError):
-    """Quadrature error estimate stayed above tolerance after the subdivision
-    budget; for an open endpoint this signals a non-integrable boundary."""
+    """Quadrature could not meet its tolerance: the total is not finite, the
+    worst panel can no longer be halved in float64 (how a non-integrable
+    open endpoint shows), or the subdivision budget ran out."""
 
 
 class DomainViolation(HarmonicSpacesError):

@@ -1,11 +1,12 @@
 """Adaptive quadrature and finite-difference kernels.
 
-Integration uses a nested 7/15 Gauss-Kronrod rule with per-panel error
-control.  All Kronrod nodes are strictly interior, so an open endpoint is
-never evaluated.  Open endpoints are approached with geometrically
-shrinking panels; a divergent endpoint exhausts the panel budget and
-raises :class:`NonConvergence`, an integrable one terminates through a
-geometric tail bound.
+Integration is one adaptive bisection with a nested 7/15 Gauss-Kronrod
+rule per panel (Piessens et al., QUADPACK, 1983, without extrapolation).
+All Kronrod nodes round strictly inside their panel, so an open endpoint
+is never evaluated.  A panel next to an open end counts its whole value
+as error, so an integrable end converges once that panel is small, and a
+divergent one is halved until float64 cannot halve it and raises
+:class:`NonConvergence`.
 """
 
 from __future__ import annotations
@@ -23,18 +24,10 @@ EPS = sys.float_info.epsilon
 #: Default absolute tolerance; downstream acceptance tolerances are >= 1e-8.
 DEFAULT_TOL = 1e-10
 
-#: Panels laid toward an open endpoint before declaring NonConvergence.
-ENDPOINT_PANEL_FLOOR = 1000
-
-#: Geometric ratio of successive endpoint panels.  Chosen so the floor
-#: spans 13 decades of distance to the endpoint, close to the resolution
-#: float64 offers near a unit-scale endpoint.
-ENDPOINT_PANEL_RATIO = 10.0 ** (-13.0 / ENDPOINT_PANEL_FLOOR)
-
 # relative error floor: below ~100 eps no subdivision can help
 _REL_FLOOR = 100.0 * EPS
 
-_MAX_INTERIOR_SPLITS = 4000
+_MAX_SPLITS = 4000
 
 # 15-point Kronrod abscissae (positive half, descending) and weights;
 # every second node starting at index 1 carries the embedded 7-point
@@ -68,8 +61,8 @@ _WG_CENTER = 0.4179591836734694
 
 @dataclass(frozen=True)
 class Interval:
-    """An integration interval; ``open_ends`` marks endpoints that must
-    never be evaluated."""
+    """An integration interval; ``open_ends`` marks endpoints where the
+    integrand may be singular, so they are never evaluated."""
 
     lo: float
     hi: float
@@ -106,134 +99,72 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return resk * h, abs((resk - resg) * h)
 
 
-def _adaptive_closed(f, a: float, b: float, tol: float) -> tuple[float, float, int]:
-    """Adaptive bisection on a closed panel heap until the summed error
-    estimate drops below max(tol, relative floor).
-
-    Returns (value, error estimate, panels evaluated).
-    """
-    v, e = _gk15(f, a, b)
-    heap = [(-e, a, b, v)]
-    total_v, total_e = v, e
-    panels = 1
-    splits = 0
-    while splits < _MAX_INTERIOR_SPLITS and math.isfinite(total_v):
-        if total_e <= max(tol, _REL_FLOOR * abs(total_v)):
-            return total_v, total_e, panels
-        neg_e0, a0, b0, v0 = heapq.heappop(heap)
-        m = 0.5 * (a0 + b0)
-        if not (a0 < m < b0):
-            # panel no longer splittable in float64; freeze it
-            heapq.heappush(heap, (0.0, a0, b0, v0))
-            splits += 1
-            continue
-        v1, e1 = _gk15(f, a0, m)
-        v2, e2 = _gk15(f, m, b0)
-        heapq.heappush(heap, (-e1, a0, m, v1))
-        heapq.heappush(heap, (-e2, m, b0, v2))
-        total_v += v1 + v2 - v0
-        total_e += e1 + e2 + neg_e0
-        panels += 2
-        splits += 1
-    if not math.isfinite(total_v):
-        # the running sum never returns from inf or nan, so splitting stops
-        raise NonConvergence(f"integral over [{a}, {b}] is not finite: {total_v!r}")
-    if total_e > max(tol, _REL_FLOOR * abs(total_v)):
-        raise NonConvergence(
-            f"interior error estimate {total_e:.3e} above tolerance after "
-            f"{_MAX_INTERIOR_SPLITS} subdivisions on [{a}, {b}]"
-        )
-    return total_v, total_e, panels
-
-
-def _open_end_zone(
-    f, endpoint: float, delta: float, at_hi: bool, tol: float
-) -> tuple[float, float, int]:
-    """Integrate the zone adjacent to an open endpoint with geometric panels.
-
-    Marches panels whose distance to the endpoint shrinks by
-    ENDPOINT_PANEL_RATIO each step.  Terminates when the measured decay of
-    panel contributions bounds the remaining tail below ``tol``; raises
-    NonConvergence if the panel floor (or float64 resolution) is exhausted
-    first, which is the signature of a non-integrable endpoint.
-
-    Returns (value, error estimate, panels evaluated).
-    """
-    q = ENDPOINT_PANEL_RATIO
-    d = delta
-    total = 0.0
-    err = 0.0
-    prev = math.inf
-    decays = 0
-    for k in range(ENDPOINT_PANEL_FLOOR):
-        d_next = d * q
-        if at_hi:
-            x0, x1 = endpoint - d, endpoint - d_next
-        else:
-            x0, x1 = endpoint + d_next, endpoint + d
-        if not (x0 < x1):
-            break  # float64 cannot place another panel
-        v, e = _gk15(f, x0, x1)
-        if not math.isfinite(v):
-            break
-        total += v
-        err += e
-        c = abs(v)
-        if c <= prev:
-            decays += 1
-            ratio = min(c / prev if prev > 0.0 else 0.0, 0.999)
-            tail = c * ratio / (1.0 - ratio)
-            if decays >= 3 and tail <= tol and c <= tol:
-                # geometric extrapolation of the remaining tail
-                return total + v * ratio / (1.0 - ratio), err + tail, k + 1
-        else:
-            decays = 0
-        prev = c
-        d = d_next
-    side = "upper" if at_hi else "lower"
-    raise NonConvergence(
-        f"integrand not integrable at tolerance {tol:.1e} near the open "
-        f"{side} endpoint {endpoint!r}"
-    )
+def _nodes_inside(a: float, b: float) -> bool:
+    """True when the outermost nodes ``_gk15`` places round strictly inside [a, b]."""
+    c = 0.5 * (a + b)
+    dx = 0.5 * (b - a) * _XGK[0]
+    return a < c - dx and c + dx < b
 
 
 def integrate(f: Callable[[float], float], iv: Interval, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Integrate ``f`` over ``iv`` to absolute tolerance ``tol`` (0 < tol < inf).
 
-    The returned ``error_estimate`` is the honest accumulated estimate;
-    values larger than ``tol`` can only occur via the relative floor of
-    float64 on large integrals.  Raises NonConvergence when an open
-    endpoint is not integrable (or the subdivision budget is exhausted).
+    One adaptive bisection: the panel with the largest error estimate is
+    halved until the summed estimate is below tol / 2 or the relative
+    floor of float64.  No open end is ever evaluated, and a panel that
+    touches one reports ``max(|K - G|, |K|)`` as its error, so its whole
+    contribution stays in doubt until it is below tolerance.  Raises
+    NonConvergence when the total is not finite, when the worst panel can
+    no longer be halved in float64 (how a divergent open end shows), when
+    an interval with an open end is too narrow for the first panel, or
+    after the subdivision budget.  Exceptions raised by ``f`` propagate.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    open_lo, open_hi = iv.open_ends
     a, b = iv.lo, iv.hi
-    width = b - a
-    delta = width / 8.0
+    open_lo, open_hi = iv.open_ends
+    if (open_lo or open_hi) and not _nodes_inside(a, b):
+        raise NonConvergence(f"interval ({a}, {b}) is too narrow for nodes strictly inside it")
 
-    lo_edge = a + delta if open_lo else a
-    hi_edge = b - delta if open_hi else b
-
-    total = 0.0
-    err = 0.0
-    panels = 0
-    if open_lo:
-        v, e, n = _open_end_zone(f, a, delta, at_hi=False, tol=tol / 4.0)
-        total += v
-        err += e
-        panels += n
-    if open_hi:
-        v, e, n = _open_end_zone(f, b, delta, at_hi=True, tol=tol / 4.0)
-        total += v
-        err += e
-        panels += n
-    v, e, n = _adaptive_closed(f, lo_edge, hi_edge, tol / 2.0)
-    total += v
-    err += e
-    panels += n
-    # every _gk15 panel evaluates f at its 15 Kronrod nodes
-    return QuadratureResult(value=total, error_estimate=err, evaluations=15 * panels)
+    # tol / 2 is what closed intervals got when open ends had zones of
+    # their own; keeping it keeps closed-interval results bit-identical
+    target = tol / 2.0
+    v, e = _gk15(f, a, b)
+    if open_lo or open_hi:
+        # a panel touching an open end counts its whole value as error
+        e = max(e, abs(v))
+    heap = [(-e, a, b, v)]
+    total_v, total_e = v, e
+    splits = 0
+    while math.isfinite(total_v):
+        if total_e <= max(target, _REL_FLOOR * abs(total_v)):
+            # every _gk15 panel evaluates f at its 15 Kronrod nodes
+            return QuadratureResult(total_v, total_e, evaluations=15 * (1 + 2 * splits))
+        if splits == _MAX_SPLITS:
+            raise NonConvergence(
+                f"error estimate {total_e:.3e} above tolerance after "
+                f"{_MAX_SPLITS} subdivisions on [{a}, {b}]"
+            )
+        neg_e0, a0, b0, v0 = heapq.heappop(heap)
+        m = 0.5 * (a0 + b0)
+        if not (_nodes_inside(a0, m) and _nodes_inside(m, b0)):
+            raise NonConvergence(
+                f"error estimate {-neg_e0:.3e} on the panel [{a0!r}, {b0!r}] of "
+                f"[{a}, {b}] cannot be reduced: float64 cannot halve the panel"
+            )
+        v1, e1 = _gk15(f, a0, m)
+        v2, e2 = _gk15(f, m, b0)
+        if open_lo and a0 == a:
+            e1 = max(e1, abs(v1))
+        if open_hi and b0 == b:
+            e2 = max(e2, abs(v2))
+        heapq.heappush(heap, (-e1, a0, m, v1))
+        heapq.heappush(heap, (-e2, m, b0, v2))
+        total_v += v1 + v2 - v0
+        total_e += e1 + e2 + neg_e0
+        splits += 1
+    # the running sum never returns from inf or nan, so splitting stops
+    raise NonConvergence(f"integral over [{a}, {b}] is not finite: {total_v!r}")
 
 
 def derivative(

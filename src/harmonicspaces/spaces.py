@@ -321,9 +321,11 @@ def ball_volume(model: SpaceModel, radius: float) -> float:
     """Volume of the geodesic ball of the given radius about the basepoint."""
     if not (0.0 < radius <= domain_end(model)):
         raise DomainViolation(f"radius {radius!r} outside (0, {domain_end(model)}]")
-    result = integrate(
-        lambda r: theta(model, r), Interval(0.0, radius, (True, True)), tol=_VOLUME_TOL
-    )
+    # theta vanishes at 0 and at a compact model's diameter; only those
+    # ends are open, since a panel next to an open end must shrink until
+    # its whole value is below tolerance
+    iv = Interval(0.0, radius, (True, radius == domain_end(model)))
+    result = integrate(lambda r: theta(model, r), iv, tol=_VOLUME_TOL)
     return unit_sphere_volume(model.dimension - 1) * result.value
 
 

@@ -57,18 +57,49 @@ def test_integrate_open_ends_bounded_integrand():
     assert res.value == pytest.approx(2.0, abs=2e-10)
 
 
-def test_integrate_mild_endpoint_singularity():
-    # x^(-1/4) on (0, 1]: integral is 4/3; integrable despite the blowup
-    res = integrate(lambda x: x ** (-0.25), Interval(0.0, 1.0, (True, False)), tol=1e-8)
-    assert res.value == pytest.approx(4.0 / 3.0, abs=1e-6)
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
+def test_integrate_mild_endpoint_singularity(alpha):
+    # x^(-alpha) on (0, 1/2] is integrable despite the blowup at 0; the
+    # panel next to 0 converges once its whole value is below tolerance
+    res = integrate(lambda x: x ** (-alpha), Interval(0.0, 0.5, (True, False)), tol=1e-8)
+    assert res.value == pytest.approx(0.5 ** (1.0 - alpha) / (1.0 - alpha), abs=1e-8)
 
 
 def test_integrate_never_touches_open_endpoints():
-    def f(x):
-        assert 0.0 < x < math.pi
-        return math.sin(x)
+    pi = math.pi
+    # (integrand on (0, pi), expected value or exception); the singular
+    # cases sit at either end
+    cases = [
+        (math.sin, 2.0),
+        (lambda x: x**-0.5, 2.0 * math.sqrt(pi)),
+        # alpha = 1/2 at a unit-scale end: float64 cannot place panels
+        # close enough to pi for the tolerance
+        (lambda x: (pi - x) ** -0.5, NonConvergence),
+        (lambda x: 1.0 / x, NonConvergence),
+        (lambda x: 1.0 / (pi - x), NonConvergence),
+        # the integrand's own overflow propagates
+        (lambda x: x**-3.0, OverflowError),
+        (lambda x: (pi - x) ** -3.0, NonConvergence),
+    ]
+    for g, expected in cases:
+        def f(x, g=g):
+            assert 0.0 < x < pi
+            return g(x)
 
-    integrate(f, Interval(0.0, math.pi, (True, True)))
+        if isinstance(expected, float):
+            res = integrate(f, Interval(0.0, pi, (True, True)))
+            assert res.value == pytest.approx(expected, abs=1e-10)
+        else:
+            with pytest.raises(expected):
+                integrate(f, Interval(0.0, pi, (True, True)))
+
+    # too narrow for the first panel's nodes to round strictly inside
+    def narrow(x):
+        assert 1.0 < x < 1.0 + 1e-14
+        return 1.0
+
+    with pytest.raises(NonConvergence, match="too narrow"):
+        integrate(narrow, Interval(1.0, 1.0 + 1e-14, (True, True)))
 
 
 def test_invalid_tol():
