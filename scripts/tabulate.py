@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Dump phi tables (theta, phi1, phi0, residuals) for every closed-form
-model, one CSV per model.
+"""Dump phi tables (theta, phi1, phi0, residuals) for every row that
+`verify` checks, one CSV per model.
 
 Usage: python scripts/tabulate.py [--out-dir tables] [--points 25]
 """
@@ -11,15 +11,13 @@ import argparse
 from pathlib import Path
 
 from harmonicspaces.cli import main as cli_main
-from harmonicspaces.harmonic import CLOSED_FORMS
 from harmonicspaces.spaces import domain_end, parse_model_id
-
-FLAT_IDS = ["E2", "E3", "E4", "E5"]
+from harmonicspaces.verify import _TABLE_IDS
 
 
 def run(out_dir: Path, points: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    for mid in list(CLOSED_FORMS) + FLAT_IDS:
+    for mid in _TABLE_IDS:
         model = parse_model_id(mid)
         end = min(domain_end(model), 3.0)
         r_min, r_max = 0.1 * end, 0.9 * end

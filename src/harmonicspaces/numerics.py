@@ -114,15 +114,18 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float = DEFAULT_TO
     floor of float64.  No open end is ever evaluated, and a panel that
     touches one reports ``max(|K - G|, |K|)`` as its error, so its whole
     contribution stays in doubt until it is below tolerance.  Raises
-    NonConvergence when the total is not finite, when the worst panel can
-    no longer be halved in float64 (how a divergent open end shows), when
-    an interval with an open end is too narrow for the first panel, or
-    after the subdivision budget.  Exceptions raised by ``f`` propagate.
+    ValueError for a non-finite end of ``iv``, and NonConvergence when the
+    total is not finite, when the worst panel can no longer be halved in
+    float64 (how a divergent open end shows), when an interval with an open
+    end is too narrow for the first panel, or after the subdivision budget.
+    Exceptions raised by ``f`` propagate.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     a, b = iv.lo, iv.hi
     open_lo, open_hi = iv.open_ends
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"interval ({a}, {b}) has a non-finite end")
     if (open_lo or open_hi) and not _nodes_inside(a, b):
         raise NonConvergence(f"interval ({a}, {b}) is too narrow for nodes strictly inside it")
 

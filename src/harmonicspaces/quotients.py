@@ -374,15 +374,11 @@ class Region(enum.Enum):
 def in_fundamental_domain(group: DeckGroup, p, q, tol: float = ANALYTIC_TOL) -> Region:
     """Locate q relative to the open fundamental domain centered at p.
 
-    Interior when the identity strictly realizes the orbit distance by more
-    than tol; Boundary within +-tol of a tie; Exterior otherwise.
+    With d_id = d(p, q) and d_min the distance to the nearest other image
+    of q: Interior when d_id < d_min - tol, else Boundary when
+    d_id <= d_min + tol, else Exterior.
     """
-    d_id, d_min, _ = orbit_distances(group, p, [q])
-    if d_id[0] < d_min[0] - tol:
-        return Region.INTERIOR
-    if d_id[0] <= d_min[0] + tol:
-        return Region.BOUNDARY
-    return Region.EXTERIOR
+    return classify_points(group, p, [q], tol)[0]
 
 
 def klein_fundamental_region(a: float, q) -> bool:
@@ -561,11 +557,11 @@ class GridClassification:
 
 
 def classify_points(group: DeckGroup, p, qs, tol: float = ANALYTIC_TOL) -> np.ndarray:
-    """Vectorized in_fundamental_domain over an (n, d) array of points."""
+    """Region of each row of an (n, d) array, by the rule of in_fundamental_domain."""
     d_id, d_min, _ = orbit_distances(group, p, np.atleast_2d(qs))
     regions = np.full(len(d_id), Region.EXTERIOR, dtype=object)
+    regions[d_id <= d_min + tol] = Region.BOUNDARY
     regions[d_id < d_min - tol] = Region.INTERIOR
-    regions[np.abs(d_id - d_min) <= tol] = Region.BOUNDARY
     return regions
 
 

@@ -7,7 +7,11 @@ metric normalized so the volume density in geodesic polar coordinates is
     sinh(r)^a cosh(r)^b      negative curvature,
     r^(m-1)                  flat,
 
-with a = m-1 and b in {0, 1, 3, 7} by family.
+with a = m-1 and b = d-1, where d in {1, 2, 4, 8} is the real dimension of
+the family's division algebra R, C, H or O and m = d k (Besse, *Manifolds
+all of whose geodesics are closed*, 1978).  A model id is the family's stem
+followed by m // d: m for S, hS and E, k for CP, HP and their duals, and 2
+for the octonion plane OP2 and its dual hOP2, the only octonionic models.
 """
 
 from __future__ import annotations
@@ -34,21 +38,18 @@ class Family(enum.Enum):
     EUCLIDEAN = "euclidean"
 
 
-_POSITIVE = {
-    Family.SPHERE,
-    Family.COMPLEX_PROJECTIVE,
-    Family.QUATERNION_PROJECTIVE,
-    Family.OCTONION_PLANE,
+# every per-family fact: id stem, curvature sign, division algebra dimension d
+_ROWS = {
+    Family.SPHERE: ("S", 1, 1),
+    Family.COMPLEX_PROJECTIVE: ("CP", 1, 2),
+    Family.QUATERNION_PROJECTIVE: ("HP", 1, 4),
+    Family.OCTONION_PLANE: ("OP", 1, 8),
+    Family.HYPERBOLIC_SPACE: ("hS", -1, 1),
+    Family.COMPLEX_HYPERBOLIC: ("hCP", -1, 2),
+    Family.QUATERNION_HYPERBOLIC: ("hHP", -1, 4),
+    Family.OCTONION_HYPERBOLIC: ("hOP", -1, 8),
+    Family.EUCLIDEAN: ("E", 0, 1),
 }
-_NEGATIVE = {
-    Family.HYPERBOLIC_SPACE,
-    Family.COMPLEX_HYPERBOLIC,
-    Family.QUATERNION_HYPERBOLIC,
-    Family.OCTONION_HYPERBOLIC,
-}
-_COMPLEX = {Family.COMPLEX_PROJECTIVE, Family.COMPLEX_HYPERBOLIC}
-_QUATERNION = {Family.QUATERNION_PROJECTIVE, Family.QUATERNION_HYPERBOLIC}
-_OCTONION = {Family.OCTONION_PLANE, Family.OCTONION_HYPERBOLIC}
 
 
 class TrigKind(enum.Enum):
@@ -85,63 +86,37 @@ class SpaceModel:
     projective_index: int | None = None
 
     def __post_init__(self):
+        _, _, d = _ROWS[self.family]
         m, k = self.dimension, self.projective_index
+        if d == 8 and (m, k) != (16, 2):
+            raise UnsupportedModel("only the projective plane OP2 exists in the catalogue")
         if m < 2:
             raise UnsupportedModel(f"dimension must be >= 2, got {m}")
-        if self.family in _COMPLEX:
-            if k is None or k < 1 or m != 2 * k:
-                raise UnsupportedModel(f"complex family needs m = 2k, got m={m}, k={k}")
-        elif self.family in _QUATERNION:
-            if k is None or k < 1 or m != 4 * k:
-                raise UnsupportedModel(f"quaternion family needs m = 4k, got m={m}, k={k}")
-        elif self.family in _OCTONION:
-            if m != 16 or k not in (None, 2):
-                raise UnsupportedModel(f"octonion plane has m = 16, got m={m}")
-        elif k is not None:
-            raise UnsupportedModel(f"{self.family.value} takes no projective index")
+        if d == 1:
+            if k is not None:
+                raise UnsupportedModel(f"{self.family.value} takes no projective index")
+        elif k is None or m != d * k:
+            raise UnsupportedModel(f"{self.family.value} needs m = {d}k, got m={m}, k={k}")
 
     @property
     def curvature_sign(self) -> int:
-        if self.family in _POSITIVE:
-            return 1
-        if self.family in _NEGATIVE:
-            return -1
-        return 0
+        return _ROWS[self.family][1]
 
     @cached_property
     def density(self) -> DensityProfile:
         """Exponents, kind and domain end, resolved once per model."""
-        if self.family in _COMPLEX:
-            b = 1
-        elif self.family in _QUATERNION:
-            b = 3
-        elif self.family in _OCTONION:
-            b = 7
-        else:
-            b = 0
-        kind = {1: TrigKind.CIRCULAR, -1: TrigKind.HYPERBOLIC, 0: TrigKind.POLYNOMIAL}[
-            self.curvature_sign
-        ]
-        if self.curvature_sign <= 0:
+        _, sign, d = _ROWS[self.family]
+        kind = {1: TrigKind.CIRCULAR, -1: TrigKind.HYPERBOLIC, 0: TrigKind.POLYNOMIAL}[sign]
+        if sign <= 0:
             end = math.inf
         else:
-            end = math.pi if self.family is Family.SPHERE else 0.5 * math.pi
-        return DensityProfile(self.dimension - 1, b, kind, end)
+            end = math.pi if d == 1 else 0.5 * math.pi  # sphere, projective space
+        return DensityProfile(self.dimension - 1, d - 1, kind, end)
 
     @property
     def model_id(self) -> str:
-        base = {
-            Family.SPHERE: f"S{self.dimension}",
-            Family.COMPLEX_PROJECTIVE: f"CP{self.projective_index}",
-            Family.QUATERNION_PROJECTIVE: f"HP{self.projective_index}",
-            Family.OCTONION_PLANE: "OP2",
-            Family.HYPERBOLIC_SPACE: f"hS{self.dimension}",
-            Family.COMPLEX_HYPERBOLIC: f"hCP{self.projective_index}",
-            Family.QUATERNION_HYPERBOLIC: f"hHP{self.projective_index}",
-            Family.OCTONION_HYPERBOLIC: "hOP2",
-            Family.EUCLIDEAN: f"E{self.dimension}",
-        }
-        return base[self.family]
+        stem, _, d = _ROWS[self.family]
+        return f"{stem}{self.dimension // d}"
 
     def __str__(self) -> str:
         return self.model_id
@@ -183,63 +158,33 @@ def euclidean(m: int) -> SpaceModel:
     return SpaceModel(Family.EUCLIDEAN, m)
 
 
-_ID_RE = re.compile(r"^(h?)(S|CP|HP|OP|E)(\d+)$")
-
-_BUILDERS = {
-    ("", "S"): sphere,
-    ("", "CP"): complex_projective,
-    ("", "HP"): quaternion_projective,
-    ("", "E"): euclidean,
-    ("h", "S"): hyperbolic_space,
-    ("h", "CP"): complex_hyperbolic,
-    ("h", "HP"): quaternion_hyperbolic,
-}
+_ID_RE = re.compile(r"^(h?(?:S|CP|HP|OP|E))(\d+)$")
 
 
 def parse_model_id(model_id: str) -> SpaceModel:
     """Parse a CLI identifier such as S3, CP2, hHP4, OP2, E5 (case-sensitive)."""
-    m = _ID_RE.match(model_id)
-    if not m:
+    match = _ID_RE.match(model_id)
+    if not match:
         raise UnsupportedModel(f"unrecognized model id {model_id!r}")
-    prefix, stem, num = m.group(1), m.group(2), int(m.group(3))
-    if stem == "OP":
-        if num != 2:
-            raise UnsupportedModel("only the projective plane OP2 exists in the catalogue")
-        return octonion_hyperbolic() if prefix == "h" else octonion_plane()
-    if prefix == "h" and stem == "E":
-        raise UnsupportedModel("flat space has no hyperbolic dual id")
-    try:
-        return _BUILDERS[(prefix, stem)](num)
-    except UnsupportedModel:
-        raise
-    except Exception as exc:  # dimension/index violations surface uniformly
-        raise UnsupportedModel(str(exc)) from exc
+    num = int(match.group(2))
+    for family, (stem, _, d) in _ROWS.items():
+        if stem == match.group(1):
+            return SpaceModel(family, d * num, None if d == 1 else num)
+    raise UnsupportedModel("flat space has no hyperbolic dual id")  # hE<m>
 
 
 def hyperbolic_dual(model: SpaceModel) -> SpaceModel:
     """The negative-curvature dual of a positive-curvature model."""
-    duals = {
-        Family.SPHERE: Family.HYPERBOLIC_SPACE,
-        Family.COMPLEX_PROJECTIVE: Family.COMPLEX_HYPERBOLIC,
-        Family.QUATERNION_PROJECTIVE: Family.QUATERNION_HYPERBOLIC,
-        Family.OCTONION_PLANE: Family.OCTONION_HYPERBOLIC,
-    }
-    if model.family not in duals:
+    if model.curvature_sign != 1:
         raise UnsupportedModel(f"{model} has no hyperbolic dual")
-    return SpaceModel(duals[model.family], model.dimension, model.projective_index)
+    return parse_model_id("h" + model.model_id)
 
 
 def positive_dual(model: SpaceModel) -> SpaceModel:
     """The positive-curvature dual of a negative-curvature model."""
-    duals = {
-        Family.HYPERBOLIC_SPACE: Family.SPHERE,
-        Family.COMPLEX_HYPERBOLIC: Family.COMPLEX_PROJECTIVE,
-        Family.QUATERNION_HYPERBOLIC: Family.QUATERNION_PROJECTIVE,
-        Family.OCTONION_HYPERBOLIC: Family.OCTONION_PLANE,
-    }
-    if model.family not in duals:
+    if model.curvature_sign != -1:
         raise UnsupportedModel(f"{model} has no positive-curvature dual")
-    return SpaceModel(duals[model.family], model.dimension, model.projective_index)
+    return parse_model_id(model.model_id[1:])
 
 
 def domain_end(model: SpaceModel) -> float:
@@ -319,12 +264,15 @@ def model_volume(model: SpaceModel) -> float:
 
 def ball_volume(model: SpaceModel, radius: float) -> float:
     """Volume of the geodesic ball of the given radius about the basepoint."""
-    if not (0.0 < radius <= domain_end(model)):
-        raise DomainViolation(f"radius {radius!r} outside (0, {domain_end(model)}]")
+    end = domain_end(model)
+    if not (0.0 < radius <= end and radius < math.inf):
+        raise DomainViolation(
+            f"radius {radius!r} outside (0, {end}{']' if end < math.inf else ')'}"
+        )
     # theta vanishes at 0 and at a compact model's diameter; only those
     # ends are open, since a panel next to an open end must shrink until
     # its whole value is below tolerance
-    iv = Interval(0.0, radius, (True, radius == domain_end(model)))
+    iv = Interval(0.0, radius, (True, radius == end))
     result = integrate(lambda r: theta(model, r), iv, tol=_VOLUME_TOL)
     return unit_sphere_volume(model.dimension - 1) * result.value
 

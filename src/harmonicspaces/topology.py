@@ -4,6 +4,8 @@ A compact manifold modeled on a negative-curvature rank-1 symmetric space
 satisfies vol(M) >= vol(dual)/chi(dual) (Gauss-Bonnet argument, even
 dimensions) and, when the dual has Hirzebruch signature 1,
 vol(M) >= eps * vol(dual) with eps = 1 for orientable M and 1/2 otherwise.
+OP2 is the projective plane with k = 2 here, so the projective formulas give
+its chi = 3, signature 1 and order set {1}.
 """
 
 from __future__ import annotations
@@ -14,28 +16,27 @@ from .errors import UnsupportedModel
 from .spaces import Family, SpaceModel, model_volume, positive_dual
 
 
-def euler_characteristic(model: SpaceModel) -> int:
-    """Euler characteristic of a positive-curvature model."""
+def _require_compact(model: SpaceModel) -> None:
     if model.curvature_sign != 1:
         raise UnsupportedModel(f"{model} is not a compact positive-curvature model")
+
+
+def euler_characteristic(model: SpaceModel) -> int:
+    """Euler characteristic of a positive-curvature model."""
+    _require_compact(model)
     if model.family is Family.SPHERE:
         return 2 if model.dimension % 2 == 0 else 0
-    if model.family is Family.OCTONION_PLANE:
-        return 3
-    return model.projective_index + 1  # CP^k and HP^k alike
+    return model.projective_index + 1
 
 
 def signature(model: SpaceModel) -> int | None:
     """Hirzebruch signature; None when the dimension is not divisible by 4."""
-    if model.curvature_sign != 1:
-        raise UnsupportedModel(f"{model} is not a compact positive-curvature model")
+    _require_compact(model)
     if model.dimension % 4 != 0:
         return None
     if model.family is Family.SPHERE:
         return 0
-    if model.family is Family.OCTONION_PLANE:
-        return 1
-    # projective families with m divisible by 4
+    # projective spaces with m divisible by 4
     return 1 if model.projective_index % 2 == 0 else 0
 
 
@@ -50,16 +51,12 @@ WOLF_SHARPENING_NOTE = (
 def allowed_group_orders(model: SpaceModel) -> set[int]:
     """Orders of groups that can act freely, from cover multiplicativity of
     the Euler characteristic of the truncated-polynomial cohomology."""
-    if model.curvature_sign != 1:
-        raise UnsupportedModel(f"{model} is not a compact positive-curvature model")
+    _require_compact(model)
     if model.family is Family.SPHERE:
         if model.dimension % 2 != 0:
             raise UnsupportedModel("odd spheres admit many space forms; out of scope")
         return {1, 2}
-    if model.family is Family.OCTONION_PLANE:
-        return {1}
-    k = model.projective_index
-    return {1} if k % 2 == 0 else {1, 2}
+    return {1} if model.projective_index % 2 == 0 else {1, 2}
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import harmonic, quotients, topology
 from .errors import SelfCheckFailed
 from .harmonic import BoundaryBehavior, verify_table_entry
-from .spaces import SpaceModel, euclidean, parse_model_id, positive_curvature_catalogue
+from .spaces import SpaceModel, parse_model_id, positive_curvature_catalogue
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,13 @@ def check_table_row(model: SpaceModel) -> CheckResult:
     return CheckResult(f"table {model.model_id}", "PASS" if res.passed else "FAIL", detail)
 
 
+#: The table rows: every transcribed closed form, then the flat family.
+_TABLE_IDS = (*harmonic.CLOSED_FORMS, "E2", "E3", "E4", "E5")
+
+
 def table_checks(models: list[SpaceModel] | None = None) -> list[CheckResult]:
     if models is None:
-        models = harmonic.closed_form_models() + [euclidean(m) for m in (2, 3, 4, 5)]
+        models = [parse_model_id(mid) for mid in _TABLE_IDS]
     return [check_table_row(m) for m in models]
 
 

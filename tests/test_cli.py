@@ -305,11 +305,22 @@ def test_quotient_outputs_pinned(capsys, tmp_path, monkeypatch, argv, csv_sha, s
         ),
         (["bounds", "hHP3"], "ec58baf9782550b54e473817fe04ad1015c602a6631807adb0b9679113d4a1c3"),
         (["bounds", "hOP2"], "7be3d7cfbdd0ed9552c4275ad058a9a0fb4018e693c4d2a2b0c680b71f864ed1"),
+        (["bounds", "hS2"], "8409768646e97b99bc520b80c00c2db422471406d79db8ce449eb24702252e6d"),
+        (["bounds", "hS4"], "b767a0bd8aa7ac13bd9311857f482bae27199e832276ce212defdad9595ff5af"),
+        (["bounds", "hS6"], "442ff5fcbe39967fd375ea2d2b27e4b5e59de75c5c18cd9c08da2bc554ba94a4"),
+        (["bounds", "hS8"], "f75213b02e26f150263a3d90897d5438086ecf08f187e4234b0547b99d4244ff"),
+        (["bounds", "hCP1"], "8314c57bf91f9f49e44ad2e1ee5f37b0bcee0f315ad7794fcb59fe85e7d66365"),
+        (["bounds", "hCP3"], "cc1b5fe3d2a60b5960002674bd639eb6538bdc9f62d67b19c7d56f55283b620f"),
+        (["bounds", "hCP4"], "8ef12d485cb83bb966a57a9d7259cb6bf97fd29635312ede4116741c164d25ba"),
+        (["bounds", "hHP2"], "af2656cbb3723646e7e60f800afe169459bc1a53edd9aa3cd8d93262a46ca81b"),
+        (["bounds", "hHP4"], "085a27b2d987054cc04abc6dbb9a84376eb44020350e17bb7818762da6ea2d7a"),
     ],
     ids=[
         "phi-S3", "phi-hHP3", "phi-OP2", "phi-E4", "phi-S9", "verify-S3", "verify-hHP3",
         "verify-all-42", "verify-all-7",
         "bounds-hCP2-nonorientable", "bounds-hHP3", "bounds-hOP2",
+        "bounds-hS2", "bounds-hS4", "bounds-hS6", "bounds-hS8", "bounds-hCP1",
+        "bounds-hCP3", "bounds-hCP4", "bounds-hHP2", "bounds-hHP4",
     ],
 )
 def test_phi_table_and_verify_outputs_pinned(capsys, argv, digest):
@@ -320,7 +331,8 @@ def test_phi_table_and_verify_outputs_pinned(capsys, argv, digest):
     # before the group checks became array checks: they guard byte
     # reproducibility across versions.  The bounds digests were re-captured
     # when the open-endpoint march was deleted: only dual_volume, gb_bound
-    # and sig_bound moved, to the textbook volumes within 2 ulps
+    # and sig_bound moved, to the textbook volumes within 2 ulps.  The other
+    # nine bounds ids were pinned before the model catalogue became one table
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -110,6 +110,17 @@ def test_invalid_tol():
             integrate(math.sin, Interval(0.0, 1.0), tol=tol)
 
 
+def test_non_finite_end_is_a_value_error():
+    # named before the width check, which would call (0, inf) too narrow
+    for iv in (
+        Interval(0.0, math.inf, (True, False)),
+        Interval(-math.inf, 0.0),
+        Interval(0.0, math.inf),
+    ):
+        with pytest.raises(ValueError, match="non-finite end"):
+            integrate(math.exp, iv)
+
+
 @pytest.mark.parametrize(
     "f, iv",
     [

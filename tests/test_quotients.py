@@ -358,12 +358,22 @@ def test_classify_points_matches_scalar():
         brute_min = _brute_force_orbit_min(group, p, qs)
         assert np.array_equal(d_min, brute_min), case
         expected = np.full(len(qs), Region.EXTERIOR, dtype=object)
+        expected[d_id <= brute_min + ANALYTIC_TOL] = Region.BOUNDARY
         expected[d_id < brute_min - ANALYTIC_TOL] = Region.INTERIOR
-        expected[np.abs(d_id - brute_min) <= ANALYTIC_TOL] = Region.BOUNDARY
         regions = classify_points(group, p, qs)
         assert np.array_equal(regions, expected), case
         for q, region in zip(qs, regions):
             assert in_fundamental_domain(group, p, q) is region, case
+
+
+def test_region_rule_agrees_at_rounding_tie():
+    # in float64 d_min - d_id > tol here, yet d_id <= d_min + tol: a test of
+    # |d_id - d_min| <= tol called the point exterior although the identity
+    # image is strictly nearest, and the scalar path called it boundary
+    torus, p = TorusGroup(), (0.0, 0.0)
+    q, tol = (0.4244342025161614, 0.0), 0.15113159496767722
+    assert classify_points(torus, p, [q], tol)[0] is Region.BOUNDARY
+    assert in_fundamental_domain(torus, p, q, tol) is Region.BOUNDARY
 
 
 def _scalar_distance(kind, p, q):

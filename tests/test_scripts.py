@@ -33,7 +33,8 @@ def test_make_figures_writes_every_figure(tmp_path, capsys):
 def test_tabulate_writes_every_table(tmp_path, capsys):
     module = _load("tabulate")
     module.run(tmp_path, 3)
-    ids = list(CLOSED_FORMS) + module.FLAT_IDS
+    # the rows of verify's table checks: the closed forms, then E2..E5
+    ids = list(CLOSED_FORMS) + ["E2", "E3", "E4", "E5"]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"phi_{mid}.csv" for mid in ids)
     for mid in ids:
         rows = (tmp_path / f"phi_{mid}.csv").read_text(encoding="utf-8").splitlines()

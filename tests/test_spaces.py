@@ -24,6 +24,7 @@ from harmonicspaces.spaces import (
     octonion_plane,
     parse_model_id,
     positive_curvature_catalogue,
+    positive_dual,
     quaternion_hyperbolic,
     sphere,
     theta,
@@ -193,6 +194,13 @@ def test_ball_volume_large_radius():
     )
 
 
+def test_ball_volume_rejects_non_finite_radius():
+    for model in (hyperbolic_space(3), euclidean(3)):
+        for radius in (math.inf, math.nan):
+            with pytest.raises(DomainViolation, match=r"outside \(0, inf\)"):
+                ball_volume(model, radius)
+
+
 def test_ball_volume_hyperbolic_small_radius():
     # tiny hyperbolic balls are nearly Euclidean
     assert ball_volume(hyperbolic_space(3), 1e-2) == pytest.approx(
@@ -221,9 +229,30 @@ def test_model_id_round_trip():
 
 
 def test_parse_rejects_bad_ids():
-    for bad in ["X3", "s3", "CP0", "HP0", "OP3", "S1", "E1", "hE2", "cp2"]:
-        with pytest.raises(UnsupportedModel):
+    messages = {
+        "X3": "unrecognized model id 'X3'",
+        "s3": "unrecognized model id 's3'",
+        "CP0": "dimension must be >= 2, got 0",
+        "HP0": "dimension must be >= 2, got 0",
+        "OP3": "only the projective plane OP2 exists in the catalogue",
+        "S1": "dimension must be >= 2, got 1",
+        "E1": "dimension must be >= 2, got 1",
+        "hE2": "flat space has no hyperbolic dual id",
+        "cp2": "unrecognized model id 'cp2'",
+    }
+    for bad, message in messages.items():
+        with pytest.raises(UnsupportedModel) as exc:
             parse_model_id(bad)
+        assert str(exc.value) == message, bad
+
+
+def test_dual_of_wrong_sign_rejected():
+    with pytest.raises(UnsupportedModel) as exc:
+        hyperbolic_dual(euclidean(2))
+    assert str(exc.value) == "E2 has no hyperbolic dual"
+    with pytest.raises(UnsupportedModel) as exc:
+        positive_dual(sphere(2))
+    assert str(exc.value) == "S2 has no positive-curvature dual"
 
 
 def test_model_invariants():
@@ -233,6 +262,11 @@ def test_model_invariants():
         SpaceModel(Family.OCTONION_PLANE, 8)
     with pytest.raises(UnsupportedModel):
         SpaceModel(Family.SPHERE, 1)
+    # one OP2: the octonion plane and its dual exist only with k = 2
+    for family in (Family.OCTONION_PLANE, Family.OCTONION_HYPERBOLIC):
+        for k in (None, 1, 3):
+            with pytest.raises(UnsupportedModel, match="only the projective plane OP2"):
+                SpaceModel(family, 16, k)
 
 
 def test_domain_ends():
