@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: phi-table, verify, quotient, bounds.  Exit codes: 0 success,
-1 verification failure, 2 usage error.  All angles are radians; CSV is the
+1 verification failure, 2 usage error.  A command raises where it finds a
+fault, and ``main`` alone turns the exception into an exit code and one
+``error:`` line on stderr.  All angles are radians; CSV is the
 single data format and SVG the single figure format, both deterministic
 for a fixed configuration.  Each subcommand accepts only the options it
 reads, and its parsed arguments are the configuration every output echoes.
@@ -51,30 +53,22 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return USAGE_ERROR
-
-
 # --- phi-table ---------------------------------------------------------------
 
 
 def cmd_phi_table(args: argparse.Namespace) -> int:
-    try:
-        model = parse_model_id(args.model)
-    except UnsupportedModel as exc:
-        return _fail_usage(str(exc))
+    model = parse_model_id(args.model)
     end = domain_end(model)
     if not (0.0 < args.r_min < args.r_max < end) or not (0.0 < args.r_ref < end):
-        return _fail_usage(
+        raise ValueError(
             f"grid [{args.r_min}, {args.r_max}] with r_ref={args.r_ref} must lie "
             f"inside the open domain (0, {end})"
         )
     if not 1 <= args.n <= MAX_TABLE_POINTS:
-        return _fail_usage(f"n must be in 1..{MAX_TABLE_POINTS}, got {args.n}")
+        raise ValueError(f"n must be in 1..{MAX_TABLE_POINTS}, got {args.n}")
     closed = harmonic.has_closed_form(model)
     if not closed and not args.numeric_only:
-        return _fail_usage(
+        raise ValueError(
             f"{model.model_id} has no closed form; numeric only with --numeric-only"
         )
     p = args.precision
@@ -106,10 +100,10 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
                 )
             )
     except OverflowError:
-        return _fail_usage(
+        raise OverflowError(
             f"{model.model_id} values overflow float64 on the grid "
             f"[{args.r_min}, {args.r_max}] with r_ref={args.r_ref}"
-        )
+        ) from None
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -123,13 +117,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.scope == "all":
         args.seed = seed
     elif "seed" in args:
-        return _fail_usage(
+        raise ValueError(
             f"--seed applies only to 'verify all'; {args.scope!r} samples nothing"
         )
-    try:
-        results = verify_mod.run_all(scope=args.scope, seed=seed)
-    except (UnsupportedModel, ValueError) as exc:
-        return _fail_usage(str(exc))
+    results = verify_mod.run_all(scope=args.scope, seed=seed)
     lines = [_config_line(args)]
     lines += [r.line() for r in results]
     n_fail = sum(1 for r in results if r.status == "FAIL")
@@ -233,21 +224,12 @@ def _quotient_svg(group, base, grid, config_line: str) -> str:
 
 def cmd_quotient(args: argparse.Namespace) -> int:
     if args.resolution < 1:
-        return _fail_usage("resolution must be >= 1")
-    try:
-        group, base = _group_and_basepoint(args.group, args.basepoint)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    if group.ambient == "flat":
-        hw = quotients.RASTER_HALFWIDTH
-        spacing = 2.0 * hw / args.resolution
-        # the float step near |p| + hw is at most (|p| + hw) * eps
-        if (np.max(np.abs(base)) + hw) * np.finfo(float).eps >= spacing:
-            return _fail_usage(
-                f"basepoint {args.basepoint!r} is too far out for raster spacing "
-                f"{spacing:g}: neighbouring cells would round to the same float"
-            )
-    p = args.precision
+        raise ValueError("resolution must be >= 1")
+    group, base = _group_and_basepoint(args.group, args.basepoint)
+    res, p = args.resolution, args.precision
+    # the raster first: classify_grid refuses a basepoint too far out for its
+    # spacing before the orbit search can overflow on it
+    grid = quotients.classify_grid(group, base, res) if group.ambient == "flat" else None
     report = quotients.injectivity_radius(group, base)
     config_line = _config_line(args)
     lines = [config_line]
@@ -255,10 +237,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
         f"# iota={report.radius:.{p}g} minimizer={report.minimizer} "
         f"method={report.method}"
     )
-    grid = None
-    if group.ambient == "flat":
-        res = args.resolution
-        grid = quotients.classify_grid(group, base, res)
+    if grid is not None:
         lines.append("x,y,class")
         # the raster is a meshgrid: row k is (xs[k % res], ys[k // res])
         xs = [_fmt(x, p) for x in grid.points[:res, 0]]
@@ -277,14 +256,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    try:
-        model = parse_model_id(args.model)
-    except UnsupportedModel as exc:
-        return _fail_usage(str(exc))
-    try:
-        report = topology.volume_bounds(model, orientable=args.orientable)
-    except UnsupportedModel as exc:
-        return _fail_usage(str(exc))
+    report = topology.volume_bounds(parse_model_id(args.model), orientable=args.orientable)
     payload = report.to_json_dict()
     payload["config"] = _run_config(args)
     _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -397,8 +369,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainViolation, ValueError) as exc:
-        return _fail_usage(str(exc))
+    except (UnsupportedModel, DomainViolation, ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except HarmonicSpacesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VERIFY_FAIL

@@ -28,8 +28,14 @@ from .spaces import (
 
 
 def phi1(model: SpaceModel, r: float) -> float:
-    """Reciprocal density 1/theta, the derivative of phi0."""
-    return 1.0 / theta(model, r)
+    """Reciprocal density 1/theta, the derivative of phi0.  OverflowError
+    where theta underflows to 0.0 inside the domain."""
+    try:
+        return 1.0 / theta(model, r)
+    except ZeroDivisionError:
+        raise OverflowError(
+            f"phi1 of {model.model_id} at r={r!r} overflows float64: theta is 0.0"
+        ) from None
 
 
 # --- closed-form catalogue -------------------------------------------------

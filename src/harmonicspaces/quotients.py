@@ -573,11 +573,18 @@ def classify_grid(
     tol: float | None = None,
 ) -> GridClassification:
     """Classify a square grid of side 2*halfwidth about p; tol defaults to
-    2 * grid spacing (raster band for cut-locus pictures)."""
+    2 * grid spacing (raster band for cut-locus pictures).  DomainViolation
+    when p is so far out that neighbouring cells round to the same float."""
     if group.ambient != "flat":
         raise UnsupportedModel("grid sampling requires a flat deck group")
     p = _validate_points("flat", p)
     spacing = 2.0 * halfwidth / resolution
+    # the float step near |p| + halfwidth is at most (|p| + halfwidth) * eps
+    if (np.max(np.abs(p)) + halfwidth) * np.finfo(float).eps >= spacing:
+        raise DomainViolation(
+            f"basepoint {tuple(p.tolist())} is too far out for raster spacing "
+            f"{spacing:g}: neighbouring cells would round to the same float"
+        )
     if tol is None:
         tol = 2.0 * spacing
     centers = (np.arange(resolution) + 0.5) * spacing - halfwidth

@@ -158,12 +158,12 @@ def euclidean(m: int) -> SpaceModel:
     return SpaceModel(Family.EUCLIDEAN, m)
 
 
-_ID_RE = re.compile(r"^(h?(?:S|CP|HP|OP|E))(\d+)$")
+_ID_RE = re.compile(r"(h?(?:S|CP|HP|OP|E))(0|[1-9][0-9]*)")
 
 
 def parse_model_id(model_id: str) -> SpaceModel:
     """Parse a CLI identifier such as S3, CP2, hHP4, OP2, E5 (case-sensitive)."""
-    match = _ID_RE.match(model_id)
+    match = _ID_RE.fullmatch(model_id)
     if not match:
         raise UnsupportedModel(f"unrecognized model id {model_id!r}")
     num = int(match.group(2))
@@ -244,10 +244,19 @@ def gamma_half_integer(two_x: int) -> float:
 
 
 def unit_sphere_volume(n: int) -> float:
-    """Riemannian volume of the unit n-sphere: 2 pi^((n+1)/2) / Gamma((n+1)/2)."""
+    """Riemannian volume of the unit n-sphere: 2 pi^((n+1)/2) / Gamma((n+1)/2).
+    OverflowError for n >= 343, where Gamma (and from n = 1240 the power)
+    overflows float64 and the quotient would read 0.0 or nan."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / gamma_half_integer(n + 1)
+    try:
+        # the power goes first, so a huge n overflows before the Gamma recursion
+        volume = 2.0 * math.pi ** ((n + 1) / 2.0) / gamma_half_integer(n + 1)
+    except OverflowError:
+        volume = math.nan
+    if not volume > 0.0:
+        raise OverflowError(f"the volume of the unit {n}-sphere is outside float64")
+    return volume
 
 
 _VOLUME_TOL = 1e-11

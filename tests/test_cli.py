@@ -533,6 +533,50 @@ def test_phi_table_verify_bounds_fuzz_exit_codes(
     assert "Traceback" not in err.getvalue()
 
 
+_STEMS = ["S", "CP", "HP", "OP", "E", "hS", "hCP", "hHP", "hOP"]
+_ID_COMMANDS = {
+    "bounds": lambda mid: ["bounds", mid],
+    "verify": lambda mid: ["verify", mid],
+    "phi-table": lambda mid: ["phi-table", mid, "0.2", "1.0", "3", "0.5", "--numeric-only"],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_ID_COMMANDS)),
+    stem=st.sampled_from(_STEMS),
+    number=st.one_of(st.integers(0, 10**6), st.just(10**20)),
+)
+def test_model_id_dimensions_exit_cleanly(command, stem, number):
+    # large dimensions leave float64 (theta underflows, Gamma and powers
+    # overflow); that is bad input, never a traceback or a wrong number
+    argv = _ID_COMMANDS[command](f"{stem}{number}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1 and err.getvalue() == "":
+        # a failed check reports its verdicts on stdout
+        assert command == "verify" and "FAIL" in out.getvalue(), argv
+    elif code != 0:
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+        assert err.getvalue().startswith("error: "), argv
+    if command == "bounds" and code == 0:
+        assert json.loads(out.getvalue())["dual_volume"] > 0.0, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "hS344"], ["bounds", "hCP172"], ["bounds", "hHP86"], ["bounds", "hS2000"],
+     ["verify", "E1000"], ["phi-table", "S500", "0.2", "1.0", "3", "0.5", "--numeric-only"]],
+)
+def test_float64_edges_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_bounds_hcp2(capsys):
     code, out, _ = run_cli(capsys, "bounds", "hCP2", "--orientable", "true")
     assert code == 0

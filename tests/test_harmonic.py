@@ -133,7 +133,9 @@ def test_closed_form_catalogue_size():
 
 @settings(max_examples=20, deadline=None)
 @given(
-    rs=st.lists(st.floats(0.2, 1.3), min_size=2, max_size=6, unique=True),
+    # a 1e-6 grid: phi0 of two adjacent doubles can round to the same value
+    rs=st.lists(st.integers(200_000, 1_300_000).map(lambda k: k * 1e-6),
+                min_size=2, max_size=6, unique=True),
     mid=st.sampled_from(["S3", "CP2", "hS3", "E2", "E4"]),
 )
 def test_phi0_monotone_increasing(rs, mid):
@@ -143,6 +145,13 @@ def test_phi0_monotone_increasing(rs, mid):
     assert all(a < b for a, b in zip(closed, closed[1:]))
     numeric = [phi0_numeric(model, r, 0.7) for r in rs]
     assert all(a < b for a, b in zip(numeric, numeric[1:]))
+
+
+@pytest.mark.parametrize("mid", ["S500", "hS500", "CP400", "HP200"])
+def test_phi1_overflow_where_theta_underflows(mid):
+    # theta of these models underflows to 0.0 at r = 0.2, inside the domain
+    with pytest.raises(OverflowError, match=f"phi1 of {mid} at r=0.2 overflows float64"):
+        phi1(parse_model_id(mid), 0.2)
 
 
 @pytest.mark.parametrize("mid", ["S2", "S3", "CP2", "hS3", "E2", "E3"])

@@ -740,6 +740,16 @@ def test_torus_fundamental_domain_area():
     assert abs(area - 1.0) <= 2.0 / 400.0
 
 
+@pytest.mark.parametrize("p", [(1e14, 0.0), (1e16, 0.0), (0.0, -1e300)])
+def test_classify_grid_refuses_a_basepoint_past_float_resolution(p):
+    # float steps near 1e14 exceed the cell size 2/400, so the area would
+    # come out 0.98 (and 0.0 at 1e16) where the true area is 1
+    with pytest.raises(DomainViolation, match="too far out for raster spacing 0.005"):
+        fundamental_domain_area(TorusGroup(), p, 400)
+    with pytest.raises(DomainViolation, match="too far out"):
+        cut_locus_sample(KleinGroup(), p, 400)
+
+
 def test_lens_monte_carlo_volume():
     vol, stderr = lens_domain_volume_mc(samples=100_000, seed=42)
     exact = math.pi**2 / 2.0

@@ -239,6 +239,10 @@ def test_parse_rejects_bad_ids():
         "E1": "dimension must be >= 2, got 1",
         "hE2": "flat space has no hyperbolic dual id",
         "cp2": "unrecognized model id 'cp2'",
+        # ids are canonical: ASCII digits without leading zeros
+        "S\u0664": "unrecognized model id 'S\u0664'",
+        "hS04": "unrecognized model id 'hS04'",
+        "S3\n": "unrecognized model id 'S3\\n'",
     }
     for bad, message in messages.items():
         with pytest.raises(UnsupportedModel) as exc:
@@ -283,6 +287,17 @@ def test_cut_locus_descriptors():
     assert cp.kind is CutLocusKind.PROJECTIVE_HYPERPLANE and cp.index == 2
     assert cut_locus(octonion_plane()).kind is CutLocusKind.SPHERE_7
     assert cut_locus(hyperbolic_space(3)).kind is CutLocusKind.EMPTY
+
+
+def test_unit_sphere_volume_raises_where_gamma_overflows():
+    # below n = 343 the bits are the formula's; from there Gamma((n+1)/2)
+    # overflows and the quotient would read 0.0 (then nan, then a pow overflow)
+    for n in range(343):
+        expected = 2.0 * math.pi ** ((n + 1) / 2.0) / gamma_half_integer(n + 1)
+        assert unit_sphere_volume(n) == expected > 0.0
+    for n in (343, 1238, 1239, 1240, 10**6, 10**20):
+        with pytest.raises(OverflowError, match=f"unit {n}-sphere is outside float64"):
+            unit_sphere_volume(n)
 
 
 def test_unit_sphere_volume_low_dims():
