@@ -27,6 +27,10 @@ USAGE_ERROR = 2
 VERIFY_FAIL = 1
 #: A fixed cap on phi-table rows: the grid is built before any row is written.
 MAX_TABLE_POINTS = 100_000
+#: A fixed cap on quotient raster points per axis.  The raster, its regions
+#: and the CSV lines built from it cost about 180 bytes a cell (measured at
+#: 800 per axis), so 2000 per axis, 4M cells, peaks near 0.75 GB.
+MAX_RESOLUTION = 2000
 VERIFY_SEED = 42
 
 
@@ -225,6 +229,8 @@ def _quotient_svg(group, base, grid, config_line: str) -> str:
 def cmd_quotient(args: argparse.Namespace) -> int:
     if args.resolution < 1:
         raise ValueError("resolution must be >= 1")
+    if args.resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be <= {MAX_RESOLUTION}, got {args.resolution}")
     group, base = _group_and_basepoint(args.group, args.basepoint)
     res, p = args.resolution, args.precision
     # the raster first: classify_grid refuses a basepoint too far out for its
@@ -343,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     qt = subs.add_parser("quotient", help="injectivity radius and cut locus")
     qt.add_argument("group", help="torus | klein | rp | lens | cpq")
     qt.add_argument("basepoint", nargs="?", default=None, help="comma-separated reals")
-    qt.add_argument("--resolution", type=int, default=200, help="grid points per axis")
+    qt.add_argument(
+        "--resolution", type=int, default=200, help=f"grid points per axis (1..{MAX_RESOLUTION})"
+    )
     qt.add_argument(
         "--svg",
         nargs="?",

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainViolation, UnsupportedModel
-from .numerics import DEFAULT_TOL, EPS, Interval, derivative, integrate
+from .numerics import DEFAULT_TOL, Interval, derivative, integrate
 from .spaces import (
     Family,
     SpaceModel,
@@ -26,16 +27,22 @@ from .spaces import (
     theta,
 )
 
+_FLOAT_MAX = sys.float_info.max
+
 
 def phi1(model: SpaceModel, r: float) -> float:
     """Reciprocal density 1/theta, the derivative of phi0.  OverflowError
-    where theta underflows to 0.0 inside the domain."""
+    where 1/theta is not finite: theta is 0.0 or subnormal."""
     try:
-        return 1.0 / theta(model, r)
+        value = 1.0 / theta(model, r)
     except ZeroDivisionError:
+        value = math.inf
+    if not value <= _FLOAT_MAX:
         raise OverflowError(
-            f"phi1 of {model.model_id} at r={r!r} overflows float64: theta is 0.0"
-        ) from None
+            f"phi1 of {model.model_id} at r={r!r} overflows float64: "
+            f"theta is {theta(model, r)!r}"
+        )
+    return value
 
 
 # --- closed-form catalogue -------------------------------------------------
@@ -278,7 +285,8 @@ def closed_form_models() -> list[SpaceModel]:
 def phi0_closed(model: SpaceModel, r: float) -> float:
     """Closed-form phi0 where the catalogue provides one.
 
-    Flat space: log(r) for m = 2 and r^(2-m)/(2-m) for m > 2.
+    Flat space: log(r) for m = 2 and r^(2-m)/(2-m) for m > 2, and an
+    OverflowError naming the model where r^(2-m) leaves float64.
     """
     if not (0.0 < r < domain_end(model)):
         raise DomainViolation(f"r={r!r} outside the open domain of {model}")
@@ -286,7 +294,12 @@ def phi0_closed(model: SpaceModel, r: float) -> float:
         m = model.dimension
         if m == 2:
             return math.log(r)
-        return r ** (2 - m) / (2 - m)
+        try:
+            return r ** (2 - m) / (2 - m)
+        except OverflowError:
+            raise OverflowError(
+                f"phi0 of {model.model_id} at r={r!r} overflows float64"
+            ) from None
     form = CLOSED_FORMS.get(model.model_id)
     if form is None:
         raise UnsupportedModel(f"no closed-form phi0 for {model}")
@@ -318,24 +331,12 @@ def general_solution(model: SpaceModel, a: float, b: float) -> Callable[[float],
 def laplacian_radial(model: SpaceModel, f: Callable[[float], float], r: float) -> float:
     """Radial Laplace-Beltrami operator -(f'' + (log theta)' f') at r.
 
-    Both derivatives are Richardson-extrapolated central differences; for
-    phi0 the returned value is a residual near zero.
+    Both derivatives come from ``numerics.derivative``; for phi0 the
+    returned value is a residual near zero.
     """
     iv = domain(model)
-
-    def refined(order: int) -> float:
-        # the order-2 base step is doubled: long closed forms carry term
-        # cancellation noise well above eps*|f|, and /h^2 amplifies it
-        if order == 1:
-            h = EPS ** (1.0 / 3.0) * max(1.0, abs(r))
-        else:
-            h = 2.0 * EPS**0.25 * max(1.0, abs(r))
-        d1 = derivative(f, r, order, step_hint=h, interval=iv)
-        d2 = derivative(f, r, order, step_hint=2.0 * h, interval=iv)
-        return (4.0 * d1 - d2) / 3.0
-
-    fp = refined(1)
-    fpp = refined(2)
+    fp = derivative(f, r, 1, interval=iv)
+    fpp = derivative(f, r, 2, interval=iv)
     return -(fpp + log_derivative_theta(model, r) * fp)
 
 
@@ -414,6 +415,11 @@ def scaled_residual(x: float, y: float) -> float:
     return abs(x - y) / max(1.0, abs(x), abs(y))
 
 
+def _worst(a: float, b: float) -> float:
+    """The larger residual, where NaN counts as the worst: max(a, nan) is a."""
+    return b if b > a or math.isnan(b) else a
+
+
 def verification_grid(model: SpaceModel) -> list[float]:
     """50 points spanning (0.1 D', 0.9 D') with D' = min(domain_end, 3)."""
     d = min(domain_end(model), 3.0)
@@ -423,8 +429,9 @@ def verification_grid(model: SpaceModel) -> list[float]:
 def verify_table_entry(model: SpaceModel) -> TableVerification:
     """Check a closed form against the two independent oracles.
 
-    ODE check: central-difference d/dr of the closed form against phi1.
+    ODE check: ``numerics.derivative`` of the closed form against phi1.
     Match check: quadrature differences against closed-form differences.
+    A NaN residual at any grid point is kept, so the row fails.
     """
     if not has_closed_form(model):
         raise UnsupportedModel(f"no closed-form phi0 for {model}")
@@ -438,8 +445,8 @@ def verify_table_entry(model: SpaceModel) -> TableVerification:
     ref_value = form(r_ref)
     for r in grid:
         fd = derivative(form, r, 1, interval=iv)
-        ode = max(ode, scaled_residual(fd, phi1(model, r)))
+        ode = _worst(ode, scaled_residual(fd, phi1(model, r)))
         closed_diff = form(r) - ref_value
         numeric_diff = phi0_numeric(model, r, r_ref)
-        match = max(match, scaled_residual(numeric_diff, closed_diff))
+        match = _worst(match, scaled_residual(numeric_diff, closed_diff))
     return TableVerification(model.model_id, ode, match)

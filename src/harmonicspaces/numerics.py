@@ -1,4 +1,4 @@
-"""Adaptive quadrature and finite-difference kernels.
+"""Adaptive quadrature and the one finite-difference kernel.
 
 Integration is one adaptive bisection with a nested 7/15 Gauss-Kronrod
 rule per panel (Piessens et al., QUADPACK, 1983, without extrapolation).
@@ -174,29 +174,36 @@ def derivative(
     f: Callable[[float], float],
     r: float,
     order: int,
-    step_hint: float = 0.0,
     interval: Interval | None = None,
 ) -> float:
-    """Central-difference derivative of ``f`` at ``r``.
+    """Richardson-extrapolated central-difference derivative of ``f`` at ``r``.
 
-    Step size h = max(step_hint, eps^(1/3) max(1,|r|)) for order 1 and the
-    eps^(1/4) analogue for order 2; truncation error is O(h^2).  When an
-    ``interval`` is supplied the stencil must keep a 2h margin inside it.
+    The step is h = eps^(1/3) max(1,|r|) for order 1 and 2 eps^(1/4)
+    max(1,|r|) for order 2, doubled because long closed forms carry term
+    cancellation noise well above eps*|f| and /h^2 amplifies it.  The
+    result (4 D(h) - D(2h)) / 3 of central differences D has truncation
+    error O(h^4).  When an ``interval`` is supplied the widest stencil,
+    r +- 4h, must lie inside it.
     """
     if order == 1:
-        h = max(step_hint, EPS ** (1.0 / 3.0) * max(1.0, abs(r)))
+        h = EPS ** (1.0 / 3.0) * max(1.0, abs(r))
     elif order == 2:
-        h = max(step_hint, EPS**0.25 * max(1.0, abs(r)))
+        h = 2.0 * EPS**0.25 * max(1.0, abs(r))
     else:
         raise ValueError(f"order must be 1 or 2, got {order}")
     if interval is not None:
-        lo_ok = r - 2.0 * h > interval.lo if interval.open_ends[0] else r - 2.0 * h >= interval.lo
-        hi_ok = r + 2.0 * h < interval.hi if interval.open_ends[1] else r + 2.0 * h <= interval.hi
+        lo_ok = r - 4.0 * h > interval.lo if interval.open_ends[0] else r - 4.0 * h >= interval.lo
+        hi_ok = r + 4.0 * h < interval.hi if interval.open_ends[1] else r + 4.0 * h <= interval.hi
         if not (lo_ok and hi_ok):
             raise DomainViolation(
-                f"stencil of half-width 2h={2*h:.3e} at r={r!r} leaves "
+                f"stencil of half-width 4h={4*h:.3e} at r={r!r} leaves "
                 f"({interval.lo}, {interval.hi})"
             )
     if order == 1:
-        return (f(r + h) - f(r - h)) / (2.0 * h)
-    return (f(r + h) - 2.0 * f(r) + f(r - h)) / (h * h)
+        d_h = (f(r + h) - f(r - h)) / (2.0 * h)
+        d_2h = (f(r + 2.0 * h) - f(r - 2.0 * h)) / (4.0 * h)
+    else:
+        f0 = f(r)
+        d_h = (f(r + h) - 2.0 * f0 + f(r - h)) / (h * h)
+        d_2h = (f(r + 2.0 * h) - 2.0 * f0 + f(r - 2.0 * h)) / (4.0 * h * h)
+    return (4.0 * d_h - d_2h) / 3.0

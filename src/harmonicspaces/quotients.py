@@ -33,6 +33,7 @@ from .errors import (
     SelfCheckFailed,
     UnsupportedModel,
 )
+from .numerics import derivative
 
 UNIT_NORM_TOL = 1e-12
 
@@ -651,21 +652,12 @@ def flat_radial_extension(delta: float, q) -> float:
     return math.log(x * x + y * y)
 
 
-def flat_harmonic_residual(delta: float, q, h: float = 1e-3) -> float:
-    """Richardson pair of 5-point Laplacians of the flat extension at q."""
-
-    def lap(step: float) -> float:
-        x, y = float(q[0]), float(q[1])
-        f = lambda u, v: flat_radial_extension(delta, (u, v))
-        return (
-            f(x + step, y)
-            + f(x - step, y)
-            + f(x, y + step)
-            + f(x, y - step)
-            - 4.0 * f(x, y)
-        ) / (step * step)
-
-    return abs((4.0 * lap(h / 2.0) - lap(h)) / 3.0)
+def flat_harmonic_residual(delta: float, q) -> float:
+    """|f_xx + f_yy| of the flat extension at q, from ``numerics.derivative``."""
+    x, y = float(q[0]), float(q[1])
+    f_xx = derivative(lambda u: flat_radial_extension(delta, (u, y)), x, 2)
+    f_yy = derivative(lambda v: flat_radial_extension(delta, (x, v)), y, 2)
+    return abs(f_xx + f_yy)
 
 
 def flat_extension_is_radial(

@@ -226,7 +226,7 @@ def test_criterion_8_flat_radial_extension():
             q = rng.uniform(lo + 5e-3, hi - 5e-3, size=2)
             if np.hypot(q[0], q[1]) < 0.05:
                 continue
-            worst = max(worst, quotients.flat_harmonic_residual(delta, q, h=1e-3))
+            worst = max(worst, quotients.flat_harmonic_residual(delta, q))
             count += 1
         assert worst <= 1e-6, (delta, worst)
     assert quotients.flat_extension_is_radial(0.5)

@@ -187,6 +187,8 @@ def test_quotient_bad_basepoint(capsys):
         (["rp", "inf,0"], 2, "non-finite"),
         (["lens", "1,0,0"], 2, "give 2k+2 reals"),
         (["cpq", "1,0,0,0,0,0,0,0"], 0, ""),
+        # refused before any grid is built: numpy would refuse 10^14 cells
+        (["torus", "0,0", "--resolution", "10000000"], 2, "resolution must be <= 2000"),
     ],
 )
 def test_quotient_rejects_bad_input_cleanly(capsys, argv, expected, message):
@@ -289,15 +291,15 @@ def test_quotient_outputs_pinned(capsys, tmp_path, monkeypatch, argv, csv_sha, s
             ["phi-table", "S9", "0.3", "1.5", "4", "0.7854", "--numeric-only"],
             "b4363c0a73897f051222cafd2c359e1e945b66ad543106263ba9d0ad712a3c00",
         ),
-        (["verify", "S3"], "24ba50f43496f6ad2c6f9b82e029d69c7e7e3e314409726cfac44d3bd16cab7c"),
-        (["verify", "hHP3"], "0580e8e2da3004be170ddc4fe907b40f0015651c1692779ba46302a7c6ce08bc"),
+        (["verify", "S3"], "17281379c760321778f2e3a5e86e799571f1c8b67e035537892f4ee4a1ccf538"),
+        (["verify", "hHP3"], "991d14f8330336d0785c29774a78b7d66f7e94a8832dcfc3fae95d69214f293f"),
         (
             ["verify", "all", "--seed", "42"],
-            "a1f926a69eec9ed9fab9c8ebd1a7c9664496b0451f3f22221d2da1c9d187f6ef",
+            "923b473bc8fec69349e96d2d6671f52520bf8846743187f3904617c6b250323d",
         ),
         (
             ["verify", "all", "--seed", "7"],
-            "fd4e5148de0ddc7da0fee05d0d74db2038967c14ea901a61beafd0e5e0675b24",
+            "941efc559766ef2ef472eab117b57558e08c85a656412ed6066ed90ff757a41c",
         ),
         (
             ["bounds", "hCP2", "--orientable", "false"],
@@ -332,7 +334,9 @@ def test_phi_table_and_verify_outputs_pinned(capsys, argv, digest):
     # reproducibility across versions.  The bounds digests were re-captured
     # when the open-endpoint march was deleted: only dual_volume, gb_bound
     # and sig_bound moved, to the textbook volumes within 2 ulps.  The other
-    # nine bounds ids were pinned before the model catalogue became one table
+    # nine bounds ids were pinned before the model catalogue became one table.
+    # The four verify digests were re-captured when the ODE check moved to
+    # the Richardson kernel: only the ode_residual values moved, each lower
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -480,15 +484,15 @@ def test_phi_table_overflow_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("model_id", ["S9", "S3", "E3"])
-def test_phi_table_divergent_numeric_integral_is_nonconvergence(capsys, model_id):
-    # r_ref = 1e-300 puts the quadrature next to the pole of phi1, where the
-    # integral overflows; an infinite total is not a converged answer
+def test_phi_table_reference_at_the_pole_is_overflow_usage_error(capsys, model_id):
+    # r_ref = 1e-300 puts the quadrature next to the pole of phi1, where
+    # theta leaves float64: phi1 overflows there, never adds an inf to the sum
     code, out, err = run_cli(
         capsys, "phi-table", model_id, "0.3", "1.5", "2", "1e-300", "--numeric-only"
     )
-    assert code == 1
+    assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "not finite" in err
+    assert err.startswith("error: ") and "overflow float64" in err
     assert "Traceback" not in err
 
 
@@ -568,7 +572,8 @@ def test_model_id_dimensions_exit_cleanly(command, stem, number):
 @pytest.mark.parametrize(
     "argv",
     [["bounds", "hS344"], ["bounds", "hCP172"], ["bounds", "hHP86"], ["bounds", "hS2000"],
-     ["verify", "E1000"], ["phi-table", "S500", "0.2", "1.0", "3", "0.5", "--numeric-only"]],
+     ["verify", "E1000"], ["phi-table", "S500", "0.2", "1.0", "3", "0.5", "--numeric-only"],
+     ["phi-table", "S445", "0.2", "1.0", "3", "0.5", "--numeric-only"]],
 )
 def test_float64_edges_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -154,6 +154,24 @@ def test_phi1_overflow_where_theta_underflows(mid):
         phi1(parse_model_id(mid), 0.2)
 
 
+def test_phi1_overflow_where_theta_is_subnormal():
+    # sin(0.2)^444 is about 3e-312: 1/theta is inf without a ZeroDivisionError
+    with pytest.raises(OverflowError, match="phi1 of S445 at r=0.2 overflows float64"):
+        phi1(parse_model_id("S445"), 0.2)
+
+
+def test_phi0_closed_flat_overflow_names_the_model():
+    with pytest.raises(OverflowError, match="phi0 of E1000 at r=0.3 overflows float64"):
+        phi0_closed(euclidean(1000), 0.3)
+
+
+@pytest.mark.parametrize("m", [2, 20, 150, 342])
+def test_flat_ode_residual_is_small_for_large_dimensions(m):
+    # r^(2-m)/(2-m) is exact, and a plain central difference would lose
+    # O(h^2 m^2 / r^2) here: the ODE check must not grow with the dimension
+    assert verify_table_entry(euclidean(m)).max_ode_residual <= 1e-9
+
+
 @pytest.mark.parametrize("mid", ["S2", "S3", "CP2", "hS3", "E2", "E3"])
 def test_phi0_diverges_at_origin(mid):
     model = parse_model_id(mid)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from harmonicspaces.errors import DomainViolation, NonConvergence
 from harmonicspaces.numerics import (
     DEFAULT_TOL,
+    EPS,
     Interval,
     QuadratureResult,
     derivative,
@@ -191,6 +192,22 @@ def test_derivative_cot():
 def test_derivative_order_validation():
     with pytest.raises(ValueError):
         derivative(math.sin, 1.0, 3)
+
+
+def test_derivative_guards_the_widest_stencil():
+    # the Richardson pair reaches r +- 2h; the guard keeps r +- 4h inside
+    iv = Interval(0.0, 1.0, (True, True))
+    h = EPS ** (1.0 / 3.0)
+    with pytest.raises(DomainViolation):
+        derivative(math.sin, 3.0 * h, 1, interval=iv)
+    assert derivative(math.sin, 5.0 * h, 1, interval=iv) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_derivative_is_fourth_order():
+    # a plain central difference of r^-148 at 0.3 errs by 1.5e-06 relative
+    f = lambda r: r**-148
+    exact = -148.0 * 0.3**-149
+    assert abs(derivative(f, 0.3, 1) - exact) <= 1e-10 * abs(exact)
 
 
 def test_derivative_stencil_domain_check():

@@ -778,7 +778,7 @@ def test_flat_radial_extension_domain():
 
 
 def test_flat_extension_harmonic():
-    assert flat_harmonic_residual(0.3, (0.3, 0.2), h=1e-3) <= 1e-6
+    assert flat_harmonic_residual(0.3, (0.3, 0.2)) <= 1e-6
 
 
 def test_flat_extension_radial_iff_centered():

@@ -33,6 +33,34 @@ def test_cli_verify_propagates_failure(monkeypatch, capsys):
     assert "FAIL table S3" in out
 
 
+def test_nan_residual_fails_the_row(monkeypatch):
+    # max(x, nan) is x, so a NaN at r_ref must be kept by hand to fail the row
+    model = parse_model_id("S3")
+    grid = harmonic.verification_grid(model)
+    r_ref = grid[len(grid) // 2]
+    exact = harmonic.CLOSED_FORMS["S3"]
+    monkeypatch.setitem(
+        harmonic.CLOSED_FORMS, "S3", lambda r: math.nan if r == r_ref else exact(r)
+    )
+    res = check_table_row(model)
+    assert res.status == "FAIL"
+    assert "match_residual=nan" in res.details
+
+
+@pytest.mark.parametrize("mid", ["E150", "E342", "E580"])
+def test_exact_flat_rows_pass_in_high_dimension(mid):
+    [res] = run_all(scope=mid)
+    assert res.status == "PASS", res.line()
+
+
+def test_overflowing_difference_fails_the_row():
+    # the closed form of E590 is exact, but the finite difference overflows
+    # at one grid point; that NaN must show and fail, never pass
+    [res] = run_all(scope="E590")
+    assert res.status == "FAIL"
+    assert "ode_residual=nan" in res.details
+
+
 def test_run_all_scope_flat_model():
     results = run_all(scope="E7")
     assert len(results) == 1
