@@ -82,14 +82,15 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
         else [args.r_min]
     )
     if closed:
-        phi0_fn = lambda r: harmonic.phi0_closed(model, r)
+        # the grid was checked above; derivative's guard keeps stencils inside
+        phi0_fn = harmonic.closed_form(model)
     else:
         phi0_fn = lambda r: harmonic.phi0_numeric(model, r, args.r_ref, tol=args.tol)
     lines = [_config_line(args)]
     lines.append("r,theta,phi1,phi0_closed,phi0_numeric_diff,laplacian_residual")
     try:
         for r in grid:
-            phi0_val = harmonic.phi0_closed(model, r) if closed else None
+            phi0_val = phi0_fn(r) if closed else None
             residual = harmonic.harmonicity_residual(model, phi0_fn, r)
             lines.append(
                 ",".join(

@@ -282,43 +282,76 @@ def closed_form_models() -> list[SpaceModel]:
     return [parse_model_id(mid) for mid in CLOSED_FORMS]
 
 
-def phi0_closed(model: SpaceModel, r: float) -> float:
-    """Closed-form phi0 where the catalogue provides one.
+def closed_form(model: SpaceModel) -> Callable[[float], float]:
+    """The closed-form phi0 of ``model`` as one callable, resolved once.
 
-    Flat space: log(r) for m = 2 and r^(2-m)/(2-m) for m > 2, and an
-    OverflowError naming the model where r^(2-m) leaves float64.
+    The transcribed entry of ``CLOSED_FORMS``; for flat space log for
+    m = 2 and r^(2-m)/(2-m) for m > 2, with an OverflowError naming the
+    model where r^(2-m) leaves float64.  The callable checks no domain.
     """
-    if not (0.0 < r < domain_end(model)):
-        raise DomainViolation(f"r={r!r} outside the open domain of {model}")
     if model.family is Family.EUCLIDEAN:
         m = model.dimension
         if m == 2:
-            return math.log(r)
-        try:
-            return r ** (2 - m) / (2 - m)
-        except OverflowError:
-            raise OverflowError(
-                f"phi0 of {model.model_id} at r={r!r} overflows float64"
-            ) from None
+            return math.log
+
+        def power(r: float) -> float:
+            try:
+                return r ** (2 - m) / (2 - m)
+            except OverflowError:
+                raise OverflowError(
+                    f"phi0 of {model.model_id} at r={r!r} overflows float64"
+                ) from None
+
+        return power
     form = CLOSED_FORMS.get(model.model_id)
     if form is None:
         raise UnsupportedModel(f"no closed-form phi0 for {model}")
-    return form(r)
+    return form
+
+
+def phi0_closed(model: SpaceModel, r: float) -> float:
+    """Closed-form phi0 where the catalogue provides one (``closed_form``)."""
+    if not (0.0 < r < domain_end(model)):
+        raise DomainViolation(f"r={r!r} outside the open domain of {model}")
+    return closed_form(model)(r)
+
+
+def phi0_numeric_grid(
+    model: SpaceModel, rs: list[float], r_ref: float, tol: float = DEFAULT_TOL
+) -> list[float]:
+    """Definite integrals of phi1 from r_ref to each r of ``rs``, in its order.
+
+    Each gap between neighbouring distinct points of rs and r_ref is
+    integrated once at tol / gaps, so the summed error estimate keeps the
+    bound of one integral at tol, and the values are running sums outward
+    from r_ref.
+    """
+    end = domain_end(model)
+    for x in (*rs, r_ref):
+        if not (0.0 < x < end):
+            raise DomainViolation(f"r={x!r} outside the open domain of {model}")
+    points = sorted({*rs, r_ref})
+    gap_tol = tol / max(len(points) - 1, 1)
+    f = lambda s: phi1(model, s)
+    k = points.index(r_ref)
+    values = {r_ref: 0.0}
+    total = 0.0
+    for lo, hi in zip(points[k:], points[k + 1 :]):
+        total += integrate(f, Interval(lo, hi), tol=gap_tol).value
+        values[hi] = total
+    total = 0.0
+    for lo, hi in zip(reversed(points[:k]), reversed(points[1 : k + 1])):
+        total += integrate(f, Interval(lo, hi), tol=gap_tol).value
+        values[lo] = -total
+    return [values[r] for r in rs]
 
 
 def phi0_numeric(
     model: SpaceModel, r: float, r_ref: float, tol: float = DEFAULT_TOL
 ) -> float:
     """Definite integral of phi1 from r_ref to r; antisymmetric in (r, r_ref)."""
-    end = domain_end(model)
-    for x in (r, r_ref):
-        if not (0.0 < x < end):
-            raise DomainViolation(f"r={x!r} outside the open domain of {model}")
-    if r == r_ref:
-        return 0.0
-    lo, hi = min(r, r_ref), max(r, r_ref)
-    result = integrate(lambda s: phi1(model, s), Interval(lo, hi), tol=tol)
-    return result.value if r > r_ref else -result.value
+    [value] = phi0_numeric_grid(model, [r], r_ref, tol)
+    return value
 
 
 def general_solution(model: SpaceModel, a: float, b: float) -> Callable[[float], float]:
@@ -430,23 +463,27 @@ def verify_table_entry(model: SpaceModel) -> TableVerification:
     """Check a closed form against the two independent oracles.
 
     ODE check: ``numerics.derivative`` of the closed form against phi1.
-    Match check: quadrature differences against closed-form differences.
-    A NaN residual at any grid point is kept, so the row fails.
+    Match check: quadrature differences along the grid against closed-form
+    differences.  A NaN residual at any grid point is kept, so the row
+    fails; a derivative that overflows float64 is an OverflowError naming
+    the model.
     """
-    if not has_closed_form(model):
-        raise UnsupportedModel(f"no closed-form phi0 for {model}")
-    form = lambda r: phi0_closed(model, r)
+    form = closed_form(model)
     grid = verification_grid(model)
     r_ref = grid[len(grid) // 2]
     iv = domain(model)
 
     ode = 0.0
+    for r in grid:
+        try:
+            fd = derivative(form, r, 1, interval=iv)
+        except OverflowError:
+            raise OverflowError(
+                f"derivative of phi0 of {model.model_id} at r={r!r} overflows float64"
+            ) from None
+        ode = _worst(ode, scaled_residual(fd, phi1(model, r)))
     match = 0.0
     ref_value = form(r_ref)
-    for r in grid:
-        fd = derivative(form, r, 1, interval=iv)
-        ode = _worst(ode, scaled_residual(fd, phi1(model, r)))
-        closed_diff = form(r) - ref_value
-        numeric_diff = phi0_numeric(model, r, r_ref)
-        match = _worst(match, scaled_residual(numeric_diff, closed_diff))
+    for r, numeric_diff in zip(grid, phi0_numeric_grid(model, grid, r_ref)):
+        match = _worst(match, scaled_residual(numeric_diff, form(r) - ref_value))
     return TableVerification(model.model_id, ode, match)

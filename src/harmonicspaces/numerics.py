@@ -183,7 +183,8 @@ def derivative(
     cancellation noise well above eps*|f| and /h^2 amplifies it.  The
     result (4 D(h) - D(2h)) / 3 of central differences D has truncation
     error O(h^4).  When an ``interval`` is supplied the widest stencil,
-    r +- 4h, must lie inside it.
+    r +- 4h, must lie inside it.  OverflowError when every sample of ``f``
+    is finite but the result is not; a non-finite sample passes through.
     """
     if order == 1:
         h = EPS ** (1.0 / 3.0) * max(1.0, abs(r))
@@ -200,10 +201,18 @@ def derivative(
                 f"({interval.lo}, {interval.hi})"
             )
     if order == 1:
-        d_h = (f(r + h) - f(r - h)) / (2.0 * h)
-        d_2h = (f(r + 2.0 * h) - f(r - 2.0 * h)) / (4.0 * h)
+        f1, f_1, f2, f_2 = f(r + h), f(r - h), f(r + 2.0 * h), f(r - 2.0 * h)
+        samples = (f1, f_1, f2, f_2)
+        d_h = (f1 - f_1) / (2.0 * h)
+        d_2h = (f2 - f_2) / (4.0 * h)
     else:
-        f0 = f(r)
-        d_h = (f(r + h) - 2.0 * f0 + f(r - h)) / (h * h)
-        d_2h = (f(r + 2.0 * h) - 2.0 * f0 + f(r - 2.0 * h)) / (4.0 * h * h)
-    return (4.0 * d_h - d_2h) / 3.0
+        f0, f1, f_1, f2, f_2 = f(r), f(r + h), f(r - h), f(r + 2.0 * h), f(r - 2.0 * h)
+        samples = (f0, f1, f_1, f2, f_2)
+        d_h = (f1 - 2.0 * f0 + f_1) / (h * h)
+        d_2h = (f2 - 2.0 * f0 + f_2) / (4.0 * h * h)
+    result = (4.0 * d_h - d_2h) / 3.0
+    if not math.isfinite(result) and all(map(math.isfinite, samples)):
+        raise OverflowError(
+            f"derivative at r={r!r} overflows float64 from finite samples: {result!r}"
+        )
+    return result

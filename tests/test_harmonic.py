@@ -9,16 +9,20 @@ from harmonicspaces.harmonic import (
     BoundaryBehavior,
     CLOSED_FORMS,
     classify_boundary,
+    closed_form,
     closed_form_models,
     general_solution,
     harmonicity_residual,
     laplacian_radial,
     phi0_closed,
     phi0_numeric,
+    phi0_numeric_grid,
     phi1,
+    scaled_residual,
     verification_grid,
     verify_table_entry,
 )
+from harmonicspaces.numerics import Interval, integrate
 from harmonicspaces.spaces import (
     complex_hyperbolic,
     complex_projective,
@@ -73,6 +77,73 @@ def test_phi0_numeric_antisymmetric():
     a = phi0_numeric(complex_projective(2), 1.1, 0.4)
     b = phi0_numeric(complex_projective(2), 0.4, 1.1)
     assert a == pytest.approx(-b, rel=1e-12)
+
+
+def test_closed_form_is_resolved_once():
+    assert closed_form(sphere(3)) is CLOSED_FORMS["S3"]
+    assert closed_form(euclidean(2)) is math.log
+    assert closed_form(euclidean(4))(2.0) == phi0_closed(euclidean(4), 2.0)
+    with pytest.raises(UnsupportedModel):
+        closed_form(sphere(6))
+
+
+_TABLE_IDS = [*CLOSED_FORMS, "E2", "E3", "E4", "E5"]
+
+
+@pytest.mark.parametrize("mid", _TABLE_IDS)
+def test_phi0_numeric_grid_matches_per_point_integrals(mid):
+    # one integral per grid gap, summed outward, against one integral per point
+    model = parse_model_id(mid)
+    grid = verification_grid(model)
+    r_ref = grid[len(grid) // 2]
+    summed = phi0_numeric_grid(model, grid, r_ref)
+    for r, value in zip(grid, summed):
+        assert scaled_residual(value, phi0_numeric(model, r, r_ref)) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mid=st.sampled_from(["S3", "CP2", "hS4", "E3"]),
+    r=st.floats(0.1, 1.5),
+    r_ref=st.floats(0.1, 1.5),
+)
+def test_phi0_numeric_is_one_integral_bit_for_bit(mid, r, r_ref):
+    model = parse_model_id(mid)
+    got = phi0_numeric(model, r, r_ref)
+    if r == r_ref:
+        assert got == 0.0
+        return
+    iv = Interval(min(r, r_ref), max(r, r_ref))
+    value = integrate(lambda s: phi1(model, s), iv).value
+    assert got == (value if r > r_ref else -value)
+
+
+def test_phi0_numeric_grid_order_duplicates_and_reference():
+    model = sphere(3)
+    rs = [2.0, 0.5, 1.2, 0.5, 1.0, 2.0]
+    got = phi0_numeric_grid(model, rs, 1.0)
+    # -cot(r) + cot(1)
+    for r, value in zip(rs, got):
+        assert value == pytest.approx(-1.0 / math.tan(r) + 1.0 / math.tan(1.0), abs=1e-9)
+    assert got[4] == 0.0
+    assert got[1] == got[3] and got[0] == got[5]
+    # a reference off the grid, below and above every point
+    assert phi0_numeric_grid(model, [0.5, 0.9], 0.3)[1] == pytest.approx(
+        -1.0 / math.tan(0.9) + 1.0 / math.tan(0.3), abs=1e-9
+    )
+    assert phi0_numeric_grid(model, [0.9, 0.5], 2.5)[1] == pytest.approx(
+        -1.0 / math.tan(0.5) + 1.0 / math.tan(2.5), abs=1e-9
+    )
+    assert phi0_numeric_grid(model, [1.0, 1.0], 1.0) == [0.0, 0.0]
+
+
+def test_phi0_numeric_grid_domain():
+    with pytest.raises(DomainViolation):
+        phi0_numeric_grid(sphere(3), [0.5, math.pi, 1.0], 1.0)
+    with pytest.raises(DomainViolation):
+        phi0_numeric_grid(sphere(3), [0.5, 1.0], 0.0)
+    with pytest.raises(DomainViolation):
+        phi0_numeric(euclidean(3), -1.0, 1.0)
 
 
 def test_laplacian_closed_form_is_harmonic():

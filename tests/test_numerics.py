@@ -210,6 +210,16 @@ def test_derivative_is_fourth_order():
     assert abs(derivative(f, 0.3, 1) - exact) <= 1e-10 * abs(exact)
 
 
+def test_derivative_overflow_from_finite_samples():
+    # every sample of r^-588/-588 near 0.3 is finite, but 4 D(h) is not
+    f = lambda r: r**-588 / -588.0
+    with pytest.raises(OverflowError, match="derivative at r=0.3 overflows float64"):
+        derivative(f, 0.3, 1)
+    # a non-finite sample is the function's own value, and passes through
+    assert math.isnan(derivative(lambda r: math.nan, 0.5, 1))
+    assert math.isnan(derivative(lambda r: math.inf, 0.5, 2))
+
+
 def test_derivative_stencil_domain_check():
     iv = Interval(0.0, 1.0, (True, True))
     with pytest.raises(DomainViolation):
