@@ -20,7 +20,7 @@ import numpy as np
 
 from . import harmonic, quotients, topology, verify as verify_mod
 from .errors import DomainViolation, HarmonicSpacesError, UnsupportedModel
-from .spaces import domain_end, parse_model_id, theta
+from .spaces import check_radius, parse_model_id, theta
 from .svgfig import SvgFigure
 
 USAGE_ERROR = 2
@@ -62,12 +62,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 def cmd_phi_table(args: argparse.Namespace) -> int:
     model = parse_model_id(args.model)
-    end = domain_end(model)
-    if not (0.0 < args.r_min < args.r_max < end) or not (0.0 < args.r_ref < end):
-        raise ValueError(
-            f"grid [{args.r_min}, {args.r_max}] with r_ref={args.r_ref} must lie "
-            f"inside the open domain (0, {end})"
-        )
+    check_radius(model, args.r_min, args.r_max, args.r_ref)
+    if not args.r_min < args.r_max:
+        raise ValueError(f"r_min={args.r_min} must be below r_max={args.r_max}")
     if not 1 <= args.n <= MAX_TABLE_POINTS:
         raise ValueError(f"n must be in 1..{MAX_TABLE_POINTS}, got {args.n}")
     closed = harmonic.has_closed_form(model)

@@ -15,11 +15,12 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainViolation, UnsupportedModel
+from .errors import UnsupportedModel
 from .numerics import DEFAULT_TOL, Interval, derivative, integrate
 from .spaces import (
     Family,
     SpaceModel,
+    check_radius,
     domain,
     domain_end,
     log_derivative_theta,
@@ -311,8 +312,7 @@ def closed_form(model: SpaceModel) -> Callable[[float], float]:
 
 def phi0_closed(model: SpaceModel, r: float) -> float:
     """Closed-form phi0 where the catalogue provides one (``closed_form``)."""
-    if not (0.0 < r < domain_end(model)):
-        raise DomainViolation(f"r={r!r} outside the open domain of {model}")
+    check_radius(model, r)
     return closed_form(model)(r)
 
 
@@ -326,10 +326,7 @@ def phi0_numeric_grid(
     bound of one integral at tol, and the values are running sums outward
     from r_ref.
     """
-    end = domain_end(model)
-    for x in (*rs, r_ref):
-        if not (0.0 < x < end):
-            raise DomainViolation(f"r={x!r} outside the open domain of {model}")
+    check_radius(model, *rs, r_ref)
     points = sorted({*rs, r_ref})
     gap_tol = tol / max(len(points) - 1, 1)
     f = lambda s: phi1(model, s)

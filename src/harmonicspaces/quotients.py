@@ -331,7 +331,6 @@ def quotient_distance(group: DeckGroup, p, q) -> float:
 
 @dataclass(frozen=True)
 class InjectivityReport:
-    base: np.ndarray
     radius: float
     minimizer: object
     method: str = "brute_force"
@@ -342,7 +341,7 @@ def injectivity_radius(group: DeckGroup, p) -> InjectivityReport:
     p = _group_points(group, p)
     _, d_min, first = orbit_distances(group, p, p[None])
     # p's nearest cell to itself is the origin, so the ring offset is the element
-    return InjectivityReport(p, 0.5 * float(d_min[0]), group.ring[first[0]])
+    return InjectivityReport(0.5 * float(d_min[0]), group.ring[first[0]])
 
 
 def klein_injectivity_closed(a: float) -> float:
@@ -363,7 +362,7 @@ def injectivity_radius_closed(group: DeckGroup, p) -> InjectivityReport:
         radius = 0.25 * math.pi
     else:
         raise UnsupportedModel(f"no closed-form injectivity radius for {group.name}")
-    return InjectivityReport(p, radius, None, method="closed_form")
+    return InjectivityReport(radius, None, method="closed_form")
 
 
 class Region(enum.Enum):
@@ -424,7 +423,6 @@ def cp_domain(z) -> bool:
 
 @dataclass(frozen=True)
 class SelfCheckReport:
-    group: str
     checks: tuple[str, ...]
     min_sampled_displacement: float | None = None
 
@@ -544,7 +542,7 @@ def group_action_selfcheck(
         raise SelfCheckFailed(f"{group.name}: element {isometry_ids[hit[1]]} is not an isometry")
     checks.append("isometry_random_pairs")
 
-    return SelfCheckReport(group.name, tuple(checks), min_disp)
+    return SelfCheckReport(tuple(checks), min_disp)
 
 
 # --- cut-locus sampling and areas ---------------------------------------------

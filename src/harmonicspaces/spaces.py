@@ -52,12 +52,6 @@ _ROWS = {
 }
 
 
-class TrigKind(enum.Enum):
-    CIRCULAR = "circular"
-    HYPERBOLIC = "hyperbolic"
-    POLYNOMIAL = "polynomial"
-
-
 class CutLocusKind(enum.Enum):
     ANTIPODAL_POINT = "antipodal_point"
     PROJECTIVE_HYPERPLANE = "projective_hyperplane"
@@ -75,7 +69,7 @@ class CutLocusDescriptor:
 class DensityProfile:
     sine_exponent: int
     cosine_exponent: int
-    trig_kind: TrigKind
+    curvature_sign: int  # selects sin/cos (> 0), sinh/cosh (< 0) or r (0)
     domain_end: float  # upper end of the open radial domain
 
 
@@ -104,14 +98,13 @@ class SpaceModel:
 
     @cached_property
     def density(self) -> DensityProfile:
-        """Exponents, kind and domain end, resolved once per model."""
+        """Exponents, curvature sign and domain end, resolved once per model."""
         _, sign, d = _ROWS[self.family]
-        kind = {1: TrigKind.CIRCULAR, -1: TrigKind.HYPERBOLIC, 0: TrigKind.POLYNOMIAL}[sign]
         if sign <= 0:
             end = math.inf
         else:
             end = math.pi if d == 1 else 0.5 * math.pi  # sphere, projective space
-        return DensityProfile(self.dimension - 1, d - 1, kind, end)
+        return DensityProfile(self.dimension - 1, d - 1, sign, end)
 
     @property
     def model_id(self) -> str:
@@ -196,24 +189,35 @@ def domain(model: SpaceModel) -> Interval:
     return Interval(0.0, domain_end(model), (True, True))
 
 
-def _check_radius(model: SpaceModel, r: float) -> DensityProfile:
+def check_radius(model: SpaceModel, *rs: float) -> DensityProfile:
+    """The model's density profile, once every r lies in the open radial
+    domain (0, D); DomainViolation names the first r that does not."""
     prof = model.density
-    if not (0.0 < r < prof.domain_end):
-        raise DomainViolation(
-            f"r={r!r} outside the open domain (0, {prof.domain_end}) of {model}"
-        )
+    for r in rs:
+        if not (0.0 < r < prof.domain_end):
+            raise DomainViolation(
+                f"r={r!r} outside the open domain (0, {prof.domain_end}) of {model}"
+            )
     return prof
 
 
 def theta(model: SpaceModel, r: float) -> float:
-    """Volume density at geodesic distance r from the basepoint."""
-    prof = _check_radius(model, r)
+    """Volume density at geodesic distance r from the basepoint.
+    OverflowError naming the model where the value leaves float64."""
+    prof = check_radius(model, r)
     a, b = prof.sine_exponent, prof.cosine_exponent
-    if prof.trig_kind is TrigKind.CIRCULAR:
-        return math.sin(r) ** a * math.cos(r) ** b
-    if prof.trig_kind is TrigKind.HYPERBOLIC:
-        return math.sinh(r) ** a * math.cosh(r) ** b
-    return r**a
+    try:
+        if prof.curvature_sign > 0:
+            value = math.sin(r) ** a * math.cos(r) ** b
+        elif prof.curvature_sign < 0:
+            value = math.sinh(r) ** a * math.cosh(r) ** b
+        else:
+            value = r**a
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise OverflowError(f"theta of {model.model_id} at r={r!r} overflows float64")
+    return value
 
 
 def theta_tilde(model: SpaceModel, r: float) -> float:
@@ -223,11 +227,11 @@ def theta_tilde(model: SpaceModel, r: float) -> float:
 
 def log_derivative_theta(model: SpaceModel, r: float) -> float:
     """d/dr log(theta), in closed form."""
-    prof = _check_radius(model, r)
+    prof = check_radius(model, r)
     a, b = prof.sine_exponent, prof.cosine_exponent
-    if prof.trig_kind is TrigKind.CIRCULAR:
+    if prof.curvature_sign > 0:
         return a / math.tan(r) - b * math.tan(r)
-    if prof.trig_kind is TrigKind.HYPERBOLIC:
+    if prof.curvature_sign < 0:
         return a / math.tanh(r) + b * math.tanh(r)
     return a / r
 

@@ -16,7 +16,6 @@ from harmonicspaces.harmonic import BoundaryBehavior
 from harmonicspaces.numerics import Interval, integrate
 from harmonicspaces.spaces import (
     DensityProfile,
-    TrigKind,
     complex_projective,
     domain_end,
     euclidean,
@@ -136,7 +135,7 @@ def test_criterion_4_order_zero_far_end_is_extendable():
     # a synthetic density that does not vanish at pi/2: phi1 is integrable
     # there, and the boundary check must reject the model
     model = complex_projective(2)
-    model.__dict__["density"] = DensityProfile(3, 0, TrigKind.CIRCULAR, math.pi / 2)
+    model.__dict__["density"] = DensityProfile(3, 0, 1, math.pi / 2)
     assert harmonic.classify_boundary(model).at_far_end is BoundaryBehavior.EXTENDABLE
     assert not _probe_diverges(model)
     [res] = verify.boundary_checks([model])

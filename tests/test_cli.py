@@ -72,8 +72,15 @@ def test_phi_table_invalid_model(capsys):
 
 
 def test_phi_table_domain_check(capsys):
-    code, _, err = run_cli(capsys, "phi-table", "CP2", "0.3", "2.0", "5", "0.7")
+    code, out, err = run_cli(capsys, "phi-table", "CP2", "0.3", "2.0", "5", "0.7")
     assert code == 2  # r_max beyond pi/2
+    assert (out, err) == ("", "error: r=2.0 outside the open domain (0, 1.5707963267948966) of CP2\n")
+
+
+def test_phi_table_grid_must_increase(capsys):
+    code, out, err = run_cli(capsys, "phi-table", "S3", "1.0", "0.5", "5", "0.7")
+    assert code == 2
+    assert (out, err) == ("", "error: r_min=1.0 must be below r_max=0.5\n")
 
 
 def test_phi_table_deterministic(capsys, tmp_path):
@@ -476,6 +483,8 @@ def test_phi_table_numeric_residual_uses_tol(capsys):
         ["E9", "0.5", "1e300", "2", "1.0"],
         ["hS3", "0.5", "900", "2", "1.0"],
         ["hS9", "0.5", "900", "2", "1.0", "--numeric-only"],
+        # sinh^5 cosh of hCP3 leaves float64 past r = 140 without a raising power
+        ["hCP3", "100", "141.5", "3", "120"],
     ],
 )
 def test_phi_table_overflow_is_usage_error(capsys, argv):
@@ -483,6 +492,7 @@ def test_phi_table_overflow_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "overflow float64" in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("model_id", ["S9", "S3", "E3"])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmonicspaces.cli import main
 from harmonicspaces.errors import DomainViolation, UnsupportedModel
 from harmonicspaces.harmonic import (
     BoundaryBehavior,
@@ -28,8 +29,10 @@ from harmonicspaces.spaces import (
     complex_projective,
     euclidean,
     hyperbolic_space,
+    log_derivative_theta,
     parse_model_id,
     sphere,
+    theta,
 )
 
 # 1/(sinh(1)^3 cosh(1)), mpmath 30 digits
@@ -144,6 +147,52 @@ def test_phi0_numeric_grid_domain():
         phi0_numeric_grid(sphere(3), [0.5, 1.0], 0.0)
     with pytest.raises(DomainViolation):
         phi0_numeric(euclidean(3), -1.0, 1.0)
+
+
+_OUTSIDE = [
+    (mid, end, r)
+    for mid, end in (("S3", math.pi), ("CP2", math.pi / 2), ("hS3", math.inf), ("E3", math.inf))
+    for r in (0.0, -1.0, math.nan) + ((end,) if end < math.inf else ())
+]
+
+
+@pytest.mark.parametrize("mid,end,r", _OUTSIDE)
+def test_one_open_domain_rule(capsys, mid, end, r):
+    # every radial entry point and phi-table reject r with one message
+    model = parse_model_id(mid)
+    message = f"r={r!r} outside the open domain (0, {end}) of {mid}"
+    calls = [
+        lambda: theta(model, r),
+        lambda: log_derivative_theta(model, r),
+        lambda: phi1(model, r),
+        lambda: phi0_closed(model, r),
+        lambda: phi0_numeric(model, r, 0.7),
+        lambda: phi0_numeric(model, 0.7, r),
+        lambda: phi0_numeric_grid(model, [0.5, r, 0.9], 0.7),
+    ]
+    for call in calls:
+        with pytest.raises(DomainViolation) as exc:
+            call()
+        assert str(exc.value) == message
+    for argv in ([repr(r), "0.9", "3", "0.7"], ["0.3", "0.9", "3", repr(r)]):
+        assert main(["phi-table", mid, *argv]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "mid,r",
+    [
+        ("E1000", 2.7),  # r ** 999 raises
+        ("hS3", 800.0),  # sinh(800) raises
+        ("hCP3", 140.0),  # sinh^5 is finite, the product with cosh is not
+    ],
+)
+def test_theta_overflow_names_the_model(mid, r):
+    model = parse_model_id(mid)
+    for f in (theta, phi1):
+        with pytest.raises(OverflowError, match=f"^theta of {mid} at r={r!r} overflows float64$"):
+            f(model, r)
 
 
 def test_laplacian_closed_form_is_harmonic():

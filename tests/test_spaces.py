@@ -311,6 +311,33 @@ def test_density_profiles():
     assert (prof.sine_exponent, prof.cosine_exponent) == (15, 7)
     assert sphere(9).density.cosine_exponent == 0
     assert parse_model_id("hCP3").density.cosine_exponent == 1
+    for mid, sign in (("S3", 1), ("CP2", 1), ("OP2", 1), ("hHP3", -1), ("E3", 0)):
+        assert parse_model_id(mid).density.curvature_sign == sign
+
+
+#: theta and log_derivative_theta as float.hex, captured before the
+#: density profile carried the curvature sign
+_DENSITY_BITS = [
+    ("S3", 0.3, "0x1.65b670ede93acp-4", "0x1.9dca092b2aa04p+2"),
+    ("S3", 1.7, "0x1.f780161af5f01p-1", "-0x1.0a1769117a8a8p-2"),
+    ("S3", 3.0, "0x1.4648f687dd0a8p-6", "-0x1.c0f9e5d665e16p+3"),
+    ("CP2", 0.2, "0x1.f7a6266b689dcp-8", "0x1.d3189d15a5497p+3"),
+    ("CP2", 0.9, "0x1.31f29695ca536p-2", "0x1.1ed8c66ee4c82p+0"),
+    ("CP2", 1.5, "0x1.1f914fc33bc0ep-4", "-0x1.bc70076c20b52p+3"),
+    ("hHP3", 0.4, "0x1.29949f719204ep-14", "0x1.e1752933d9039p+4"),
+    ("hHP3", 2.5, "0x1.5595bb2113339p+36", "0x1.c37d9c440a296p+3"),
+    ("hHP3", 9.0, "0x1.b774bda719592p+167", "0x1.c0000082d314ap+3"),
+    ("E3", 0.5, "0x1.0000000000000p-2", "0x1.0000000000000p+2"),
+    ("E3", 2.0, "0x1.0000000000000p+2", "0x1.0000000000000p+0"),
+    ("E3", 17.0, "0x1.2100000000000p+8", "0x1.e1e1e1e1e1e1ep-4"),
+]
+
+
+@pytest.mark.parametrize("mid,r,theta_hex,log_derivative_hex", _DENSITY_BITS)
+def test_density_bits_pinned(mid, r, theta_hex, log_derivative_hex):
+    model = parse_model_id(mid)
+    assert theta(model, r).hex() == theta_hex
+    assert log_derivative_theta(model, r).hex() == log_derivative_hex
 
 
 def test_density_resolved_once_per_model():
