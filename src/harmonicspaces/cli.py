@@ -12,9 +12,11 @@ reads, and its parsed arguments are the configuration every output echoes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -27,9 +29,10 @@ USAGE_ERROR = 2
 VERIFY_FAIL = 1
 #: A fixed cap on phi-table rows: the grid is built before any row is written.
 MAX_TABLE_POINTS = 100_000
-#: A fixed cap on quotient raster points per axis.  The raster, its regions
-#: and the CSV lines built from it cost about 180 bytes a cell (measured at
-#: 800 per axis), so 2000 per axis, 4M cells, peaks near 0.75 GB.
+#: A fixed cap on quotient raster points per axis.  The raster, its orbit
+#: distances and region codes cost about 64 bytes a cell, and the CSV is
+#: written a raster row at a time: 2000 per axis, 4M cells, peaks near
+#: 0.28 GB (peak RSS of ``quotient klein 0.2,0.1 --resolution 2000``).
 MAX_RESOLUTION = 2000
 VERIFY_SEED = 42
 
@@ -49,12 +52,15 @@ def _fmt(value: float | None, precision: int) -> str:
     return f"{value:.{precision}g}"
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, text: str, rows: Iterable[str] = ()) -> None:
+    """Write text and then each string of rows to path, or to stdout."""
     if path is None:
         sys.stdout.write(text)
+        sys.stdout.writelines(rows)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.writelines(rows)
 
 
 # --- phi-table ---------------------------------------------------------------
@@ -194,7 +200,7 @@ def _quotient_svg(group, base, grid, config_line: str) -> str:
         fig.x_range = (cx - hw, cx + hw)
         fig.y_range = (cy - hw, cy + hw)
         assert grid is not None
-        boundary = grid.points[grid.regions == quotients.Region.BOUNDARY]
+        boundary = grid.points_in(quotients.Region.BOUNDARY)
         stride = max(1, len(boundary) // 4000)
         for pt in boundary[::stride]:
             fig.dot(pt, radius=1.0, color="#1f3b70")
@@ -224,6 +230,24 @@ def _quotient_svg(group, base, grid, config_line: str) -> str:
     return fig.render()
 
 
+def _raster_rows(grid, res: int, p: int) -> Iterator[str]:
+    """Yield the CSV lines of each raster row as one string.
+
+    The raster is a meshgrid: point k is (xs[k % res], ys[k // res]).  Each
+    x is followed by the suffix ",y,class" that its row and region code pick.
+    """
+    xs = [_fmt(x, p) for x in grid.points[:res, 0]]
+    ys = [_fmt(y, p) for y in grid.points[::res, 1]]
+    cells = [""] * (2 * res)
+    cells[0::2] = xs
+    for y, codes in zip(ys, grid.codes.reshape(res, res)):
+        suffixes = np.array(
+            [f",{y},{region.value}\n" for region in quotients.REGION_TABLE], dtype=object
+        )
+        cells[1::2] = suffixes[codes].tolist()
+        yield "".join(cells)
+
+
 def cmd_quotient(args: argparse.Namespace) -> int:
     if args.resolution < 1:
         raise ValueError("resolution must be >= 1")
@@ -241,14 +265,11 @@ def cmd_quotient(args: argparse.Namespace) -> int:
         f"# iota={report.radius:.{p}g} minimizer={report.minimizer} "
         f"method={report.method}"
     )
+    rows = ()
     if grid is not None:
         lines.append("x,y,class")
-        # the raster is a meshgrid: row k is (xs[k % res], ys[k // res])
-        xs = [_fmt(x, p) for x in grid.points[:res, 0]]
-        ys = [_fmt(y, p) for y in grid.points[::res, 1]]
-        for y, row in zip(ys, grid.regions.reshape(res, res)):
-            lines += [f"{x},{y},{region.value}" for x, region in zip(xs, row)]
-    _write_text(args.out, "\n".join(lines) + "\n")
+        rows = _raster_rows(grid, res, p)
+    _write_text(args.out, "\n".join(lines) + "\n", rows)
     if args.svg is not None:
         path = args.svg if args.svg != "" else f"quotient_{args.group}.svg"
         with open(path, "w", encoding="utf-8") as fh:
@@ -309,7 +330,9 @@ def _add_options(sub: argparse.ArgumentParser, *names: str) -> None:
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="harmonic-spaces",
         description=(
@@ -371,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (UnsupportedModel, DomainViolation, ValueError, OverflowError) as exc:

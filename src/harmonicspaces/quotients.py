@@ -201,7 +201,14 @@ class KleinGroup(DeckGroup):
         """T^n for eid = n, or row-wise for an (n,) array of powers."""
         pt = np.asarray(point, float)
         n = np.asarray(eid)
-        flipped = np.where(n % 2 == 0, pt[..., 1], -pt[..., 1])
+        if n.dtype.kind == "f":
+            # n is even iff n / 2 is whole: the verdict of n % 2 == 0 on every
+            # finite float, at a quarter of the float remainder's cost
+            even = np.rint(n * 0.5) * 2 == n
+        else:
+            # integer powers keep the exact remainder: n * 0.5 rounds past 2**53
+            even = n % 2 == 0
+        flipped = np.where(even, pt[..., 1], -pt[..., 1])
         return np.stack((pt[..., 0] + n, flipped), axis=-1)
 
 
@@ -369,6 +376,11 @@ class Region(enum.Enum):
     INTERIOR = "interior"
     BOUNDARY = "boundary"
     EXTERIOR = "exterior"
+
+
+#: The Region of each region code: ``REGION_TABLE[codes]`` is an object array.
+REGION_TABLE = np.array([Region.INTERIOR, Region.BOUNDARY, Region.EXTERIOR], dtype=object)
+_CODE = {region: code for code, region in enumerate(REGION_TABLE)}
 
 
 def in_fundamental_domain(group: DeckGroup, p, q, tol: float = ANALYTIC_TOL) -> Region:
@@ -551,17 +563,31 @@ def group_action_selfcheck(
 @dataclass(frozen=True)
 class GridClassification:
     points: np.ndarray  # (n, 2)
-    regions: np.ndarray  # (n,) of Region
+    codes: np.ndarray  # (n,) int8 region codes, indices into REGION_TABLE
     spacing: float
+
+    @property
+    def regions(self) -> np.ndarray:
+        """(n,) object array of Region."""
+        return REGION_TABLE[self.codes]
+
+    def points_in(self, region: Region) -> np.ndarray:
+        """The rows of points classified as region."""
+        return self.points[self.codes == _CODE[region]]
+
+
+def _region_codes(group: DeckGroup, p, qs, tol: float) -> np.ndarray:
+    """Region code of each row of an (n, d) array, by the rule of in_fundamental_domain."""
+    d_id, d_min, _ = orbit_distances(group, p, np.atleast_2d(qs))
+    codes = np.full(len(d_id), _CODE[Region.EXTERIOR], dtype=np.int8)
+    codes[d_id <= d_min + tol] = _CODE[Region.BOUNDARY]
+    codes[d_id < d_min - tol] = _CODE[Region.INTERIOR]
+    return codes
 
 
 def classify_points(group: DeckGroup, p, qs, tol: float = ANALYTIC_TOL) -> np.ndarray:
     """Region of each row of an (n, d) array, by the rule of in_fundamental_domain."""
-    d_id, d_min, _ = orbit_distances(group, p, np.atleast_2d(qs))
-    regions = np.full(len(d_id), Region.EXTERIOR, dtype=object)
-    regions[d_id <= d_min + tol] = Region.BOUNDARY
-    regions[d_id < d_min - tol] = Region.INTERIOR
-    return regions
+    return REGION_TABLE[_region_codes(group, p, qs, tol)]
 
 
 def classify_grid(
@@ -589,16 +615,14 @@ def classify_grid(
     centers = (np.arange(resolution) + 0.5) * spacing - halfwidth
     xx, yy = np.meshgrid(p[0] + centers, p[1] + centers)
     qs = np.column_stack((xx.ravel(), yy.ravel()))
-    regions = classify_points(group, p, qs, tol=tol)
-    return GridClassification(qs, regions, spacing)
+    return GridClassification(qs, _region_codes(group, p, qs, tol), spacing)
 
 
 def cut_locus_sample(
     group: DeckGroup, p, resolution: int, halfwidth: float = RASTER_HALFWIDTH
 ) -> np.ndarray:
     """Grid points within the raster band of the cut locus (flat groups)."""
-    grid = classify_grid(group, p, resolution, halfwidth)
-    return grid.points[grid.regions == Region.BOUNDARY]
+    return classify_grid(group, p, resolution, halfwidth).points_in(Region.BOUNDARY)
 
 
 def fundamental_domain_area(
@@ -606,8 +630,7 @@ def fundamental_domain_area(
 ) -> float:
     """Interior cell count times cell area, with the analytic tolerance."""
     grid = classify_grid(group, p, resolution, halfwidth, tol=ANALYTIC_TOL)
-    n_interior = int(np.sum(grid.regions == Region.INTERIOR))
-    return n_interior * grid.spacing**2
+    return len(grid.points_in(Region.INTERIOR)) * grid.spacing**2
 
 
 def lens_domain_volume_mc(

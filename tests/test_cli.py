@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from harmonicspaces.cli import build_parser, main
 from harmonicspaces.harmonic import harmonicity_residual, phi0_numeric
-from harmonicspaces.quotients import classify_grid
+from harmonicspaces.quotients import classify_grid, classify_points
 from harmonicspaces.spaces import parse_model_id
 from harmonicspaces.verify import make_group
 
@@ -213,18 +213,25 @@ def test_quotient_rejects_bad_input_cleanly(capsys, argv, expected, message):
 @pytest.mark.parametrize(
     "argv", [["torus", "0,0"], ["klein", "--", "-0.6,0.35"], ["torus", "--", "3.7,-2.2"]]
 )
-@pytest.mark.parametrize("resolution", [1, 7])
+@pytest.mark.parametrize("resolution", [1, 7, 40])
 def test_quotient_csv_rows_follow_grid_points(capsys, argv, resolution):
     # reference: one row per grid point, each coordinate formatted on its own
-    code, out, _ = run_cli(
-        capsys, "quotient", "--resolution", str(resolution), "--precision", "17", *argv
-    )
-    assert code == 0
+    # and the region taken from classify_points
     group = make_group(argv[0])
     base = np.array([float(v) for v in argv[-1].split(",")])
     grid = classify_grid(group, base, resolution)
-    expected = [f"{x:.17g},{y:.17g},{r.value}" for (x, y), r in zip(grid.points, grid.regions)]
-    assert out.splitlines()[3:] == expected
+    regions = classify_points(group, base, grid.points, tol=2.0 * grid.spacing)
+    if resolution == 40:
+        # some raster row holds all three regions
+        per_row = regions.reshape(resolution, resolution)
+        assert any(len(set(row)) == 3 for row in per_row)
+    for p in (17, 6):
+        code, out, _ = run_cli(
+            capsys, "quotient", "--resolution", str(resolution), "--precision", str(p), *argv
+        )
+        assert code == 0
+        expected = [f"{x:.{p}g},{y:.{p}g},{r.value}" for (x, y), r in zip(grid.points, regions)]
+        assert out.splitlines()[3:] == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -269,6 +276,35 @@ def test_quotient_outputs_pinned(capsys, tmp_path, monkeypatch, argv, csv_sha, s
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(
         capsys, "quotient", "--resolution", "40", "--svg", "fig.svg", *argv
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == csv_sha
+    assert hashlib.sha256((tmp_path / "fig.svg").read_bytes()).hexdigest() == svg_sha
+
+
+@pytest.mark.parametrize(
+    "argv, csv_sha, svg_sha",
+    [
+        (
+            ["torus", "0,0"],
+            "4bf2b933152f3735de3cad36fd0283a6efa89553a9c673745c67ab5815c9240d",
+            "7b062446895be083df867fe53c139251180027d4af63e4ad24212eaf94075c50",
+        ),
+        (
+            ["klein", "--", "-0.6,0.35"],
+            "3b32ca423605ed7a5dc40775e09460539ffbc9dbb9e8a86b8a8787ee16a23e33",
+            "ef2036cb492367139137cfbf5db0eebb61325b339b02162d746ead77733189cf",
+        ),
+    ],
+    ids=["torus", "klein"],
+)
+def test_quotient_outputs_pinned_at_resolution_400(
+    capsys, tmp_path, monkeypatch, argv, csv_sha, svg_sha
+):
+    # the raster size of the figures: 160k CSV rows, many per raster row
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(
+        capsys, "quotient", "--resolution", "400", "--svg", "fig.svg", *argv
     )
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == csv_sha
@@ -452,6 +488,23 @@ def test_model_scope_verify_rejects_seed(capsys, argv):
     assert out == ""
     assert err.startswith("error: --seed applies only to 'verify all'")
     assert len(err.splitlines()) == 1
+
+
+def test_parser_is_built_once_and_keeps_no_parse_state(capsys):
+    assert build_parser() is build_parser()
+    runs = [
+        ["verify", "S3", "--seed", "1"],
+        ["verify", "all"],
+        ["phi-table", "S3", "0.3", "1.5", "5", "0.7854"],
+    ]
+    first = [run_cli(capsys, *argv) for argv in runs]
+    assert [code for code, _, _ in first] == [2, 0, 0]
+    assert [run_cli(capsys, *argv) for argv in runs] == first
+    # --seed has no default, so a seed parsed before leaves none behind
+    assert build_parser().parse_args(["verify", "all", "--seed", "7"]).seed == 7
+    code, out, _ = run_cli(capsys, "verify", "S3")
+    assert code == 0
+    assert "seed" not in _config_of(out.splitlines()[0])
 
 
 @pytest.mark.parametrize("n", [100_001, 10**11])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,37 @@ def test_klein_two_candidates():
     klein = KleinGroup()
     got = quotient_distance(klein, (0.0, 0.0), (0.6, 0.2))
     assert got == pytest.approx(math.sqrt(0.2), abs=1e-15)
+
+
+_GLIDE_POWERS = [0.0, 1.0, 2.0, 2.0**53 - 1, 2.0**53, 2.0**54 + 2, 1e300, 5e-324]
+
+
+def _glide_by_remainder(n, point):
+    # T^n with the parity of n taken by the float remainder
+    n = np.asarray(n)
+    y = np.where(n % 2 == 0, point[..., 1], -point[..., 1])
+    return np.stack((point[..., 0] + n, y), axis=-1)
+
+
+@pytest.mark.parametrize("kind", [float, int])
+def test_klein_glide_parity_matches_remainder_rule(kind):
+    # bit for bit, and without a warning: a cast of 1e300 to int64 warns
+    klein = KleinGroup()
+    powers = [kind(n) for n in _GLIDE_POWERS if kind is float or n < 2.0**63]
+    if kind is int:
+        powers += [2**53 + 1, 2**54 + 3]
+    powers += [-n for n in powers]
+    rng = np.random.default_rng(23)
+    points = np.vstack(([0.0, 0.0], [0.25, -0.0], rng.uniform(-2.0, 2.0, (len(powers) - 2, 2))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, point in zip(powers, points):
+            got = klein.apply(n, point)
+            assert got.tobytes() == _glide_by_remainder(n, point).tobytes(), n
+        # rows of powers against rows of points, as orbit_distances applies them
+        grid = np.array([powers, powers[::-1]])
+        got = klein.apply(grid, points)
+        assert got.tobytes() == _glide_by_remainder(grid, points).tobytes()
 
 
 def test_lens_same_orbit():
