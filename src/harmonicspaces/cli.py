@@ -258,6 +258,9 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     # the raster first: classify_grid refuses a basepoint too far out for its
     # spacing before the orbit search can overflow on it
     grid = quotients.classify_grid(group, base, res) if group.ambient == "flat" else None
+    if grid is None:
+        # the curved groups draw no raster: the resolution is validated, not used
+        del args.resolution
     report = quotients.injectivity_radius(group, base)
     config_line = _config_line(args)
     lines = [config_line]

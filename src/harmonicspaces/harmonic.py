@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import UnsupportedModel
-from .numerics import DEFAULT_TOL, Interval, derivative, integrate
+from .numerics import DEFAULT_TOL, Interval, _gk15, converged, derivative, integrate
 from .spaces import (
     Family,
     SpaceModel,
@@ -26,6 +26,7 @@ from .spaces import (
     log_derivative_theta,
     parse_model_id,
     theta,
+    theta_array,
 )
 
 _FLOAT_MAX = sys.float_info.max
@@ -324,31 +325,62 @@ def phi0_numeric_grid(
     Each gap between neighbouring distinct points of rs and r_ref is
     integrated once at tol / gaps, so the summed error estimate keeps the
     bound of one integral at tol, and the values are running sums outward
-    from r_ref.
+    from r_ref.  The first GK15 panels of all gaps are one array
+    evaluation; a gap keeps its panel when theta and 1/theta are finite at
+    all 15 nodes and the panel meets ``integrate``'s own stopping rule, and
+    every other gap goes to ``integrate``, which raises what the scalar
+    path raises.
     """
+    import numpy as np  # here, so that importing harmonic does not load numpy
+
     check_radius(model, *rs, r_ref)
     points = sorted({*rs, r_ref})
     gap_tol = tol / max(len(points) - 1, 1)
+    finite = np.ones(len(points) - 1, dtype=bool)
+
+    def phi1_array(x):
+        th = theta_array(model, x)
+        value = 1.0 / th
+        finite[:] &= np.isfinite(th) & np.isfinite(value)
+        return value
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        panel, error = _gk15(phi1_array, np.array(points[:-1]), np.array(points[1:]))
+        accepted = (finite & converged(panel, error, gap_tol)).tolist()
+    panel = panel.tolist()
     f = lambda s: phi1(model, s)
+
+    def gap(i: int) -> float:
+        if accepted[i]:
+            return panel[i]
+        return integrate(f, Interval(points[i], points[i + 1]), tol=gap_tol).value
+
     k = points.index(r_ref)
     values = {r_ref: 0.0}
     total = 0.0
-    for lo, hi in zip(points[k:], points[k + 1 :]):
-        total += integrate(f, Interval(lo, hi), tol=gap_tol).value
-        values[hi] = total
+    for i in range(k, len(points) - 1):
+        total += gap(i)
+        values[points[i + 1]] = total
     total = 0.0
-    for lo, hi in zip(reversed(points[:k]), reversed(points[1 : k + 1])):
-        total += integrate(f, Interval(lo, hi), tol=gap_tol).value
-        values[lo] = -total
+    for i in reversed(range(k)):
+        total += gap(i)
+        values[points[i]] = -total
     return [values[r] for r in rs]
 
 
 def phi0_numeric(
     model: SpaceModel, r: float, r_ref: float, tol: float = DEFAULT_TOL
 ) -> float:
-    """Definite integral of phi1 from r_ref to r; antisymmetric in (r, r_ref)."""
-    [value] = phi0_numeric_grid(model, [r], r_ref, tol)
-    return value
+    """Definite integral of phi1 from r_ref to r; antisymmetric in (r, r_ref).
+
+    One scalar ``integrate`` over [min(r, r_ref), max(r, r_ref)].
+    """
+    check_radius(model, r, r_ref)
+    if r == r_ref:
+        return 0.0
+    iv = Interval(min(r, r_ref), max(r, r_ref))
+    value = integrate(lambda s: phi1(model, s), iv, tol=tol).value
+    return value if r > r_ref else -value
 
 
 def general_solution(model: SpaceModel, a: float, b: float) -> Callable[[float], float]:

@@ -20,6 +20,7 @@ from typing import Callable
 from .errors import DomainViolation, NonConvergence
 
 EPS = sys.float_info.epsilon
+_FLOAT_MAX = sys.float_info.max
 
 #: Default absolute tolerance; downstream acceptance tolerances are >= 1e-8.
 DEFAULT_TOL = 1e-10
@@ -106,6 +107,18 @@ def _nodes_inside(a: float, b: float) -> bool:
     return a < c - dx and c + dx < b
 
 
+def converged(value, error, tol: float):
+    """``integrate``'s stopping rule: ``value`` is finite and ``error`` is at
+    most max(tol / 2, the relative floor of float64).
+
+    Elementwise on numpy arrays; a NaN value or error never converges.
+    """
+    # tol / 2 is what closed intervals got when open ends had zones of
+    # their own; keeping it keeps closed-interval results bit-identical
+    size = abs(value)
+    return (size <= _FLOAT_MAX) & ((error <= tol / 2.0) | (error <= _REL_FLOOR * size))
+
+
 def integrate(f: Callable[[float], float], iv: Interval, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Integrate ``f`` over ``iv`` to absolute tolerance ``tol`` (0 < tol < inf).
 
@@ -129,9 +142,6 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float = DEFAULT_TO
     if (open_lo or open_hi) and not _nodes_inside(a, b):
         raise NonConvergence(f"interval ({a}, {b}) is too narrow for nodes strictly inside it")
 
-    # tol / 2 is what closed intervals got when open ends had zones of
-    # their own; keeping it keeps closed-interval results bit-identical
-    target = tol / 2.0
     v, e = _gk15(f, a, b)
     if open_lo or open_hi:
         # a panel touching an open end counts its whole value as error
@@ -140,7 +150,7 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float = DEFAULT_TO
     total_v, total_e = v, e
     splits = 0
     while math.isfinite(total_v):
-        if total_e <= max(target, _REL_FLOOR * abs(total_v)):
+        if converged(total_v, total_e, tol):
             # every _gk15 panel evaluates f at its 15 Kronrod nodes
             return QuadratureResult(total_v, total_e, evaluations=15 * (1 + 2 * splits))
         if splits == _MAX_SPLITS:

@@ -220,6 +220,26 @@ def theta(model: SpaceModel, r: float) -> float:
     return value
 
 
+def theta_array(model: SpaceModel, r):
+    """``theta`` at every radius of the numpy array ``r``, elementwise.
+
+    The radii must lie in the open domain; none is checked, and a value
+    outside float64 reads inf as numpy gives it (with its overflow warning
+    unless the caller's ``np.errstate`` silences it).  Agrees with ``theta``
+    to a few ulps: numpy's ``power``, ``sinh`` and ``cosh`` need not round
+    as libm does.
+    """
+    import numpy as np  # here, so that importing spaces does not load numpy
+
+    prof = model.density
+    a, b = prof.sine_exponent, prof.cosine_exponent
+    if prof.curvature_sign > 0:
+        return np.sin(r) ** a * np.cos(r) ** b
+    if prof.curvature_sign < 0:
+        return np.sinh(r) ** a * np.cosh(r) ** b
+    return np.asarray(r, dtype=float) ** a
+
+
 def theta_tilde(model: SpaceModel, r: float) -> float:
     """Density with the flat factor removed; tends to 1 as r -> 0."""
     return theta(model, r) / r ** (model.dimension - 1)

@@ -335,14 +335,14 @@ def test_quotient_outputs_pinned_at_resolution_400(
             "b4363c0a73897f051222cafd2c359e1e945b66ad543106263ba9d0ad712a3c00",
         ),
         (["verify", "S3"], "766552a0aa5824e080cb0be2ec60a92d9948b3fc4e8e2b27b456ceac00cc9274"),
-        (["verify", "hHP3"], "380c7547ad652b10ba0fb07e9e089c9c9dd52fbbe131358ccb0ccac06d554fe9"),
+        (["verify", "hHP3"], "1e7d8fffa254fcc718db9e4793fece07f97995b1d523b1e1d771a8ee9ec9c065"),
         (
             ["verify", "all", "--seed", "42"],
-            "b0cf4a006262f796ccf65d0cb4a15f0566be7a56dd1f41bb6a560ea4e8d62abc",
+            "668bb96209deb5728a2a4a366906ef8fe87d943f77006467409c91852a64fb60",
         ),
         (
             ["verify", "all", "--seed", "7"],
-            "9b717a1c718f6f44bfc4ec65b19d2ece676067eb3ee81e3fab3262006dd942bb",
+            "de6dd859a982d9b037663832c885a69a0cd7fa8ef836adabca0909b0c4406b80",
         ),
         (
             ["bounds", "hCP2", "--orientable", "false"],
@@ -381,7 +381,10 @@ def test_phi_table_and_verify_outputs_pinned(capsys, argv, digest):
     # The four verify digests were re-captured when the ODE check moved to
     # the Richardson kernel: only the ode_residual values moved, each lower;
     # and again when the match check began to integrate each grid gap once
-    # and sum outward from r_ref: only match_residual values moved
+    # and sum outward from r_ref: only match_residual values moved.  The
+    # hHP3 and verify-all digests were re-captured again when the first
+    # panels of all grid gaps became one numpy evaluation: only the
+    # match_residual values of HP3, OP2, hCP3, hCP4, hHP3 and E4 moved
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -451,19 +454,23 @@ def test_config_echoes_exactly_the_accepted_options(capsys, tmp_path, monkeypatc
     configs["phi-table"] = _config_of(out.splitlines()[0])
     _, out, _ = run_cli(capsys, "verify", "S3")
     configs["verify"] = _config_of(out.splitlines()[0])
-    _, out, _ = run_cli(capsys, "quotient", "torus", "0,0", "--resolution", "4", "--svg")
-    configs["quotient"] = _config_of(out.splitlines()[0])
-    svg = (tmp_path / "quotient_torus.svg").read_text()
-    assert f"<metadata>{out.splitlines()[0]}</metadata>" in svg
+    for group in ("torus", "lens"):
+        _, out, _ = run_cli(capsys, "quotient", group, "--resolution", "4", "--svg")
+        configs[f"quotient {group}"] = _config_of(out.splitlines()[0])
+        svg = (tmp_path / f"quotient_{group}.svg").read_text()
+        assert f"<metadata>{out.splitlines()[0]}</metadata>" in svg
     _, out, _ = run_cli(capsys, "bounds", "hS4")
     configs["bounds"] = json.loads(out)["config"]
-    # only 'verify all' samples, so a model scope neither takes nor echoes --seed
-    scope_unused = {"verify": {"seed"}}
-    for command, config in configs.items():
+    # only 'verify all' samples, so a model scope neither takes nor echoes
+    # --seed; only the flat groups draw a raster, so lens echoes no resolution
+    scope_unused = {"verify": {"seed"}, "quotient lens": {"resolution"}}
+    for scope, config in configs.items():
+        command = scope.split()[0]
         assert config["command"] == command
-        expected = _option_dests(command) - scope_unused.get(command, set())
-        assert set(config) == expected | {"command"}, command
+        expected = _option_dests(command) - scope_unused.get(scope, set())
+        assert set(config) == expected | {"command"}, scope
     assert configs["bounds"]["orientable"] is True
+    assert configs["quotient torus"]["resolution"] == 4
 
 
 def test_verify_all_echoes_its_seed(capsys, monkeypatch):
@@ -705,6 +712,22 @@ def test_cli_import_leaves_out_urllib():
         capture_output=True,
         text=True,
     )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_scalar_radial_path_leaves_out_numpy():
+    # a fresh interpreter: one phi0 integral and one volume load no numpy,
+    # which only the array paths import, inside the functions that use it
+    code = (
+        "import sys\n"
+        "from harmonicspaces.harmonic import phi0_numeric\n"
+        "from harmonicspaces.spaces import model_volume, sphere\n"
+        "phi0_numeric(sphere(3), 1.2, 0.6)\n"
+        "model_volume(sphere(3))\n"
+        "print('numpy' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmonicspaces import harmonic
 from harmonicspaces.cli import main
 from harmonicspaces.errors import DomainViolation, UnsupportedModel
 from harmonicspaces.harmonic import (
@@ -33,6 +35,7 @@ from harmonicspaces.spaces import (
     parse_model_id,
     sphere,
     theta,
+    theta_array,
 )
 
 # 1/(sinh(1)^3 cosh(1)), mpmath 30 digits
@@ -100,6 +103,43 @@ def test_phi0_numeric_grid_matches_per_point_integrals(mid):
     grid = verification_grid(model)
     r_ref = grid[len(grid) // 2]
     summed = phi0_numeric_grid(model, grid, r_ref)
+    for r, value in zip(grid, summed):
+        assert scaled_residual(value, phi0_numeric(model, r, r_ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("mid", _TABLE_IDS)
+def test_theta_array_matches_theta_on_verification_grid(mid):
+    model = parse_model_id(mid)
+    grid = verification_grid(model)
+    got = theta_array(model, np.array(grid))
+    for r, value in zip(grid, got.tolist()):
+        assert value == pytest.approx(theta(model, r), rel=1e-14, abs=0.0)
+
+
+def test_phi0_numeric_grid_overflow_raises_through_the_scalar_path():
+    # sinh(100.5)^15 is inf, so 1/theta would read 0.0 on the array path
+    with pytest.raises(OverflowError) as exc:
+        phi0_numeric_grid(parse_model_id("hOP2"), [100.0, 101.0], 100.0)
+    assert str(exc.value) == "theta of hOP2 at r=100.5 overflows float64"
+
+
+def test_phi0_numeric_grid_gaps_that_fall_back(monkeypatch):
+    # three gaps of hOP2's verification grid miss tolerance on their first
+    # array panel and go to the scalar integrate
+    model = parse_model_id("hOP2")
+    grid = verification_grid(model)
+    r_ref = grid[len(grid) // 2]
+    scalar_gaps = []
+
+    def recording_integrate(f, iv, tol):
+        scalar_gaps.append(iv)
+        return integrate(f, iv, tol=tol)
+
+    monkeypatch.setattr(harmonic, "integrate", recording_integrate)
+    summed = phi0_numeric_grid(model, grid, r_ref)
+    assert len(scalar_gaps) == 3
+    assert all(iv.lo in grid and iv.hi in grid for iv in scalar_gaps)
+    monkeypatch.undo()
     for r, value in zip(grid, summed):
         assert scaled_residual(value, phi0_numeric(model, r, r_ref)) <= 1e-13
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from harmonicspaces.numerics import (
     EPS,
     Interval,
     QuadratureResult,
+    converged,
     derivative,
     integrate,
 )
@@ -232,3 +234,19 @@ def test_quadrature_result_fields():
     res = integrate(math.sin, Interval(0.0, 1.0))
     assert isinstance(res, QuadratureResult)
     assert res.evaluations >= 15
+
+
+def test_converged_is_one_rule_for_scalars_and_arrays():
+    # the stopping rule as integrate wrote it inline, applied elementwise
+    tol = 1e-10
+    values = [1.0, 1e7, -1e7, 0.0, math.inf, -math.inf, math.nan, 1e300]
+    errors = [4e-11, 6e-11, 1e-9, 1e-6, math.nan, 0.0]
+    pairs = [(v, e) for v in values for e in errors]
+
+    def reference(v, e):
+        return math.isfinite(v) and e <= max(tol / 2.0, 100.0 * EPS * abs(v))
+
+    expected = [reference(v, e) for v, e in pairs]
+    assert [converged(v, e, tol) for v, e in pairs] == expected
+    v, e = np.array(pairs).T
+    assert converged(v, e, tol).tolist() == expected
