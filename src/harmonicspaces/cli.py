@@ -30,9 +30,9 @@ VERIFY_FAIL = 1
 #: A fixed cap on phi-table rows: the grid is built before any row is written.
 MAX_TABLE_POINTS = 100_000
 #: A fixed cap on quotient raster points per axis.  The raster, its orbit
-#: distances and region codes cost about 64 bytes a cell, and the CSV is
+#: distances and region codes cost about 33 bytes a cell, and the CSV is
 #: written a raster row at a time: 2000 per axis, 4M cells, peaks near
-#: 0.28 GB (peak RSS of ``quotient klein 0.2,0.1 --resolution 2000``).
+#: 0.16 GB (peak RSS of ``quotient torus|klein 0.2,0.1 --resolution 2000``).
 MAX_RESOLUTION = 2000
 VERIFY_SEED = 42
 
@@ -202,8 +202,7 @@ def _quotient_svg(group, base, grid, config_line: str) -> str:
         assert grid is not None
         boundary = grid.points_in(quotients.Region.BOUNDARY)
         stride = max(1, len(boundary) // 4000)
-        for pt in boundary[::stride]:
-            fig.dot(pt, radius=1.0, color="#1f3b70")
+        fig.dots(boundary[::stride], radius=1.0, color="#1f3b70")
         fig.dot((cx, cy), radius=3.0, color="#b02020")
         fig.text((cx + 0.05, cy + 0.05), "P")
     else:

@@ -9,14 +9,18 @@ vectors in R^(m+1) for spheres, and unit complex vectors (projective
 representatives) for complex projective space.  All projective formulas
 use moduli only, so the circle gauge of the representative never matters.
 
-Every query runs through one kernel, ``orbit_distances``, on (n, d) arrays
-of points; the single-point functions are its n = 1 calls and give the
-same bits.  Orbit minima on the flat quotients search a fixed ring of
-elements about the nearest cell of p - q, whatever the basepoint: the
-nearest image lies in that cell, and the next nearest (needed when the
-identity is excluded) is one of its immediate neighbours.  Non-finite
-coordinates, and a point whose length is not the group's ``ambient_dim``,
-raise InvalidPoint.
+Queries on arbitrary points run through one kernel, ``orbit_distances``,
+on (n, d) arrays of points; ``quotient_distance`` and
+``in_fundamental_domain`` are its n = 1 calls and give the same bits.
+``injectivity_radius`` is an n = 1 call at the basepoint moved to 0 along
+the group's ``translation_axes``, where tied displacements tie exactly.
+The flat rasters of ``classify_grid`` have their own kernel,
+``_grid_distances``, on the raster's two 1-D axes.  Orbit minima on the
+flat quotients search a fixed ring of elements about the nearest cell of
+p - q, whatever the basepoint: the nearest image lies in that cell, and
+the next nearest (needed when the identity is excluded) is one of its
+immediate neighbours.  Non-finite coordinates, and a point whose length is
+not the group's ``ambient_dim``, raise InvalidPoint.
 """
 
 from __future__ import annotations
@@ -54,6 +58,11 @@ _BLOCK_ROWS = 4096
 # batched matmul, which equals np.dot on each row bit for bit (norm(axis=1)
 # sums in another order); arccosines and complex moduli go through the
 # Python builtins, which np.arccos and np.abs may miss in the last bit.
+# The raster kernel _grid_distances squares and adds elementwise instead:
+# that differs from the matmul in the last bit on some rows (a fused
+# multiply-add inside it, probably), so a raster's region code can differ
+# from classify_points only where d_id is within an ulp of d_min -+ tol.
+# Every point query, and the tests' reference, keeps the matmul.
 
 
 def _row_dot(a, b) -> np.ndarray:
@@ -132,12 +141,15 @@ class DeckGroup:
     ``nearest_cell(p, q)``, since the nearest image and the next nearest lie
     within them; ``element_ids(p, q)`` gives the elements themselves.  The
     ascending ring order fixes which of several tied minimizers is reported.
+    Every translation along ``translation_axes`` commutes with the group,
+    so displacements do not depend on those coordinates.
     """
 
     ambient: str = "flat"
     ambient_dim: int = 2
     name: str = "group"
     ring: tuple = ()
+    translation_axes: tuple[int, ...] = ()
 
     def element_ids(self, p=None, q=None) -> list:
         return list(self.ring)
@@ -161,6 +173,7 @@ class TorusGroup(DeckGroup):
     ambient = "flat"
     name = "torus"
     ring = tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
+    translation_axes = (0, 1)
 
     @staticmethod
     def nearest_cell(p, q) -> np.ndarray:
@@ -187,6 +200,7 @@ class KleinGroup(DeckGroup):
     #: glide powers about the nearest cell: they hold the nearest even and
     #: the nearest odd power, and the next ones when 0 is excluded
     ring = (-2, -1, 0, 1, 2)
+    translation_axes = (0,)
 
     @staticmethod
     def nearest_cell(p, q) -> np.ndarray:
@@ -197,18 +211,22 @@ class KleinGroup(DeckGroup):
         c = int(self.nearest_cell(np.asarray(p, float), np.asarray(q, float)))
         return [c + k for k in self.ring if c + k != 0]
 
+    @staticmethod
+    def even(n) -> np.ndarray:
+        """Whether each glide power in n is even, for float or integer powers."""
+        n = np.asarray(n)
+        if n.dtype.kind == "f":
+            # n is even iff n / 2 is whole: the verdict of n % 2 == 0 on every
+            # finite float, at a quarter of the float remainder's cost
+            return np.rint(n * 0.5) * 2 == n
+        # integer powers keep the exact remainder: n * 0.5 rounds past 2**53
+        return n % 2 == 0
+
     def apply(self, eid, point):
         """T^n for eid = n, or row-wise for an (n,) array of powers."""
         pt = np.asarray(point, float)
         n = np.asarray(eid)
-        if n.dtype.kind == "f":
-            # n is even iff n / 2 is whole: the verdict of n % 2 == 0 on every
-            # finite float, at a quarter of the float remainder's cost
-            even = np.rint(n * 0.5) * 2 == n
-        else:
-            # integer powers keep the exact remainder: n * 0.5 rounds past 2**53
-            even = n % 2 == 0
-        flipped = np.where(even, pt[..., 1], -pt[..., 1])
+        flipped = np.where(self.even(n), pt[..., 1], -pt[..., 1])
         return np.stack((pt[..., 0] + n, flipped), axis=-1)
 
 
@@ -344,8 +362,14 @@ class InjectivityReport:
 
 
 def injectivity_radius(group: DeckGroup, p) -> InjectivityReport:
-    """Half the minimal displacement of p under non-identity elements."""
-    p = _group_points(group, p)
+    """Half the minimal displacement of p under non-identity elements.
+
+    The displacement is taken at p moved to 0 along ``translation_axes``.
+    There p - gamma p is exact on the flat groups, so elements that displace
+    p equally tie exactly and the first of them in ring order is reported.
+    """
+    p = _group_points(group, p).copy()
+    p[list(group.translation_axes)] = 0.0
     _, d_min, first = orbit_distances(group, p, p[None])
     # p's nearest cell to itself is the origin, so the ring offset is the element
     return InjectivityReport(0.5 * float(d_min[0]), group.ring[first[0]])
@@ -576,10 +600,9 @@ class GridClassification:
         return self.points[self.codes == _CODE[region]]
 
 
-def _region_codes(group: DeckGroup, p, qs, tol: float) -> np.ndarray:
-    """Region code of each row of an (n, d) array, by the rule of in_fundamental_domain."""
-    d_id, d_min, _ = orbit_distances(group, p, np.atleast_2d(qs))
-    codes = np.full(len(d_id), _CODE[Region.EXTERIOR], dtype=np.int8)
+def _region_codes(d_id, d_min, tol: float) -> np.ndarray:
+    """Region codes from orbit distances, by the rule of in_fundamental_domain."""
+    codes = np.full(np.shape(d_id), _CODE[Region.EXTERIOR], dtype=np.int8)
     codes[d_id <= d_min + tol] = _CODE[Region.BOUNDARY]
     codes[d_id < d_min - tol] = _CODE[Region.INTERIOR]
     return codes
@@ -587,7 +610,59 @@ def _region_codes(group: DeckGroup, p, qs, tol: float) -> np.ndarray:
 
 def classify_points(group: DeckGroup, p, qs, tol: float = ANALYTIC_TOL) -> np.ndarray:
     """Region of each row of an (n, d) array, by the rule of in_fundamental_domain."""
-    return REGION_TABLE[_region_codes(group, p, qs, tol)]
+    d_id, d_min, _ = orbit_distances(group, p, np.atleast_2d(qs))
+    return REGION_TABLE[_region_codes(d_id, d_min, tol)]
+
+
+def _grid_distances(group: DeckGroup, p, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """(d_identity, min over gamma != id of d(p, gamma q)) for the cells
+    q = (xs[j], ys[i]) of a raster, as (len(ys), len(xs)) arrays.
+
+    Both flat groups act one axis at a time, so every image distance is
+    sqrt(a[j] + b[i]) with a squared 1-D difference a along x and b along
+    y, each taken as p - gamma q is in orbit_distances.  The ring, bar the
+    identity, splits into two products of x terms by y terms.  Correctly
+    rounded addition is monotone in each term, so the least rounded sum
+    over a product is the rounded sum of its least x and least y term, and
+    sqrt is monotone too: the result is, bit for bit, the least of the
+    ring's elementwise image distances.  It can differ from
+    orbit_distances in the last bit, whose row dots are a matmul.
+    """
+    px, py = p
+    dx, dy = px - xs, py - ys
+    d_id = np.sqrt((dx * dx) + (dy * dy)[:, None])
+    if isinstance(group, TorusGroup):
+        # the ring is (-1, 0, 1) x (-1, 0, 1) about the nearest cell; the
+        # identity is the cell (0, 0), so the ring bar the identity is
+        # (others_x x all_y) and (identity_x x others_y)
+        offsets = np.array((-1.0, 0.0, 1.0))[:, None]
+        terms = []
+        for v, vs in ((px, xs), (py, ys)):
+            cells = np.rint(v - vs) + offsets
+            sq = v - (vs + cells)
+            sq *= sq
+            at_id = cells == 0
+            others = np.where(at_id, np.inf, sq).min(axis=0)
+            terms.append((others, np.where(at_id, sq, np.inf).min(axis=0)))
+        (others_x, id_x), (others_y, id_y) = terms
+        pairs = ((others_x, np.minimum(others_y, id_y)), (id_x, others_y))
+    else:
+        # glide powers about the nearest cell; their y image is y or -y by
+        # parity, so the even powers (bar the identity) pair with py - y
+        # and the odd ones with py - (-y)
+        powers = np.rint(px - xs) + np.array(group.ring, float)[:, None]
+        sq = px - (xs + powers)
+        sq *= sq
+        even = group.even(powers)
+        flip = py - -ys
+        pairs = (
+            (np.where(even & (powers != 0), sq, np.inf).min(axis=0), dy * dy),
+            (np.where(even, np.inf, sq).min(axis=0), flip * flip),
+        )
+    (a1, b1), (a2, b2) = pairs
+    d2 = a1 + b1[:, None]
+    np.minimum(d2, a2 + b2[:, None], out=d2)
+    return d_id, np.sqrt(d2, out=d2)
 
 
 def classify_grid(
@@ -599,7 +674,11 @@ def classify_grid(
 ) -> GridClassification:
     """Classify a square grid of side 2*halfwidth about p; tol defaults to
     2 * grid spacing (raster band for cut-locus pictures).  DomainViolation
-    when p is so far out that neighbouring cells round to the same float."""
+    when p is so far out that neighbouring cells round to the same float.
+
+    Cell k is (p[0] + centers[k % resolution], p[1] + centers[k // resolution]),
+    and the orbit distances come from the per-axis kernel _grid_distances.
+    """
     if group.ambient != "flat":
         raise UnsupportedModel("grid sampling requires a flat deck group")
     p = _validate_points("flat", p)
@@ -613,9 +692,12 @@ def classify_grid(
     if tol is None:
         tol = 2.0 * spacing
     centers = (np.arange(resolution) + 0.5) * spacing - halfwidth
-    xx, yy = np.meshgrid(p[0] + centers, p[1] + centers)
-    qs = np.column_stack((xx.ravel(), yy.ravel()))
-    return GridClassification(qs, _region_codes(group, p, qs, tol), spacing)
+    xs, ys = p[0] + centers, p[1] + centers
+    codes = _region_codes(*_grid_distances(group, p, xs, ys), tol).ravel()
+    points = np.empty((resolution, resolution, 2))
+    points[..., 0] = xs
+    points[..., 1] = ys[:, None]
+    return GridClassification(points.reshape(-1, 2), codes, spacing)
 
 
 def cut_locus_sample(

@@ -58,6 +58,17 @@ class SvgFigure:
             f'r="{radius}" fill="{color}"/>'
         )
 
+    def dots(self, points, radius: float = 1.2, color: str = "#1f3b70") -> None:
+        """One dot per row of an (n, 2) numpy array, as n dot calls would draw.
+
+        _sx and _sy run as array expressions: the same IEEE operations in
+        the same order, so the same bits before formatting.
+        """
+        cxs = self._sx(points[:, 0]).tolist()
+        cys = self._sy(points[:, 1]).tolist()
+        tail = f'" r="{radius}" fill="{color}"/>'
+        self._body.extend(f'<circle cx="{cx:.2f}" cy="{cy:.2f}{tail}' for cx, cy in zip(cxs, cys))
+
     def text(self, p, s: str, size: int = 12, color: str = "#222222") -> None:
         self._body.append(
             f'<text x="{self._sx(p[0]):.2f}" y="{self._sy(p[1]):.2f}" '

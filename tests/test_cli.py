@@ -741,6 +741,28 @@ def test_svg_escape_matches_saxutils(text):
     assert escape(text) == sax_escape(text)
 
 
+@pytest.mark.parametrize("centre", [(0.0, 0.0), (-0.6, 0.35), (1000.3, -7.0), (-3e12, 4e12)])
+def test_svg_dots_draw_what_a_loop_of_dot_draws(centre):
+    from harmonicspaces.svgfig import SvgFigure
+
+    rng = np.random.default_rng(5)
+    cx, cy = centre
+    ranges = dict(x_range=(cx - 1.5, cx + 1.5), y_range=(cy - 1.5, cy + 1.5))
+    # inside the window, outside it, far off and on it
+    points = np.vstack((
+        np.array(centre) + rng.uniform(-1.5, 1.5, size=(300, 2)),
+        np.array(centre) + rng.uniform(-1e3, 1e3, size=(50, 2)),
+        [(-1e300, 1e300), (cx - 1.5, cy + 1.5), (-0.0, 0.0)],
+    ))
+    for pts in (points, points[:0]):
+        batched, looped = SvgFigure(**ranges), SvgFigure(**ranges)
+        batched.dots(pts, radius=1.0, color="#1f3b70")
+        for pt in pts:
+            looped.dot(pt, radius=1.0, color="#1f3b70")
+        assert batched._body == looped._body
+        assert len(batched._body) == len(pts)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "harmonicspaces", "bounds", "hS4"],

@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from harmonicspaces import quotients
 from harmonicspaces.errors import (
     DomainViolation,
     InvalidPoint,
@@ -21,6 +22,7 @@ from harmonicspaces.quotients import (
     LensGroup,
     Region,
     TorusGroup,
+    _grid_distances,
     _random_points,
     _row_norm,
     ambient_distance,
@@ -229,6 +231,29 @@ def test_klein_injectivity_sweep():
         a = 0.05 * i
         got = injectivity_radius(klein, (0.0, a)).radius
         assert got == pytest.approx(klein_injectivity_closed(a), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    group=st.sampled_from([TorusGroup(), KleinGroup()]),
+    x=st.floats(-1e6, 1e6),
+    y=st.floats(-1e6, 1e6),
+)
+@example(group=KleinGroup(), x=-1.6370544387997217, y=0.19709943149766784)
+@example(group=TorusGroup(), x=-1.3545299744683168, y=-0.14580048193364958)
+def test_injectivity_minimizer_is_first_of_exact_ties(group, x, y):
+    # lattice translations, and the glides T^-1 and T, displace p by equal
+    # amounts; the first of the tie in ring order is reported, whatever
+    # the rounding of x - (x + 1) would favour
+    if isinstance(group, KleinGroup):
+        y = math.fmod(y, 0.866)  # |y| < sqrt(3)/2, where T^-2 and T^2 are farther
+        expected = -1
+    else:
+        expected = (-1, 0)
+    rep = injectivity_radius(group, (x, y))
+    assert rep.minimizer == expected
+    closed = injectivity_radius_closed(group, (x, y)).radius
+    assert rep.radius == pytest.approx(closed, rel=0, abs=1e-12)
 
 
 def test_klein_picture_values():
@@ -780,6 +805,85 @@ def test_classify_grid_refuses_a_basepoint_past_float_resolution(p):
         fundamental_domain_area(TorusGroup(), p, 400)
     with pytest.raises(DomainViolation, match="too far out"):
         cut_locus_sample(KleinGroup(), p, 400)
+
+
+def _grid_reference(group, p, points):
+    # the ring's images by group.apply, squared distances summed elementwise
+    p = np.asarray(p, float)
+    diff = p - points
+    d_id = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
+    eids = group.nearest_cell(p, points) + np.array(group.ring)[:, None]
+    diff = p - group.apply(eids, points)
+    d2 = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
+    identity = ~eids.reshape(d2.shape + (-1,)).any(axis=-1)
+    return d_id, np.sqrt(np.where(identity, np.inf, d2).min(axis=0))
+
+
+def _raster_axes(grid, res):
+    return grid.points[:res, 0], grid.points[::res, 1]
+
+
+def _ulps(a, b):
+    return np.max(np.abs(a - b) / np.spacing(np.maximum(a, b)), initial=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    group=st.sampled_from([TorusGroup(), KleinGroup()]),
+    res=st.integers(1, 60),
+    x=st.floats(-1e6, 1e6),
+    y=st.floats(-1e6, 1e6),
+    analytic=st.booleans(),
+)
+def test_grid_kernel_matches_elementwise_orbit_search(group, res, x, y, analytic):
+    p = np.array([x, y])
+    tol = ANALYTIC_TOL if analytic else None
+    grid = classify_grid(group, p, res, tol=tol)
+    tol = ANALYTIC_TOL if analytic else 2.0 * grid.spacing
+    d_id, d_min = (d.ravel() for d in _grid_distances(group, p, *_raster_axes(grid, res)))
+    ref_id, ref_min = _grid_reference(group, p, grid.points)
+    assert np.array_equal(d_id, ref_id) and np.array_equal(d_min, ref_min)
+    # orbit_distances sums its row dots by matmul, which may round otherwise
+    orb_id, orb_min, _ = orbit_distances(group, p, grid.points)
+    assert _ulps(d_id, orb_id) <= 4 and _ulps(d_min, orb_min) <= 4
+    on_threshold = np.minimum(
+        np.abs(orb_id - (orb_min + tol)), np.abs(orb_id - (orb_min - tol))
+    ) <= 1e-12
+    regions = classify_points(group, p, grid.points, tol)
+    assert np.array_equal(grid.regions[~on_threshold], regions[~on_threshold])
+
+
+@pytest.mark.parametrize("group", [TorusGroup(), KleinGroup()], ids=["torus", "klein"])
+def test_grid_kernel_where_the_ring_holds_the_identity_off_centre(group):
+    # a raster of half-width 3 has cells whose nearest cell is 0, +-1 (the
+    # identity is a ring offset other than the centre) and +-2 or more (the
+    # ring misses the identity)
+    p = np.array([0.3, -0.2])
+    grid = classify_grid(group, p, 61, halfwidth=3.0)
+    xs, ys = _raster_axes(grid, 61)
+    cells = np.unique(np.rint(p[0] - xs))
+    assert {-2.0, -1.0, 0.0, 1.0, 2.0} <= set(cells.tolist())
+    d_id, d_min = (d.ravel() for d in _grid_distances(group, p, xs, ys))
+    ref_id, ref_min = _grid_reference(group, p, grid.points)
+    assert np.array_equal(d_id, ref_id) and np.array_equal(d_min, ref_min)
+    assert _ulps(d_min, _brute_force_orbit_min(group, p, grid.points)) <= 4
+
+
+def test_classify_grid_runs_without_orbit_distances(monkeypatch):
+    groups = (TorusGroup(), KleinGroup())
+    grid = classify_grid(TorusGroup(), (0.2, 0.1), 50)
+    expected = [
+        classify_points(group, (0.2, 0.1), grid.points, 2.0 * grid.spacing) for group in groups
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify_grid called orbit_distances")
+
+    monkeypatch.setattr(quotients, "orbit_distances", refuse)
+    for group, regions in zip(groups, expected):
+        assert np.array_equal(classify_grid(group, (0.2, 0.1), 50).regions, regions)
+    with pytest.raises(AssertionError, match="called orbit_distances"):
+        classify_points(TorusGroup(), (0.2, 0.1), [(0.0, 0.0)])
 
 
 def test_lens_monte_carlo_volume():
