@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import UnsupportedModel
-from .numerics import DEFAULT_TOL, Interval, _gk15, converged, derivative, integrate
+from .numerics import _XGK, DEFAULT_TOL, Interval, _gk15, converged, derivative, integrate
 from .spaces import (
     Family,
     SpaceModel,
@@ -49,89 +49,89 @@ def phi1(model: SpaceModel, r: float) -> float:
 
 # --- closed-form catalogue -------------------------------------------------
 
-_log, _sin, _cos, _tan = math.log, math.sin, math.cos, math.tan
-_sinh, _cosh, _tanh = math.sinh, math.cosh, math.tanh
+# Each form reads its elementary functions from the namespace m: math for
+# one float, numpy for an array of radii, elementwise with the same formula.
 
 
-def _csc(r: float) -> float:
-    return 1.0 / _sin(r)
+def _csc(r, m):
+    return 1.0 / m.sin(r)
 
 
-def _sec(r: float) -> float:
-    return 1.0 / _cos(r)
+def _sec(r, m):
+    return 1.0 / m.cos(r)
 
 
-def _cot(r: float) -> float:
-    return _cos(r) / _sin(r)
+def _cot(r, m):
+    return m.cos(r) / m.sin(r)
 
 
-def _csch(r: float) -> float:
-    return 1.0 / _sinh(r)
+def _csch(r, m):
+    return 1.0 / m.sinh(r)
 
 
-def _sech(r: float) -> float:
-    return 1.0 / _cosh(r)
+def _sech(r, m):
+    return 1.0 / m.cosh(r)
 
 
-def _coth(r: float) -> float:
-    return _cosh(r) / _sinh(r)
+def _coth(r, m):
+    return m.cosh(r) / m.sinh(r)
 
 
-def _phi0_S2(r):
-    return _log(_tan(r / 2.0))
+def _phi0_S2(r, m=math):
+    return m.log(m.tan(r / 2.0))
 
 
-def _phi0_S3(r):
-    return -_cot(r)
+def _phi0_S3(r, m=math):
+    return -_cot(r, m)
 
 
-def _phi0_S4(r):
+def _phi0_S4(r, m=math):
     return (
-        -_csc(r / 2.0) ** 2 / 8.0
-        + _sec(r / 2.0) ** 2 / 8.0
-        + 0.5 * _log(_tan(r / 2.0))
+        -_csc(r / 2.0, m) ** 2 / 8.0
+        + _sec(r / 2.0, m) ** 2 / 8.0
+        + 0.5 * m.log(m.tan(r / 2.0))
     )
 
 
-def _phi0_S5(r):
-    return -2.0 / 3.0 * _cot(r) - _cot(r) * _csc(r) ** 2 / 3.0
+def _phi0_S5(r, m=math):
+    return -2.0 / 3.0 * _cot(r, m) - _cot(r, m) * _csc(r, m) ** 2 / 3.0
 
 
-def _phi0_CP2(r):
-    return -0.5 * _csc(r) ** 2 + _log(_tan(r))
+def _phi0_CP2(r, m=math):
+    return -0.5 * _csc(r, m) ** 2 + m.log(m.tan(r))
 
 
-def _phi0_CP3(r):
-    return -0.25 * _csc(r) ** 4 - 0.5 * _csc(r) ** 2 + _log(_tan(r))
+def _phi0_CP3(r, m=math):
+    return -0.25 * _csc(r, m) ** 4 - 0.5 * _csc(r, m) ** 2 + m.log(m.tan(r))
 
 
-def _phi0_CP4(r):
-    c2 = _csc(r) ** 2
-    return -c2**3 / 6.0 - 0.25 * c2**2 - 0.5 * c2 + _log(_tan(r))
+def _phi0_CP4(r, m=math):
+    c2 = _csc(r, m) ** 2
+    return -c2**3 / 6.0 - 0.25 * c2**2 - 0.5 * c2 + m.log(m.tan(r))
 
 
-def _phi0_HP2(r):
-    c2 = _csc(r) ** 2
+def _phi0_HP2(r, m=math):
+    c2 = _csc(r, m) ** 2
     return 0.5 * (
-        -c2**3 / 3.0 - c2**2 - 3.0 * c2 + _sec(r) ** 2 + 8.0 * _log(_tan(r))
+        -c2**3 / 3.0 - c2**2 - 3.0 * c2 + _sec(r, m) ** 2 + 8.0 * m.log(m.tan(r))
     )
 
 
-def _phi0_HP3(r):
-    c2 = _csc(r) ** 2
+def _phi0_HP3(r, m=math):
+    c2 = _csc(r, m) ** 2
     return 0.5 * (
         -c2**5 / 5.0
         - 0.5 * c2**4
         - c2**3
         - 2.0 * c2**2
         - 5.0 * c2
-        + _sec(r) ** 2
-        + 12.0 * _log(_tan(r))
+        + _sec(r, m) ** 2
+        + 12.0 * m.log(m.tan(r))
     )
 
 
-def _phi0_HP4(r):
-    c2 = _csc(r) ** 2
+def _phi0_HP4(r, m=math):
+    c2 = _csc(r, m) ** 2
     return 0.5 * (
         -c2**7 / 7.0
         - c2**6 / 3.0
@@ -140,14 +140,14 @@ def _phi0_HP4(r):
         - 5.0 / 3.0 * c2**3
         - 3.0 * c2**2
         - 7.0 * c2
-        + _sec(r) ** 2
-        + 16.0 * _log(_tan(r))
+        + _sec(r, m) ** 2
+        + 16.0 * m.log(m.tan(r))
     )
 
 
-def _phi0_OP2(r):
-    c2 = _csc(r) ** 2
-    s2 = _sec(r) ** 2
+def _phi0_OP2(r, m=math):
+    c2 = _csc(r, m) ** 2
+    s2 = _sec(r, m) ** 2
     return (
         -c2**7 / 14.0
         - c2**6 / 3.0
@@ -159,65 +159,65 @@ def _phi0_OP2(r):
         + s2**3 / 6.0
         + 2.0 * s2**2
         + 18.0 * s2
-        + 120.0 * _log(_tan(r))
+        + 120.0 * m.log(m.tan(r))
     )
 
 
-def _phi0_hS2(r):
-    return _log(_tanh(r / 2.0))
+def _phi0_hS2(r, m=math):
+    return m.log(m.tanh(r / 2.0))
 
 
-def _phi0_hS3(r):
-    return -_coth(r)
+def _phi0_hS3(r, m=math):
+    return -_coth(r, m)
 
 
-def _phi0_hS4(r):
+def _phi0_hS4(r, m=math):
     return (
-        -_csch(r / 2.0) ** 2 / 8.0
-        - _sech(r / 2.0) ** 2 / 8.0
-        - 0.5 * _log(_tanh(r / 2.0))
+        -_csch(r / 2.0, m) ** 2 / 8.0
+        - _sech(r / 2.0, m) ** 2 / 8.0
+        - 0.5 * m.log(m.tanh(r / 2.0))
     )
 
 
-def _phi0_hS5(r):
-    return 2.0 / 3.0 * _coth(r) - _coth(r) * _csch(r) ** 2 / 3.0
+def _phi0_hS5(r, m=math):
+    return 2.0 / 3.0 * _coth(r, m) - _coth(r, m) * _csch(r, m) ** 2 / 3.0
 
 
-def _phi0_hCP2(r):
-    return -0.5 * _csch(r) ** 2 - _log(_tanh(r))
+def _phi0_hCP2(r, m=math):
+    return -0.5 * _csch(r, m) ** 2 - m.log(m.tanh(r))
 
 
-def _phi0_hCP3(r):
-    return -0.25 * _csch(r) ** 4 + 0.5 * _csch(r) ** 2 + _log(_tanh(r))
+def _phi0_hCP3(r, m=math):
+    return -0.25 * _csch(r, m) ** 4 + 0.5 * _csch(r, m) ** 2 + m.log(m.tanh(r))
 
 
-def _phi0_hCP4(r):
-    c2 = _csch(r) ** 2
-    return -c2**3 / 6.0 + 0.25 * c2**2 - 0.5 * c2 - _log(_tanh(r))
+def _phi0_hCP4(r, m=math):
+    c2 = _csch(r, m) ** 2
+    return -c2**3 / 6.0 + 0.25 * c2**2 - 0.5 * c2 - m.log(m.tanh(r))
 
 
-def _phi0_hHP2(r):
-    c2 = _csch(r) ** 2
+def _phi0_hHP2(r, m=math):
+    c2 = _csch(r, m) ** 2
     return 0.5 * (
-        -c2**3 / 3.0 + c2**2 - 3.0 * c2 - _sech(r) ** 2 - 8.0 * _log(_tanh(r))
+        -c2**3 / 3.0 + c2**2 - 3.0 * c2 - _sech(r, m) ** 2 - 8.0 * m.log(m.tanh(r))
     )
 
 
-def _phi0_hHP3(r):
-    c2 = _csch(r) ** 2
+def _phi0_hHP3(r, m=math):
+    c2 = _csch(r, m) ** 2
     return (
         -c2**5 / 10.0
         + 0.25 * c2**4
         - 0.5 * c2**3
         + c2**2
         - 2.5 * c2
-        - 0.5 * _sech(r) ** 2
-        - 6.0 * _log(_tanh(r))
+        - 0.5 * _sech(r, m) ** 2
+        - 6.0 * m.log(m.tanh(r))
     )
 
 
-def _phi0_hHP4(r):
-    c2 = _csch(r) ** 2
+def _phi0_hHP4(r, m=math):
+    c2 = _csch(r, m) ** 2
     return 0.5 * (
         -c2**7 / 7.0
         + c2**6 / 3.0
@@ -226,14 +226,14 @@ def _phi0_hHP4(r):
         - 5.0 / 3.0 * c2**3
         + 3.0 * c2**2
         - 7.0 * c2
-        - _sech(r) ** 2
-        - 16.0 * _log(_tanh(r))
+        - _sech(r, m) ** 2
+        - 16.0 * m.log(m.tanh(r))
     )
 
 
-def _phi0_hOP2(r):
-    c2 = _csch(r) ** 2
-    s2 = _sech(r) ** 2
+def _phi0_hOP2(r, m=math):
+    c2 = _csch(r, m) ** 2
+    s2 = _sech(r, m) ** 2
     return (
         -c2**7 / 14.0
         + c2**6 / 3.0
@@ -245,12 +245,12 @@ def _phi0_hOP2(r):
         - s2**3 / 6.0
         - 2.0 * s2**2
         - 18.0 * s2
-        - 120.0 * _log(_tanh(r))
+        - 120.0 * m.log(m.tanh(r))
     )
 
 
 #: Closed forms keyed by model id, exactly as transcribed.
-CLOSED_FORMS: dict[str, Callable[[float], float]] = {
+CLOSED_FORMS: dict[str, Callable[..., float]] = {
     "S2": _phi0_S2,
     "S3": _phi0_S3,
     "S4": _phi0_S4,
@@ -284,25 +284,38 @@ def closed_form_models() -> list[SpaceModel]:
     return [parse_model_id(mid) for mid in CLOSED_FORMS]
 
 
-def closed_form(model: SpaceModel) -> Callable[[float], float]:
+def _phi0_E2(r, m=math):
+    return m.log(r)
+
+
+def closed_form(model: SpaceModel) -> Callable[..., float]:
     """The closed-form phi0 of ``model`` as one callable, resolved once.
 
     The transcribed entry of ``CLOSED_FORMS``; for flat space log for
     m = 2 and r^(2-m)/(2-m) for m > 2, with an OverflowError naming the
-    model where r^(2-m) leaves float64.  The callable checks no domain.
+    model (and the first such radius) where r^(2-m) leaves float64.  Every
+    form takes a float, or a numpy array with the namespace ``numpy`` as
+    its second argument.  The callable checks no domain.
     """
     if model.family is Family.EUCLIDEAN:
-        m = model.dimension
-        if m == 2:
-            return math.log
+        dim = model.dimension
+        if dim == 2:
+            return _phi0_E2
 
-        def power(r: float) -> float:
-            try:
-                return r ** (2 - m) / (2 - m)
-            except OverflowError:
-                raise OverflowError(
-                    f"phi0 of {model.model_id} at r={r!r} overflows float64"
-                ) from None
+        def power(r, m=math):
+            if m is math:
+                try:
+                    return r ** (2 - dim) / (2 - dim)
+                except OverflowError:
+                    bad = r
+            else:
+                with m.errstate(over="ignore"):
+                    value = r ** (2 - dim) / (2 - dim)
+                outside = ~m.isfinite(value)
+                if not outside.any():
+                    return value
+                bad = float(r[outside][0])
+            raise OverflowError(f"phi0 of {model.model_id} at r={bad!r} overflows float64")
 
         return power
     form = CLOSED_FORMS.get(model.model_id)
@@ -325,27 +338,30 @@ def phi0_numeric_grid(
     Each gap between neighbouring distinct points of rs and r_ref is
     integrated once at tol / gaps, so the summed error estimate keeps the
     bound of one integral at tol, and the values are running sums outward
-    from r_ref.  The first GK15 panels of all gaps are one array
-    evaluation; a gap keeps its panel when theta and 1/theta are finite at
-    all 15 nodes and the panel meets ``integrate``'s own stopping rule, and
-    every other gap goes to ``integrate``, which raises what the scalar
-    path raises.
+    from r_ref.  The first GK15 panels of all gaps take one density call on
+    all their nodes, which ``_gk15`` then sums, so a panel is bit for bit
+    the one ``integrate`` starts from.  A gap keeps its panel when theta
+    and 1/theta are finite at all 15 nodes and the panel meets
+    ``integrate``'s own stopping rule, and every other gap goes to
+    ``integrate``, which raises what the scalar path raises.
     """
     import numpy as np  # here, so that importing harmonic does not load numpy
 
     check_radius(model, *rs, r_ref)
     points = sorted({*rs, r_ref})
     gap_tol = tol / max(len(points) - 1, 1)
-    finite = np.ones(len(points) - 1, dtype=bool)
-
-    def phi1_array(x):
-        th = theta_array(model, x)
-        value = 1.0 / th
-        finite[:] &= np.isfinite(th) & np.isfinite(value)
-        return value
-
+    a, b = np.array(points[:-1]), np.array(points[1:])
+    # the nodes of every first panel in the order _gk15 asks for them
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    nodes = [c]
+    for x in _XGK:
+        nodes += (c - h * x, c + h * x)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        panel, error = _gk15(phi1_array, np.array(points[:-1]), np.array(points[1:]))
+        th = theta_array(model, np.stack(nodes))
+        values = 1.0 / th
+        finite = (np.isfinite(th) & np.isfinite(values)).all(axis=0)
+        rows = iter(values)
+        panel, error = _gk15(lambda _: next(rows), a, b)
         accepted = (finite & converged(panel, error, gap_tol)).tolist()
     panel = panel.tolist()
     f = lambda s: phi1(model, s)
@@ -381,13 +397,6 @@ def phi0_numeric(
     iv = Interval(min(r, r_ref), max(r, r_ref))
     value = integrate(lambda s: phi1(model, s), iv, tol=tol).value
     return value if r > r_ref else -value
-
-
-def general_solution(model: SpaceModel, a: float, b: float) -> Callable[[float], float]:
-    """a * phi0 + b, the general radial harmonic function."""
-    if not has_closed_form(model):
-        raise UnsupportedModel(f"no closed-form phi0 for {model}")
-    return lambda r: a * phi0_closed(model, r) + b
 
 
 def laplacian_radial(model: SpaceModel, f: Callable[[float], float], r: float) -> float:
@@ -473,13 +482,11 @@ class TableVerification:
         )
 
 
-def scaled_residual(x: float, y: float) -> float:
-    return abs(x - y) / max(1.0, abs(x), abs(y))
+def scaled_residual(x, y):
+    """|x - y| / max(1, |x|, |y|), elementwise on numpy arrays; NaN stays NaN."""
+    import numpy as np  # here, so that importing harmonic does not load numpy
 
-
-def _worst(a: float, b: float) -> float:
-    """The larger residual, where NaN counts as the worst: max(a, nan) is a."""
-    return b if b > a or math.isnan(b) else a
+    return np.abs(x - y) / np.maximum(np.maximum(1.0, np.abs(x)), np.abs(y))
 
 
 def verification_grid(model: SpaceModel) -> list[float]:
@@ -488,31 +495,46 @@ def verification_grid(model: SpaceModel) -> list[float]:
     return [0.1 * d + (0.8 * d) * i / 49 for i in range(50)]
 
 
+def _ode_derivative(model: SpaceModel, form, r: float) -> float:
+    """The ODE check's derivative of the closed form at one grid point,
+    with an OverflowError naming the model and the point."""
+    try:
+        return derivative(form, r, 1, interval=domain(model))
+    except OverflowError:
+        raise OverflowError(
+            f"derivative of phi0 of {model.model_id} at r={r!r} overflows float64"
+        ) from None
+
+
 def verify_table_entry(model: SpaceModel) -> TableVerification:
     """Check a closed form against the two independent oracles.
 
     ODE check: ``numerics.derivative`` of the closed form against phi1.
     Match check: quadrature differences along the grid against closed-form
-    differences.  A NaN residual at any grid point is kept, so the row
-    fails; a derivative that overflows float64 is an OverflowError naming
-    the model.
+    differences.  Each check is one array evaluation of the form, on the
+    stencils of the whole grid and on the grid.  A NaN residual at any grid
+    point is kept, so the row fails.  Where the array pass overflows, or
+    1/theta is not finite, the grid points are taken one at a time by the
+    scalar functions, which raise an OverflowError naming the model.
     """
+    import numpy as np  # here, so that importing harmonic does not load numpy
+
     form = closed_form(model)
     grid = verification_grid(model)
-    r_ref = grid[len(grid) // 2]
-    iv = domain(model)
+    k = len(grid) // 2
+    rs = np.array(grid)
+    try:
+        fd = derivative(lambda x: form(x, np), rs, 1, interval=domain(model))
+    except OverflowError:
+        fd = np.array([_ode_derivative(model, form, r) for r in grid])
+    with np.errstate(over="ignore", divide="ignore"):
+        th = theta_array(model, rs)
+        phi1_grid = 1.0 / th
+    outside = ~(np.isfinite(th) & np.isfinite(phi1_grid))
+    phi1_grid[outside] = [phi1(model, r) for r in rs[outside].tolist()]
+    ode = float(np.max(scaled_residual(fd, phi1_grid)))
 
-    ode = 0.0
-    for r in grid:
-        try:
-            fd = derivative(form, r, 1, interval=iv)
-        except OverflowError:
-            raise OverflowError(
-                f"derivative of phi0 of {model.model_id} at r={r!r} overflows float64"
-            ) from None
-        ode = _worst(ode, scaled_residual(fd, phi1(model, r)))
-    match = 0.0
-    ref_value = form(r_ref)
-    for r, numeric_diff in zip(grid, phi0_numeric_grid(model, grid, r_ref)):
-        match = _worst(match, scaled_residual(numeric_diff, form(r) - ref_value))
+    values = form(rs, np)
+    numeric = np.array(phi0_numeric_grid(model, grid, grid[k]))
+    match = float(np.max(scaled_residual(numeric, values - values[k])))
     return TableVerification(model.model_id, ode, match)

@@ -84,7 +84,9 @@ class QuadratureResult:
 def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """One 7/15 Gauss-Kronrod application on [a, b].
 
-    Returns (kronrod value, |kronrod - gauss| error estimate).
+    Returns (kronrod value, |kronrod - gauss| error estimate).  f is called
+    at the centre c first, then at c - h x and c + h x for each abscissa x
+    of ``_XGK`` in turn; a and b may be numpy arrays of panel ends.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
@@ -180,12 +182,45 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float = DEFAULT_TO
     raise NonConvergence(f"integral over [{a}, {b}] is not finite: {total_v!r}")
 
 
+def _richardson(samples, h, order: int):
+    """(4 D(h) - D(2h)) / 3 from the samples of f at r + h, r - h, r + 2h,
+    r - 2h, with f(r) first for order 2; elementwise on arrays."""
+    if order == 1:
+        f1, f_1, f2, f_2 = samples
+        d_h = (f1 - f_1) / (2.0 * h)
+        d_2h = (f2 - f_2) / (4.0 * h)
+    else:
+        f0, f1, f_1, f2, f_2 = samples
+        d_h = (f1 - 2.0 * f0 + f_1) / (h * h)
+        d_2h = (f2 - 2.0 * f0 + f_2) / (4.0 * h * h)
+    return (4.0 * d_h - d_2h) / 3.0
+
+
+def _stencil_inside(r, h, iv: Interval):
+    """Whether the widest stencil r +- 4h lies inside ``iv``; elementwise on arrays."""
+    lo_ok = r - 4.0 * h > iv.lo if iv.open_ends[0] else r - 4.0 * h >= iv.lo
+    hi_ok = r + 4.0 * h < iv.hi if iv.open_ends[1] else r + 4.0 * h <= iv.hi
+    return lo_ok & hi_ok
+
+
+def _stencil_outside(r: float, h: float, iv: Interval) -> DomainViolation:
+    return DomainViolation(
+        f"stencil of half-width 4h={4*h:.3e} at r={r!r} leaves ({iv.lo}, {iv.hi})"
+    )
+
+
+def _overflow(r: float, result: float) -> OverflowError:
+    return OverflowError(
+        f"derivative at r={r!r} overflows float64 from finite samples: {result!r}"
+    )
+
+
 def derivative(
     f: Callable[[float], float],
-    r: float,
+    r,
     order: int,
     interval: Interval | None = None,
-) -> float:
+):
     """Richardson-extrapolated central-difference derivative of ``f`` at ``r``.
 
     The step is h = eps^(1/3) max(1,|r|) for order 1 and 2 eps^(1/4)
@@ -195,34 +230,50 @@ def derivative(
     error O(h^4).  When an ``interval`` is supplied the widest stencil,
     r +- 4h, must lie inside it.  OverflowError when every sample of ``f``
     is finite but the result is not; a non-finite sample passes through.
+
+    ``r`` may be a 1-D numpy array instead of a float.  Then ``f`` is called
+    once, on the stacked stencils of all points (shape (4, n), or (5, n)
+    for order 2), and the result is the array of what each float gives, bit
+    for bit.  The DomainViolation and the OverflowError are those of the
+    first point that fails, as its float call words them.
     """
     if order == 1:
-        h = EPS ** (1.0 / 3.0) * max(1.0, abs(r))
+        step = EPS ** (1.0 / 3.0)
     elif order == 2:
-        h = 2.0 * EPS**0.25 * max(1.0, abs(r))
+        step = 2.0 * EPS**0.25
     else:
         raise ValueError(f"order must be 1 or 2, got {order}")
+    if getattr(r, "ndim", 0) == 0:  # a float, or a numpy scalar
+        h = step * max(1.0, abs(r))
+        if interval is not None and not _stencil_inside(r, h, interval):
+            raise _stencil_outside(r, h, interval)
+        if order == 1:
+            samples = f(r + h), f(r - h), f(r + 2.0 * h), f(r - 2.0 * h)
+        else:
+            samples = f(r), f(r + h), f(r - h), f(r + 2.0 * h), f(r - 2.0 * h)
+        result = _richardson(samples, h, order)
+        if not math.isfinite(result) and all(map(math.isfinite, samples)):
+            raise _overflow(r, result)
+        return result
+
+    import numpy as np  # here, so that the float path does not load numpy
+
+    r = np.asarray(r, dtype=float)
+    h = step * np.maximum(1.0, np.abs(r))
     if interval is not None:
-        lo_ok = r - 4.0 * h > interval.lo if interval.open_ends[0] else r - 4.0 * h >= interval.lo
-        hi_ok = r + 4.0 * h < interval.hi if interval.open_ends[1] else r + 4.0 * h <= interval.hi
-        if not (lo_ok and hi_ok):
-            raise DomainViolation(
-                f"stencil of half-width 4h={4*h:.3e} at r={r!r} leaves "
-                f"({interval.lo}, {interval.hi})"
-            )
+        inside = _stencil_inside(r, h, interval)
+        if not inside.all():
+            i = int(np.argmin(inside))
+            raise _stencil_outside(float(r[i]), float(h[i]), interval)
     if order == 1:
-        f1, f_1, f2, f_2 = f(r + h), f(r - h), f(r + 2.0 * h), f(r - 2.0 * h)
-        samples = (f1, f_1, f2, f_2)
-        d_h = (f1 - f_1) / (2.0 * h)
-        d_2h = (f2 - f_2) / (4.0 * h)
+        stencil = r + h, r - h, r + 2.0 * h, r - 2.0 * h
     else:
-        f0, f1, f_1, f2, f_2 = f(r), f(r + h), f(r - h), f(r + 2.0 * h), f(r - 2.0 * h)
-        samples = (f0, f1, f_1, f2, f_2)
-        d_h = (f1 - 2.0 * f0 + f_1) / (h * h)
-        d_2h = (f2 - 2.0 * f0 + f_2) / (4.0 * h * h)
-    result = (4.0 * d_h - d_2h) / 3.0
-    if not math.isfinite(result) and all(map(math.isfinite, samples)):
-        raise OverflowError(
-            f"derivative at r={r!r} overflows float64 from finite samples: {result!r}"
-        )
+        stencil = r, r + h, r - h, r + 2.0 * h, r - 2.0 * h
+    samples = f(np.stack(stencil))
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = _richardson(samples, h, order)
+    bad = ~np.isfinite(result) & np.isfinite(samples).all(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _overflow(float(r[i]), float(result[i]))
     return result

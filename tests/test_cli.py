@@ -335,14 +335,14 @@ def test_quotient_outputs_pinned_at_resolution_400(
             "b4363c0a73897f051222cafd2c359e1e945b66ad543106263ba9d0ad712a3c00",
         ),
         (["verify", "S3"], "766552a0aa5824e080cb0be2ec60a92d9948b3fc4e8e2b27b456ceac00cc9274"),
-        (["verify", "hHP3"], "1e7d8fffa254fcc718db9e4793fece07f97995b1d523b1e1d771a8ee9ec9c065"),
+        (["verify", "hHP3"], "f6939f62409a6ac5f4274423a62428e1b9b7e736186ddd8e7086c783275b080f"),
         (
             ["verify", "all", "--seed", "42"],
-            "668bb96209deb5728a2a4a366906ef8fe87d943f77006467409c91852a64fb60",
+            "14b1eadbf870eb414668494c2fade7a5b25f2a10e46acaee0d5ddeab50c35ac4",
         ),
         (
             ["verify", "all", "--seed", "7"],
-            "de6dd859a982d9b037663832c885a69a0cd7fa8ef836adabca0909b0c4406b80",
+            "69878f39f76f614a0bc1ec5ceee1c11f740f86d71a6c77cb0a5b9f7e01c4131e",
         ),
         (
             ["bounds", "hCP2", "--orientable", "false"],
@@ -384,7 +384,10 @@ def test_phi_table_and_verify_outputs_pinned(capsys, argv, digest):
     # and sum outward from r_ref: only match_residual values moved.  The
     # hHP3 and verify-all digests were re-captured again when the first
     # panels of all grid gaps became one numpy evaluation: only the
-    # match_residual values of HP3, OP2, hCP3, hCP4, hHP3 and E4 moved
+    # match_residual values of HP3, OP2, hCP3, hCP4, hHP3 and E4 moved; and
+    # again when both checks became one numpy evaluation of the closed form
+    # per row: only the residuals of HP3, HP4, the eleven hyperbolic rows and
+    # E5 moved, where numpy's elementary functions round apart from libm's
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -717,19 +720,37 @@ def test_cli_import_leaves_out_urllib():
 
 
 def test_scalar_radial_path_leaves_out_numpy():
-    # a fresh interpreter: one phi0 integral and one volume load no numpy,
-    # which only the array paths import, inside the functions that use it
+    # a fresh interpreter: one phi0 integral, one volume and phi-table's
+    # closed-form columns (phi0_closed and the residual of its two
+    # derivatives) load no numpy, which only the array paths import, inside
+    # the functions that use it
     code = (
         "import sys\n"
-        "from harmonicspaces.harmonic import phi0_numeric\n"
-        "from harmonicspaces.spaces import model_volume, sphere\n"
+        "from harmonicspaces.harmonic import harmonicity_residual, phi0_closed, phi0_numeric\n"
+        "from harmonicspaces.spaces import euclidean, model_volume, sphere\n"
         "phi0_numeric(sphere(3), 1.2, 0.6)\n"
         "model_volume(sphere(3))\n"
+        "for model in (sphere(3), euclidean(2), euclidean(5)):\n"
+        "    phi0_closed(model, 1.2)\n"
+        "    harmonicity_residual(model, lambda r: phi0_closed(model, r), 1.2)\n"
         "print('numpy' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_verify_all_raises_no_runtime_warning():
+    # pytest's filterwarnings setting does not reach a CLI subprocess: the
+    # array checks must run clean where every RuntimeWarning is an error
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "harmonicspaces", "verify", "all"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "# checked=63 fail=0 warn=1"
 
 
 @pytest.mark.parametrize("text", ["plain", "a & b", "<tag>", "&lt; stays escaped", "x<&>y\"'"])

@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from harmonicspaces.harmonic import (
     classify_boundary,
     closed_form,
     closed_form_models,
-    general_solution,
     harmonicity_residual,
     laplacian_radial,
     phi0_closed,
@@ -25,7 +25,7 @@ from harmonicspaces.harmonic import (
     verification_grid,
     verify_table_entry,
 )
-from harmonicspaces.numerics import Interval, integrate
+from harmonicspaces.numerics import Interval, _gk15, integrate
 from harmonicspaces.spaces import (
     complex_hyperbolic,
     complex_projective,
@@ -87,7 +87,8 @@ def test_phi0_numeric_antisymmetric():
 
 def test_closed_form_is_resolved_once():
     assert closed_form(sphere(3)) is CLOSED_FORMS["S3"]
-    assert closed_form(euclidean(2)) is math.log
+    assert closed_form(euclidean(2)) is closed_form(euclidean(2))
+    assert closed_form(euclidean(2))(math.e) == math.log(math.e)
     assert closed_form(euclidean(4))(2.0) == phi0_closed(euclidean(4), 2.0)
     with pytest.raises(UnsupportedModel):
         closed_form(sphere(6))
@@ -108,12 +109,45 @@ def test_phi0_numeric_grid_matches_per_point_integrals(mid):
 
 
 @pytest.mark.parametrize("mid", _TABLE_IDS)
+def test_array_closed_forms_match_scalar_forms(mid):
+    # numpy's elementary functions may round apart from libm's by a few ulps
+    model = parse_model_id(mid)
+    form = closed_form(model)
+    grid = verification_grid(model)
+    got = form(np.array(grid), np)
+    assert isinstance(got, np.ndarray) and got.shape == (len(grid),)
+    assert float(np.max(scaled_residual(got, [form(r) for r in grid]))) <= 1e-12
+
+
+def test_array_flat_form_overflow_names_the_model():
+    # 2.0^-998 is finite; 0.3 is the first radius where r^(2-m) leaves float64
+    form = closed_form(euclidean(1000))
+    with pytest.raises(OverflowError, match=r"^phi0 of E1000 at r=0\.3 overflows float64$"):
+        form(np.array([2.0, 0.3, 0.2]), np)
+
+
+@pytest.mark.parametrize("mid", _TABLE_IDS)
 def test_theta_array_matches_theta_on_verification_grid(mid):
     model = parse_model_id(mid)
     grid = verification_grid(model)
     got = theta_array(model, np.array(grid))
     for r, value in zip(grid, got.tolist()):
         assert value == pytest.approx(theta(model, r), rel=1e-14, abs=0.0)
+
+
+def test_phi0_numeric_grid_first_panels_are_gk15_panels_bit_for_bit(monkeypatch):
+    # one density call on all nodes, then _gk15's sums: every gap of this
+    # grid keeps its first panel, and the running sums are those of _gk15
+    # applied to each gap alone
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("a gap fell back to integrate")
+
+    monkeypatch.setattr(harmonic, "integrate", no_fallback)
+    model = parse_model_id("S3")
+    grid = verification_grid(model)[:12]
+    f = lambda s: float(1.0 / theta_array(model, np.array([s]))[0])
+    panels = [_gk15(f, a, b)[0] for a, b in zip(grid, grid[1:])]
+    assert phi0_numeric_grid(model, grid, grid[0]) == list(accumulate(panels, initial=0.0))
 
 
 def test_phi0_numeric_grid_overflow_raises_through_the_scalar_path():
@@ -249,15 +283,6 @@ def test_laplacian_hand_value():
     assert got == pytest.approx(LAPLACIAN_S2_R_SQUARED, abs=1e-7)
 
 
-def test_general_solution():
-    assert general_solution(sphere(3), 0.0, 5.0)(1.0) == 5.0
-    s3 = sphere(3)
-    assert general_solution(s3, 1.0, 0.0)(0.7) == phi0_closed(s3, 0.7)
-    assert general_solution(s3, 2.0, -1.0)(math.pi / 2) == pytest.approx(-1.0)
-    with pytest.raises(UnsupportedModel):
-        general_solution(sphere(7), 1.0, 0.0)
-
-
 def test_classify_boundary():
     assert classify_boundary(sphere(4)).at_far_end is BoundaryBehavior.DIVERGENT
     assert (
@@ -279,11 +304,30 @@ def test_verify_table_entry_spot_checks(mid):
 
 def test_verify_flags_wrong_entry(monkeypatch):
     # a corrupted transcription must fail both oracles
-    monkeypatch.setitem(CLOSED_FORMS, "S3", lambda r: +1.0 / math.tan(r))
+    monkeypatch.setitem(CLOSED_FORMS, "S3", lambda r, m=math: +1.0 / m.tan(r))
     res = verify_table_entry(sphere(3))
     assert not res.passed
     assert res.max_ode_residual > 1e-6
     assert res.max_match_residual > 1e-8
+
+
+def test_non_finite_array_phi1_is_taken_from_the_scalar_phi1(monkeypatch):
+    # theta_array reading 0.0 at one grid point would make 1/theta inf there;
+    # the ODE check then asks the scalar phi1, which gives the finite value
+    model = parse_model_id("hS3")
+    grid = verification_grid(model)
+    exact = verify_table_entry(model)
+
+    def zero_at_one_point(model, r):
+        values = theta_array(model, r)
+        return np.where(r == grid[7], 0.0, values) if r.shape == (len(grid),) else values
+
+    monkeypatch.setattr(harmonic, "theta_array", zero_at_one_point)
+    res = verify_table_entry(model)
+    assert res.passed
+    assert res.max_ode_residual == pytest.approx(exact.max_ode_residual, rel=0.5)
+    monkeypatch.setattr(harmonic, "phi1", lambda model, r: math.nan)
+    assert math.isnan(verify_table_entry(model).max_ode_residual)
 
 
 def test_closed_form_catalogue_size():

@@ -230,6 +230,64 @@ def test_derivative_stencil_domain_check():
     derivative(math.sin, 0.5, 1, interval=iv)
 
 
+_ARITHMETIC = [
+    # +, -, *, / round the same on floats and numpy arrays
+    lambda x: x * x * x - 3.0 * x,
+    lambda x: (x * x - 3.0) / (x + 0.25),
+    lambda x: 1.0 / (x * x),
+]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("f", _ARITHMETIC)
+def test_derivative_on_an_array_is_the_float_calls_bit_for_bit(f, order):
+    rs = [0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 2.7, 7.25, 1e3]
+    for interval in (None, Interval(0.0, 2e3, (True, True))):
+        got = derivative(f, np.array(rs), order, interval=interval)
+        assert got.tolist() == [derivative(f, r, order, interval=interval) for r in rs]
+
+
+def test_derivative_calls_f_once_on_the_stacked_stencil():
+    shapes = []
+
+    def f(x):
+        shapes.append(x.shape)
+        return np.sin(x)
+
+    derivative(f, np.linspace(0.5, 1.5, 7), 1)
+    derivative(f, np.linspace(0.5, 1.5, 7), 2)
+    assert shapes == [(4, 7), (5, 7)]
+
+
+def _error_text(call):
+    with pytest.raises((DomainViolation, OverflowError)) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+def test_derivative_on_an_array_raises_what_the_first_failing_float_raises():
+    # the stencil guard: 1e-9 is the first point whose r +- 4h leaves (0, 1)
+    iv = Interval(0.0, 1.0, (True, True))
+    rs = [0.5, 1e-9, 0.9999999]
+    assert _error_text(lambda: derivative(math.sin, 1e-9, 1, interval=iv)) == _error_text(
+        lambda: derivative(np.sin, np.array(rs), 1, interval=iv)
+    )
+    # finite samples, non-finite result: 4 D(h) of 1e307 x^2 overflows from x = 2.25
+    f = lambda x: 1e307 * x * x
+    rs = [0.5, 1.0, 2.5, 3.0]
+    assert _error_text(lambda: derivative(f, 2.5, 1)) == _error_text(
+        lambda: derivative(f, np.array(rs), 1)
+    )
+    assert [derivative(f, r, 1) for r in rs[:2]] == derivative(f, np.array(rs[:2]), 1).tolist()
+
+
+def test_derivative_on_an_array_passes_non_finite_samples_through():
+    g = lambda x: np.where(x > 0.6, math.nan, x * x)
+    got = derivative(g, np.array([0.5, 0.7]), 1)
+    assert got[0] == derivative(lambda x: x * x, 0.5, 1)
+    assert math.isnan(got[1])
+
+
 def test_quadrature_result_fields():
     res = integrate(math.sin, Interval(0.0, 1.0))
     assert isinstance(res, QuadratureResult)
