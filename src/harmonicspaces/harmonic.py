@@ -348,9 +348,10 @@ def phi0_numeric_grid(
     import numpy as np  # here, so that importing harmonic does not load numpy
 
     check_radius(model, *rs, r_ref)
-    points = sorted({*rs, r_ref})
+    # sorted() and not np.unique, which loads numpy.ma (13 ms) on numpy 2
+    points = np.array(sorted({*rs, r_ref}))
     gap_tol = tol / max(len(points) - 1, 1)
-    a, b = np.array(points[:-1]), np.array(points[1:])
+    a, b = points[:-1], points[1:]
     # the nodes of every first panel in the order _gk15 asks for them
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     nodes = [c]
@@ -361,27 +362,20 @@ def phi0_numeric_grid(
         values = 1.0 / th
         finite = (np.isfinite(th) & np.isfinite(values)).all(axis=0)
         rows = iter(values)
-        panel, error = _gk15(lambda _: next(rows), a, b)
-        accepted = (finite & converged(panel, error, gap_tol)).tolist()
-    panel = panel.tolist()
+        gaps, error = _gk15(lambda _: next(rows), a, b)
+        accepted = finite & converged(gaps, error, gap_tol)
+    # the other gaps go to integrate outward from r_ref, right side first
+    k = int(np.searchsorted(points, r_ref))
+    rejected = np.flatnonzero(~accepted).tolist()
     f = lambda s: phi1(model, s)
-
-    def gap(i: int) -> float:
-        if accepted[i]:
-            return panel[i]
-        return integrate(f, Interval(points[i], points[i + 1]), tol=gap_tol).value
-
-    k = points.index(r_ref)
-    values = {r_ref: 0.0}
-    total = 0.0
-    for i in range(k, len(points) - 1):
-        total += gap(i)
-        values[points[i + 1]] = total
-    total = 0.0
-    for i in reversed(range(k)):
-        total += gap(i)
-        values[points[i]] = -total
-    return [values[r] for r in rs]
+    for i in [i for i in rejected if i >= k] + [i for i in rejected[::-1] if i < k]:
+        lo, hi = points[i : i + 2].tolist()
+        gaps[i] = integrate(f, Interval(lo, hi), tol=gap_tol).value
+    # running sums outward from r_ref; cumsum adds in sequence
+    sums = np.zeros(len(points))
+    sums[k + 1 :] = np.cumsum(gaps[k:])
+    sums[:k] = -np.cumsum(gaps[:k][::-1])[::-1]
+    return sums[np.searchsorted(points, rs)].tolist()
 
 
 def phi0_numeric(

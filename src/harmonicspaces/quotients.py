@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -466,8 +467,58 @@ class SelfCheckReport:
 _ISOMETRY_TOL = 1e-12
 
 
-def _random_points(group: DeckGroup, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n random points as rows, drawn from rng as n single draws would be."""
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finaliser on a uint64 array (arrays wrap silently)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+class SeededStream:
+    """Counter-based SplitMix64 draws (Steele, Lea and Flood, OOPSLA 2014).
+
+    The i-th value is the finaliser of key + i * gamma, and the counter
+    advances by the number of values drawn, so n single draws equal one
+    draw of n.  The key folds in every 64-bit word of the seed.
+    """
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        key = np.zeros(1, dtype=np.uint64)
+        for shift in range(0, max(seed.bit_length(), 1), 64):
+            key = _splitmix64(key + _GOLDEN_GAMMA + ((seed >> shift) & (2**64 - 1)))
+        # a Python int: adding a one-element array would broadcast, 8x slower
+        self._key, self._count = int(key[0]), 0
+
+    def _unit(self, n: int) -> np.ndarray:
+        """n doubles in [0, 1), the top 53 bits of the next n values."""
+        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        self._count += n
+        z *= _GOLDEN_GAMMA
+        z += self._key
+        return (_splitmix64(z) >> 11) * 2.0**-53
+
+    def uniform(self, lo: float, hi: float, size) -> np.ndarray:
+        return lo + (hi - lo) * self._unit(int(np.prod(size))).reshape(size)
+
+    def standard_normal(self, size) -> np.ndarray:
+        """Box-Muller: each normal takes the next two uniforms."""
+        u = self._unit(2 * int(np.prod(size))).reshape(-1, 2)
+        z = np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
+        return z.reshape(size)
+
+
+def _random_points(group: DeckGroup, rng: SeededStream, n: int) -> np.ndarray:
+    """n random points as rows, drawn from rng as n single draws would be.
+
+    rng is a SeededStream or anything with its two methods, such as a numpy
+    Generator.
+    """
     if group.ambient == "flat":
         return rng.uniform(-2.0, 2.0, size=(n, 2))
     if group.ambient == "sphere":
@@ -499,7 +550,7 @@ def group_action_selfcheck(
     identity and fixed-point freeness via sampled displacements (cp), and
     the isometry property on random pairs (all).
     """
-    rng = np.random.default_rng(seed)
+    rng = SeededStream(seed)
     distance = _DISTANCES[group.ambient]
     checks: list[str] = []
     min_disp: float | None = None
@@ -724,8 +775,7 @@ def lens_domain_volume_mc(
     """
     from .spaces import unit_sphere_volume
 
-    rng = np.random.default_rng(seed)
-    pts = _random_points(LensGroup(k), rng, samples)
+    pts = _random_points(LensGroup(k), SeededStream(seed), samples)
     inside = pts[:, 0] > np.abs(pts[:, 1])
     frac = float(np.mean(inside))
     total = unit_sphere_volume(2 * k + 1)
@@ -773,9 +823,8 @@ def flat_extension_is_radial(
     inside the window; any value disagreement breaks radiality.
     """
     lo, hi = flat_extension_domain(delta)
-    rng = np.random.default_rng(seed)
     probes = [[0.96 * hi, 0.02], [0.96 * lo, 0.02], [0.02, 0.96 * hi], [0.02, 0.96 * lo]]
-    qs = np.vstack((probes, rng.uniform(lo + 1e-3, hi - 1e-3, size=(samples, 2))))
+    qs = np.vstack((probes, SeededStream(seed).uniform(lo + 1e-3, hi - 1e-3, (samples, 2))))
     qs = qs[np.all((lo < qs) & (qs < hi), axis=1) & (_row_norm(qs) >= 0.05)]
     torus, origin = TorusGroup(), np.zeros(2)
     d = np.minimum(*orbit_distances(torus, origin, qs)[:2])
@@ -794,13 +843,9 @@ def flat_extension_reflection_symmetric(delta: float, samples: int = 200, seed: 
     lo, hi = flat_extension_domain(delta)
     if abs(lo + hi) > 1e-12:
         return False
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        q = rng.uniform(lo + 1e-3, hi - 1e-3, size=2)
-        if np.linalg.norm(q) < 0.05:
-            continue
-        v = flat_radial_extension(delta, q)
-        for image in ((-q[0], q[1]), (q[0], -q[1])):
-            if abs(flat_radial_extension(delta, image) - v) > 1e-12:
-                return False
-    return True
+    qs = SeededStream(seed).uniform(lo + 1e-3, hi - 1e-3, (samples, 2))
+    return all(
+        abs(flat_radial_extension(delta, image) - flat_radial_extension(delta, q)) <= 1e-12
+        for q in qs[_row_norm(qs) >= 0.05]
+        for image in ((-q[0], q[1]), (q[0], -q[1]))
+    )

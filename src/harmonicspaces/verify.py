@@ -120,8 +120,7 @@ def _radius_gaps(group: quotients.DeckGroup, points) -> np.ndarray:
 
 def injectivity_checks(seed: int = 42) -> list[CheckResult]:
     """Brute-force orbit minima against the closed forms."""
-    rng = np.random.default_rng(seed)
-    torus_points = rng.uniform(-1.0, 1.0, size=(20, 2))
+    torus_points = quotients.SeededStream(seed).uniform(-1.0, 1.0, (20, 2))
     klein_points = [(0.0, 0.05 * i) for i in range(41)]
     worst_torus = float(_radius_gaps(quotients.TorusGroup(), torus_points).max())
     worst_klein = float(_radius_gaps(quotients.KleinGroup(), klein_points).max())

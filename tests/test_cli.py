@@ -345,6 +345,10 @@ def test_quotient_outputs_pinned_at_resolution_400(
             "69878f39f76f614a0bc1ec5ceee1c11f740f86d71a6c77cb0a5b9f7e01c4131e",
         ),
         (
+            ["verify", "all", "--seed", "30000"],
+            "90553fd23f83b3720a18eaafb740a514cde568790d93ccccec92a97e3e4bab75",
+        ),
+        (
             ["bounds", "hCP2", "--orientable", "false"],
             "0392720c1f9847f133e962a2b35fab8415aed7684a3edfa288772ee8119b51c3",
         ),
@@ -362,7 +366,7 @@ def test_quotient_outputs_pinned_at_resolution_400(
     ],
     ids=[
         "phi-S3", "phi-hHP3", "phi-OP2", "phi-E4", "phi-S9", "verify-S3", "verify-hHP3",
-        "verify-all-42", "verify-all-7",
+        "verify-all-42", "verify-all-7", "verify-all-30000",
         "bounds-hCP2-nonorientable", "bounds-hHP3", "bounds-hOP2",
         "bounds-hS2", "bounds-hS4", "bounds-hS6", "bounds-hS8", "bounds-hCP1",
         "bounds-hCP3", "bounds-hCP4", "bounds-hHP2", "bounds-hHP4",
@@ -387,7 +391,9 @@ def test_phi_table_and_verify_outputs_pinned(capsys, argv, digest):
     # match_residual values of HP3, OP2, hCP3, hCP4, hHP3 and E4 moved; and
     # again when both checks became one numpy evaluation of the closed form
     # per row: only the residuals of HP3, HP4, the eleven hyperbolic rows and
-    # E5 moved, where numpy's elementary functions round apart from libm's
+    # E5 moved, where numpy's elementary functions round apart from libm's.
+    # verify-all-30000 was captured while the samples came from numpy's
+    # Generator: verify all prints only analytic constants of its samples
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -489,6 +495,21 @@ def test_verify_all_echoes_its_seed(capsys, monkeypatch):
             "command": "verify", "out": None, "scope": "all", "seed": seed,
         }
     assert seeds == [("all", 42), ("all", 7)]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64, 10**30])
+def test_verify_all_takes_every_non_negative_seed(capsys, seed):
+    # seeds of 2^64 and above are folded into the stream's key word by word
+    code, out, err = run_cli(capsys, "verify", "all", "--seed", str(seed))
+    assert (code, err) == (0, "")
+    assert _config_of(out.splitlines()[0])["seed"] == seed
+    assert out.splitlines()[-1] == "# checked=63 fail=0 warn=1"
+
+
+def test_verify_all_rejects_a_negative_seed(capsys):
+    assert run_cli(capsys, "verify", "all", "--seed", "-1") == (
+        2, "", "error: seed must be a non-negative integer, got -1\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [["S3", "--seed", "7"], ["--seed", "42", "hHP3"]])
@@ -738,6 +759,29 @@ def test_scalar_radial_path_leaves_out_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "all"], ["quotient", "torus", "0,0", "--resolution", "8"]],
+    ids=["verify-all", "quotient-torus"],
+)
+def test_cli_runs_leave_out_numpy_random(argv):
+    # a fresh interpreter: the seeded checks draw from quotients.SeededStream,
+    # so no command loads numpy.random and the 19 modules it pulls in; nor
+    # any other module once the parser is built (np.unique loads numpy.ma)
+    code = (
+        "import contextlib, io, sys\n"
+        "from harmonicspaces.cli import build_parser, main\n"
+        "build_parser()\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main({argv!r})\n"
+        "print('numpy.random' in sys.modules, sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False []"
 
 
 def test_verify_all_raises_no_runtime_warning():

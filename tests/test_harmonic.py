@@ -138,7 +138,7 @@ def test_theta_array_matches_theta_on_verification_grid(mid):
 def test_phi0_numeric_grid_first_panels_are_gk15_panels_bit_for_bit(monkeypatch):
     # one density call on all nodes, then _gk15's sums: every gap of this
     # grid keeps its first panel, and the running sums are those of _gk15
-    # applied to each gap alone
+    # applied to each gap alone, added outward from r_ref = grid[k]
     def no_fallback(*args, **kwargs):
         raise AssertionError("a gap fell back to integrate")
 
@@ -147,7 +147,10 @@ def test_phi0_numeric_grid_first_panels_are_gk15_panels_bit_for_bit(monkeypatch)
     grid = verification_grid(model)[:12]
     f = lambda s: float(1.0 / theta_array(model, np.array([s]))[0])
     panels = [_gk15(f, a, b)[0] for a, b in zip(grid, grid[1:])]
-    assert phi0_numeric_grid(model, grid, grid[0]) == list(accumulate(panels, initial=0.0))
+    for k in (0, 5, 11):
+        left = [-s for s in accumulate(reversed(panels[:k]), initial=0.0)][:0:-1]
+        right = list(accumulate(panels[k:], initial=0.0))
+        assert phi0_numeric_grid(model, grid, grid[k]) == left + right, k
 
 
 def test_phi0_numeric_grid_overflow_raises_through_the_scalar_path():

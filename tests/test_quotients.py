@@ -21,6 +21,7 @@ from harmonicspaces.quotients import (
     KleinGroup,
     LensGroup,
     Region,
+    SeededStream,
     TorusGroup,
     _grid_distances,
     _random_points,
@@ -522,18 +523,69 @@ def test_injectivity_reports_first_tied_minimizer(group, p, minimizer):
     "group", [TorusGroup(), LensGroup(), CPInvolutionGroup()], ids=["flat", "sphere", "cproj"]
 )
 def test_random_points_match_single_draws(group):
-    rows = _random_points(group, np.random.default_rng(37), 50)
-    rng = np.random.default_rng(37)
-    for row in rows:
-        if group.ambient == "flat":
-            v = rng.uniform(-2.0, 2.0, size=2)
-        else:
-            dim = group.ambient_dim
-            v = rng.standard_normal(dim)
-            if group.ambient == "cproj":
-                v = v + 1j * rng.standard_normal(dim)
-            v = v / np.linalg.norm(v)
-        assert np.array_equal(row, v)
+    # the package's stream, and a numpy Generator through the same two methods
+    for stream in (SeededStream, np.random.default_rng):
+        rows = _random_points(group, stream(37), 50)
+        rng = stream(37)
+        for row in rows:
+            if group.ambient == "flat":
+                v = rng.uniform(-2.0, 2.0, size=2)
+            else:
+                dim = group.ambient_dim
+                v = rng.standard_normal(dim)
+                if group.ambient == "cproj":
+                    v = v + 1j * rng.standard_normal(dim)
+                v = v / np.linalg.norm(v)
+            assert np.array_equal(row, v), stream
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1, 2**64, 10**30])
+def test_seeded_stream_repeats_its_draws(seed):
+    a, b = SeededStream(seed), SeededStream(seed)
+    assert np.array_equal(a.uniform(-1.0, 1.0, (7, 3)), b.uniform(-1.0, 1.0, (7, 3)))
+    assert np.array_equal(a.standard_normal(5), b.standard_normal(5))
+
+
+def test_seeded_stream_seeds_give_different_draws():
+    # seeds at and above 2^64 fold every 64-bit word into the key, so none
+    # of them repeats the draws of its remainder mod 2^64
+    seeds = [0, 1, 2, 42, 2**64 - 1, 2**64, 2**64 + 1, 2**65, 10**30, 10**30 % 2**64, 2**128]
+    draws = {tuple(SeededStream(s).uniform(0.0, 1.0, 4).tolist()) for s in seeds}
+    assert len(draws) == len(seeds)
+
+
+def test_seeded_stream_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        SeededStream(-1)
+
+
+def test_seeded_stream_uniform_lies_in_the_half_open_interval():
+    u = SeededStream(3).uniform(-2.0, 2.0, 100_000)
+    assert u.shape == (100_000,)
+    assert ((-2.0 <= u) & (u < 2.0)).all()
+    assert u.min() < -1.99 and u.max() > 1.99
+    # the top 53 bits of each value: multiples of 2^-53 in [0, 1), odd ones too
+    ticks = SeededStream(3).uniform(0.0, 1.0, 1000) * 2.0**53
+    assert ((0.0 <= ticks) & (ticks < 2.0**53)).all()
+    assert np.array_equal(ticks, np.floor(ticks)) and (ticks % 2 == 1).any()
+
+
+def test_seeded_stream_normals_have_zero_mean_and_unit_variance():
+    n = 100_000
+    z = SeededStream(11).standard_normal(n)
+    # standard errors: 1/sqrt(n) for the mean, sqrt(2/n) for the variance
+    assert abs(z.mean()) <= 5.0 / math.sqrt(n)
+    assert abs(z.var() - 1.0) <= 5.0 * math.sqrt(2.0 / n)
+
+
+def test_seeded_stream_one_value_draws_stay_on_arrays():
+    # numpy scalar uint64 products warn on wrap-around, and pytest makes
+    # that warning an error; every draw of one value wraps on arrays
+    for seed in (0, 2**64 - 1, 10**30):
+        stream = SeededStream(seed)
+        for _ in range(3):
+            assert stream.uniform(0.0, 1.0, 1).shape == (1,)
+            assert stream.standard_normal(1).shape == (1,)
 
 
 NAN4 = [math.nan, 0.0, 0.0, 0.0]

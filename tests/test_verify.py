@@ -107,8 +107,8 @@ def test_batched_injectivity_gaps_equal_per_point_gaps(seed):
         brute = quotients.injectivity_radius(group, p).radius
         return abs(brute - quotients.injectivity_radius_closed(group, p).radius)
 
-    rng = np.random.default_rng(seed)
-    torus_points = rng.uniform(-1.0, 1.0, size=(20, 2))
+    # the basepoints injectivity_checks draws for this seed
+    torus_points = quotients.SeededStream(seed).uniform(-1.0, 1.0, (20, 2))
     klein_points = [(0.0, 0.05 * i) for i in range(41)]
     torus, klein = quotients.TorusGroup(), quotients.KleinGroup()
     assert _radius_gaps(torus, torus_points).max() == max(
