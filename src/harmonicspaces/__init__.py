@@ -34,7 +34,6 @@ from .spaces import (
     quaternion_projective,
     sphere,
     theta,
-    theta_tilde,
     unit_sphere_volume,
 )
 
@@ -64,7 +63,6 @@ __all__ = [
     "quaternion_projective",
     "sphere",
     "theta",
-    "theta_tilde",
     "unit_sphere_volume",
 ]
 

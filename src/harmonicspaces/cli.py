@@ -84,6 +84,12 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
         if args.n > 1
         else [args.r_min]
     )
+    # (r_max - r_min) * i grows with i, so only the last point can overflow
+    if not math.isfinite(grid[-1]):
+        raise ValueError(
+            f"the grid of {args.n} points on [{args.r_min}, {args.r_max}] would "
+            f"overflow float64: (r_max - r_min) * {args.n - 1} is inf"
+        )
     if closed:
         # the grid was checked above; derivative's guard keeps stencils inside
         phi0_fn = harmonic.closed_form(model)
@@ -263,10 +269,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     report = quotients.injectivity_radius(group, base)
     config_line = _config_line(args)
     lines = [config_line]
-    lines.append(
-        f"# iota={report.radius:.{p}g} minimizer={report.minimizer} "
-        f"method={report.method}"
-    )
+    lines.append(f"# iota={report.radius:.{p}g} minimizer={report.minimizer} method=brute_force")
     rows = ()
     if grid is not None:
         lines.append("x,y,class")
@@ -399,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UnsupportedModel, DomainViolation, ValueError, OverflowError) as exc:
+    except (UnsupportedModel, DomainViolation, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except HarmonicSpacesError as exc:

@@ -118,16 +118,6 @@ def _validate_points(kind: str, p, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
     return arr
 
 
-def ambient_distance(kind: str, p, q) -> float:
-    """Distance in the named ambient geometry: flat | sphere | cproj."""
-    if kind not in _DISTANCES:
-        raise InvalidPoint(f"unknown ambient kind {kind!r}")
-    p, q = _validate_points(kind, p), _validate_points(kind, q)
-    if p.shape != q.shape:
-        raise InvalidPoint(f"{kind} points must share the ambient dimension")
-    return float(_DISTANCES[kind](p, q))
-
-
 # --- deck groups -------------------------------------------------------------
 
 
@@ -359,7 +349,6 @@ def quotient_distance(group: DeckGroup, p, q) -> float:
 class InjectivityReport:
     radius: float
     minimizer: object
-    method: str = "brute_force"
 
 
 def injectivity_radius(group: DeckGroup, p) -> InjectivityReport:
@@ -381,8 +370,8 @@ def klein_injectivity_closed(a: float) -> float:
     return 0.5 * min(2.0, math.sqrt(1.0 + 4.0 * a * a))
 
 
-def injectivity_radius_closed(group: DeckGroup, p) -> InjectivityReport:
-    """Closed-form counterpart of injectivity_radius; agrees within 1e-12."""
+def injectivity_radius_closed(group: DeckGroup, p) -> float:
+    """Closed-form counterpart of injectivity_radius's radius; agrees within 1e-12."""
     p = _group_points(group, p)
     if isinstance(group, TorusGroup):
         radius = 0.5
@@ -394,7 +383,7 @@ def injectivity_radius_closed(group: DeckGroup, p) -> InjectivityReport:
         radius = 0.25 * math.pi
     else:
         raise UnsupportedModel(f"no closed-form injectivity radius for {group.name}")
-    return InjectivityReport(radius, None, method="closed_form")
+    return radius
 
 
 class Region(enum.Enum):
@@ -641,11 +630,6 @@ class GridClassification:
     codes: np.ndarray  # (n,) int8 region codes, indices into REGION_TABLE
     spacing: float
 
-    @property
-    def regions(self) -> np.ndarray:
-        """(n,) object array of Region."""
-        return REGION_TABLE[self.codes]
-
     def points_in(self, region: Region) -> np.ndarray:
         """The rows of points classified as region."""
         return self.points[self.codes == _CODE[region]]
@@ -749,13 +733,6 @@ def classify_grid(
     points[..., 0] = xs
     points[..., 1] = ys[:, None]
     return GridClassification(points.reshape(-1, 2), codes, spacing)
-
-
-def cut_locus_sample(
-    group: DeckGroup, p, resolution: int, halfwidth: float = RASTER_HALFWIDTH
-) -> np.ndarray:
-    """Grid points within the raster band of the cut locus (flat groups)."""
-    return classify_grid(group, p, resolution, halfwidth).points_in(Region.BOUNDARY)
 
 
 def fundamental_domain_area(

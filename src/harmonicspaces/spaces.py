@@ -52,19 +52,6 @@ _ROWS = {
 }
 
 
-class CutLocusKind(enum.Enum):
-    ANTIPODAL_POINT = "antipodal_point"
-    PROJECTIVE_HYPERPLANE = "projective_hyperplane"
-    SPHERE_7 = "sphere_7"
-    EMPTY = "empty"
-
-
-@dataclass(frozen=True)
-class CutLocusDescriptor:
-    kind: CutLocusKind
-    index: int | None = None  # hyperplane index k-1 when applicable
-
-
 @dataclass(frozen=True)
 class DensityProfile:
     sine_exponent: int
@@ -166,13 +153,6 @@ def parse_model_id(model_id: str) -> SpaceModel:
     raise UnsupportedModel("flat space has no hyperbolic dual id")  # hE<m>
 
 
-def hyperbolic_dual(model: SpaceModel) -> SpaceModel:
-    """The negative-curvature dual of a positive-curvature model."""
-    if model.curvature_sign != 1:
-        raise UnsupportedModel(f"{model} has no hyperbolic dual")
-    return parse_model_id("h" + model.model_id)
-
-
 def positive_dual(model: SpaceModel) -> SpaceModel:
     """The positive-curvature dual of a negative-curvature model."""
     if model.curvature_sign != -1:
@@ -240,11 +220,6 @@ def theta_array(model: SpaceModel, r):
     return np.asarray(r, dtype=float) ** a
 
 
-def theta_tilde(model: SpaceModel, r: float) -> float:
-    """Density with the flat factor removed; tends to 1 as r -> 0."""
-    return theta(model, r) / r ** (model.dimension - 1)
-
-
 def log_derivative_theta(model: SpaceModel, r: float) -> float:
     """d/dr log(theta), in closed form."""
     prof = check_radius(model, r)
@@ -308,19 +283,6 @@ def ball_volume(model: SpaceModel, radius: float) -> float:
     iv = Interval(0.0, radius, (True, radius == end))
     result = integrate(lambda r: theta(model, r), iv, tol=_VOLUME_TOL)
     return unit_sphere_volume(model.dimension - 1) * result.value
-
-
-def cut_locus(model: SpaceModel) -> CutLocusDescriptor:
-    """Cut locus of the simply connected model at the basepoint."""
-    if model.curvature_sign <= 0:
-        return CutLocusDescriptor(CutLocusKind.EMPTY)
-    if model.family is Family.SPHERE:
-        return CutLocusDescriptor(CutLocusKind.ANTIPODAL_POINT)
-    if model.family is Family.OCTONION_PLANE:
-        return CutLocusDescriptor(CutLocusKind.SPHERE_7)
-    return CutLocusDescriptor(
-        CutLocusKind.PROJECTIVE_HYPERPLANE, index=model.projective_index - 1
-    )
 
 
 def positive_curvature_catalogue(max_sphere_dim: int = 8) -> list[SpaceModel]:

@@ -60,23 +60,6 @@ def allowed_group_orders(model: SpaceModel) -> set[int]:
 
 
 @dataclass(frozen=True)
-class TopologyRecord:
-    model: SpaceModel
-    euler: int
-    signature: int | None
-    orientable_quotient_orders: frozenset[int]
-
-
-def topology_record(model: SpaceModel) -> TopologyRecord:
-    return TopologyRecord(
-        model,
-        euler_characteristic(model),
-        signature(model),
-        frozenset(allowed_group_orders(model)),
-    )
-
-
-@dataclass(frozen=True)
 class VolumeBoundReport:
     """Lower volume bounds for compact manifolds modeled on a
     negative-curvature rank-1 symmetric space."""

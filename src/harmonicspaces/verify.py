@@ -114,7 +114,7 @@ def _radius_gaps(group: quotients.DeckGroup, points) -> np.ndarray:
     ``translation_axes``, so no point is first moved to 0.
     """
     _, d_min, _ = quotients.orbit_distances(group, points, points)
-    closed = [quotients.injectivity_radius_closed(group, p).radius for p in points]
+    closed = [quotients.injectivity_radius_closed(group, p) for p in points]
     return np.abs(0.5 * d_min - closed)
 
 
@@ -131,7 +131,7 @@ def injectivity_checks(seed: int = 42) -> list[CheckResult]:
     for gid in ("rp", "lens", "cpq"):
         group = make_group(gid)
         got = quotients.injectivity_radius(group, group.basepoint()).radius
-        expected = quotients.injectivity_radius_closed(group, group.basepoint()).radius
+        expected = quotients.injectivity_radius_closed(group, group.basepoint())
         rows.append((gid, abs(got - expected), f"brute={got!r} expected={expected!r}"))
     return [
         CheckResult(f"injectivity {gid}", "PASS" if gap <= 1e-12 else "FAIL", detail)

@@ -569,6 +569,8 @@ def test_phi_table_numeric_residual_uses_tol(capsys):
         ["hS9", "0.5", "900", "2", "1.0", "--numeric-only"],
         # sinh^5 cosh of hCP3 leaves float64 past r = 140 without a raising power
         ["hCP3", "100", "141.5", "3", "120"],
+        # (r_max - r_min) * 2 leaves float64 while the grid is built
+        ["E2", "0.1", "1e308", "3", "1"],
     ],
 )
 def test_phi_table_overflow_is_usage_error(capsys, argv):
@@ -576,6 +578,7 @@ def test_phi_table_overflow_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "overflow float64" in err
+    assert "r=inf" not in err
     assert len(err.splitlines()) == 1
 
 
@@ -826,6 +829,25 @@ def test_svg_dots_draw_what_a_loop_of_dot_draws(centre):
             looped.dot(pt, radius=1.0, color="#1f3b70")
         assert batched._body == looped._body
         assert len(batched._body) == len(pts)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "S3", "--out", "{missing}/x.txt"],
+        ["bounds", "hS2", "--out", "{missing}/x.json"],
+        ["phi-table", "S3", "0.1", "1", "3", "0.5", "--out", "{missing}/x.csv"],
+        ["quotient", "torus", "0,0", "--resolution", "4", "--out", "{missing}/x.csv"],
+        ["quotient", "rp", "1,0,0", "--svg", "{missing}/x.svg"],
+        ["quotient", "rp", "1,0,0", "--svg", "{dir}"],
+    ],
+    ids=["verify", "bounds", "phi-table", "quotient-csv", "quotient-svg", "svg-is-a-dir"],
+)
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path}
+    code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_module_entry_point():

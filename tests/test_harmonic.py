@@ -33,6 +33,7 @@ from harmonicspaces.spaces import (
     hyperbolic_space,
     log_derivative_theta,
     parse_model_id,
+    positive_curvature_catalogue,
     sphere,
     theta,
     theta_array,
@@ -295,6 +296,33 @@ def test_classify_boundary():
     hs3 = classify_boundary(hyperbolic_space(3))
     assert hs3.at_far_end is BoundaryBehavior.NO_BOUNDARY
     assert hs3.at_origin is BoundaryBehavior.DIVERGENT
+
+
+#: Real dimension of the cut locus of a point, by id stem and projective
+#: index k (Besse, 1978): the antipode on S^m, CP^(k-1) in CP^k, HP^(k-1)
+#: in HP^k, and OP^1 = S^8 in the Cayley plane OP2.
+CUT_LOCUS_DIMENSION = {
+    "S": lambda k: 0,
+    "CP": lambda k: 2 * (k - 1),
+    "HP": lambda k: 4 * (k - 1),
+    "OP": lambda k: 8,
+}
+
+
+@pytest.mark.parametrize("model", positive_curvature_catalogue(), ids=str)
+def test_far_end_order_is_cut_locus_codimension_minus_one(model):
+    # the geodesic spheres about the basepoint collapse onto the cut locus,
+    # so theta vanishes there like (D - r)^(codim - 1)
+    stem = model.model_id.rstrip("0123456789")
+    codim = model.dimension - CUT_LOCUS_DIMENSION[stem](model.projective_index)
+    prof = model.density
+    end = prof.domain_end
+    order = prof.sine_exponent if end == math.pi else prof.cosine_exponent
+    assert order == codim - 1
+    # the same order, measured on theta itself one and two decades from D
+    slope = math.log10(theta(model, end - 1e-3) / theta(model, end - 1e-4))
+    assert abs(slope - order) < 1e-3
+    assert classify_boundary(model).at_far_end is BoundaryBehavior.DIVERGENT
 
 
 @pytest.mark.parametrize("mid", ["S3", "CP2", "hS2", "hS5", "hHP3"])

@@ -20,20 +20,21 @@ from harmonicspaces.quotients import (
     CPInvolutionGroup,
     KleinGroup,
     LensGroup,
+    REGION_TABLE,
     Region,
     SeededStream,
     TorusGroup,
     _grid_distances,
     _random_points,
     _row_norm,
-    ambient_distance,
     classify_grid,
     classify_points,
     cp_domain,
     cp_quotient_distance,
-    cut_locus_sample,
+    cproj_distances,
     flat_extension_is_radial,
     flat_extension_reflection_symmetric,
+    flat_distances,
     flat_harmonic_residual,
     flat_radial_extension,
     fundamental_domain_area,
@@ -47,6 +48,7 @@ from harmonicspaces.quotients import (
     lens_domain_volume_mc,
     orbit_distances,
     quotient_distance,
+    sphere_distances,
 )
 
 E1_S2 = np.array([1.0, 0.0, 0.0])
@@ -61,27 +63,25 @@ def unit(v):
 
 
 def test_flat_distance():
-    assert ambient_distance("flat", (0.0, 0.0), (3.0, 4.0)) == 5.0
+    assert flat_distances(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
 
 
 def test_sphere_distance():
     e1, e2 = np.eye(3)[0], np.eye(3)[1]
-    assert ambient_distance("sphere", e1, e2) == pytest.approx(math.pi / 2, abs=1e-15)
+    assert sphere_distances(e1, e2) == pytest.approx(math.pi / 2, abs=1e-15)
 
 
 def test_cproj_distance():
     p = unit(np.array([1, 0, 0, 0], dtype=complex))
     q = unit(np.array([1, 1, 0, 0], dtype=complex))
-    assert ambient_distance("cproj", p, q) == pytest.approx(math.pi / 4, abs=1e-12)
+    assert cproj_distances(p, q) == pytest.approx(math.pi / 4, abs=1e-12)
 
 
 def test_invalid_points_rejected():
-    with pytest.raises(InvalidPoint):
-        ambient_distance("sphere", np.array([1.0, 1.0, 0.0]), E1_S2)
-    with pytest.raises(InvalidPoint):
-        ambient_distance("flat", (1.0, 2.0, 3.0), (0.0, 0.0))
-    with pytest.raises(InvalidPoint):
-        ambient_distance("nope", (0, 0), (1, 1))
+    with pytest.raises(InvalidPoint, match="unit norm"):
+        quotient_distance(AntipodalGroup(m=2), np.array([1.0, 1.0, 0.0]), E1_S2)
+    with pytest.raises(InvalidPoint, match="expected 2 coordinates"):
+        quotient_distance(TorusGroup(), (1.0, 2.0, 3.0), (0.0, 0.0))
 
 
 # --- quotient distances
@@ -253,7 +253,7 @@ def test_injectivity_minimizer_is_first_of_exact_ties(group, x, y):
         expected = (-1, 0)
     rep = injectivity_radius(group, (x, y))
     assert rep.minimizer == expected
-    closed = injectivity_radius_closed(group, (x, y)).radius
+    closed = injectivity_radius_closed(group, (x, y))
     assert rep.radius == pytest.approx(closed, rel=0, abs=1e-12)
 
 
@@ -303,10 +303,7 @@ def test_brute_force_report_agrees_with_closed_form_report():
     ]
     for group, p in cases:
         brute = injectivity_radius(group, p)
-        closed = injectivity_radius_closed(group, p)
-        assert brute.method == "brute_force"
-        assert closed.method == "closed_form"
-        assert abs(brute.radius - closed.radius) <= 1e-12
+        assert abs(brute.radius - injectivity_radius_closed(group, p)) <= 1e-12
 
 
 # --- fundamental domains
@@ -361,7 +358,7 @@ def test_interior_iff_identity_realizes_distance():
         region = in_fundamental_domain(torus, p, q)
         if region is Region.BOUNDARY:
             continue
-        identity_realizes = ambient_distance("flat", p, q) <= quotient_distance(
+        identity_realizes = flat_distances(p, q) <= quotient_distance(
             torus, p, q
         ) + 1e-15
         assert identity_realizes == (region is Region.INTERIOR)
@@ -374,7 +371,7 @@ def test_projection_isometry_on_interior():
     for _ in range(100):
         q = rng.uniform(-0.49, 0.49, size=2)
         if in_fundamental_domain(torus, p, q) is Region.INTERIOR:
-            assert quotient_distance(torus, p, q) == ambient_distance("flat", p, q)
+            assert quotient_distance(torus, p, q) == flat_distances(p, q)
 
 
 def _brute_force_orbit_min(group, p, qs):
@@ -602,7 +599,7 @@ E1_C4 = CPInvolutionGroup().basepoint()
         lambda: in_fundamental_domain(TorusGroup(), (0.0, 0.0), (math.inf, 0.0)),
         lambda: lens_domain(NAN4),
         lambda: cp_domain(NAN4),
-        lambda: ambient_distance("sphere", E1_S2, [0.0, -math.inf, 0.0]),
+        lambda: quotient_distance(AntipodalGroup(m=2), E1_S2, [0.0, -math.inf, 0.0]),
         lambda: classify_points(TorusGroup(), (0.0, 0.0), [(0.1, 0.2), (math.nan, 0.0)]),
         lambda: classify_points(KleinGroup(), (0.0, -math.inf), [(0.1, 0.2)]),
         lambda: classify_points(LensGroup(), LensGroup().basepoint(), [NAN4]),
@@ -693,8 +690,8 @@ def test_cp_quotient_distance_against_orbit_oracle():
     for _ in range(100):
         z = unit(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         brute = min(
-            ambient_distance("cproj", base, z),
-            ambient_distance("cproj", base, cpq.apply("T", z)),
+            cproj_distances(base, z),
+            cproj_distances(base, cpq.apply("T", z)),
         )
         assert cp_quotient_distance(z) == pytest.approx(brute, abs=1e-12)
 
@@ -815,7 +812,7 @@ def test_selfcheck_names_the_violated_identity(group, message):
 
 def test_torus_cut_locus_is_unit_square_boundary():
     torus = TorusGroup()
-    pts = cut_locus_sample(torus, (0.0, 0.0), 400)
+    pts = classify_grid(torus, (0.0, 0.0), 400).points_in(Region.BOUNDARY)
     assert len(pts) > 0
     tol = 2.0 * (3.0 / 400.0)
     edge = np.max(np.abs(pts), axis=1)
@@ -824,14 +821,14 @@ def test_torus_cut_locus_is_unit_square_boundary():
 
 def test_klein_cut_locus_origin():
     klein = KleinGroup()
-    pts = cut_locus_sample(klein, (0.0, 0.0), 300)
+    pts = classify_grid(klein, (0.0, 0.0), 300).points_in(Region.BOUNDARY)
     # the locus converges to the lines x = +-1/2
     assert np.all(np.abs(np.abs(pts[:, 0]) - 0.5) <= 0.05)
 
 
 def test_klein_cut_locus_shifted_basepoint():
     klein = KleinGroup()
-    pts = cut_locus_sample(klein, (0.0, 1.0), 300)
+    pts = classify_grid(klein, (0.0, 1.0), 300).points_in(Region.BOUNDARY)
     on_glide_line = [p for p in pts if abs(1.0 + 2.0 * p[0] + 4.0 * p[1]) < 0.1]
     near_vertical = [p for p in pts if abs(p[0] - 1.0) < 0.05]
     assert on_glide_line, "expected samples near 1 + 2x + 4ay = 0"
@@ -840,7 +837,7 @@ def test_klein_cut_locus_shifted_basepoint():
 
 def test_cut_locus_requires_flat_group():
     with pytest.raises(UnsupportedModel):
-        cut_locus_sample(LensGroup(), np.array([1.0, 0, 0, 0]), 50)
+        classify_grid(LensGroup(), np.array([1.0, 0, 0, 0]), 50)
 
 
 def test_torus_fundamental_domain_area():
@@ -856,7 +853,7 @@ def test_classify_grid_refuses_a_basepoint_past_float_resolution(p):
     with pytest.raises(DomainViolation, match="too far out for raster spacing 0.005"):
         fundamental_domain_area(TorusGroup(), p, 400)
     with pytest.raises(DomainViolation, match="too far out"):
-        cut_locus_sample(KleinGroup(), p, 400)
+        classify_grid(KleinGroup(), p, 400)
 
 
 def _grid_reference(group, p, points):
@@ -902,7 +899,7 @@ def test_grid_kernel_matches_elementwise_orbit_search(group, res, x, y, analytic
         np.abs(orb_id - (orb_min + tol)), np.abs(orb_id - (orb_min - tol))
     ) <= 1e-12
     regions = classify_points(group, p, grid.points, tol)
-    assert np.array_equal(grid.regions[~on_threshold], regions[~on_threshold])
+    assert np.array_equal(REGION_TABLE[grid.codes][~on_threshold], regions[~on_threshold])
 
 
 @pytest.mark.parametrize("group", [TorusGroup(), KleinGroup()], ids=["torus", "klein"])
@@ -933,7 +930,7 @@ def test_classify_grid_runs_without_orbit_distances(monkeypatch):
 
     monkeypatch.setattr(quotients, "orbit_distances", refuse)
     for group, regions in zip(groups, expected):
-        assert np.array_equal(classify_grid(group, (0.2, 0.1), 50).regions, regions)
+        assert np.array_equal(REGION_TABLE[classify_grid(group, (0.2, 0.1), 50).codes], regions)
     with pytest.raises(AssertionError, match="called orbit_distances"):
         classify_points(TorusGroup(), (0.2, 0.1), [(0.0, 0.0)])
 

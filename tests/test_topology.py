@@ -12,7 +12,6 @@ from harmonicspaces.topology import (
     allowed_group_orders,
     euler_characteristic,
     signature,
-    topology_record,
     volume_bounds,
 )
 
@@ -53,6 +52,7 @@ def test_characteristic_numbers_need_positive_curvature():
 
 
 def test_allowed_group_orders():
+    assert allowed_group_orders(parse_model_id("CP2")) == {1}
     assert allowed_group_orders(parse_model_id("CP4")) == {1}
     assert allowed_group_orders(parse_model_id("CP3")) == {1, 2}
     assert allowed_group_orders(parse_model_id("HP2")) == {1}
@@ -61,12 +61,6 @@ def test_allowed_group_orders():
     assert allowed_group_orders(parse_model_id("S6")) == {1, 2}
     with pytest.raises(UnsupportedModel):
         allowed_group_orders(parse_model_id("S5"))
-
-
-def test_topology_record():
-    rec = topology_record(parse_model_id("CP2"))
-    assert rec.euler == 3 and rec.signature == 1
-    assert rec.orientable_quotient_orders == frozenset({1})
 
 
 def test_gauss_bonnet_bounds():

@@ -105,7 +105,7 @@ def test_batched_injectivity_gaps_equal_per_point_gaps(seed):
         # one injectivity_radius call per basepoint, moved to 0 along the
         # group's translation axes
         brute = quotients.injectivity_radius(group, p).radius
-        return abs(brute - quotients.injectivity_radius_closed(group, p).radius)
+        return abs(brute - quotients.injectivity_radius_closed(group, p))
 
     # the basepoints injectivity_checks draws for this seed
     torus_points = quotients.SeededStream(seed).uniform(-1.0, 1.0, (20, 2))
