@@ -12,11 +12,13 @@ reads, and its parsed arguments are the configuration every output echoes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
+from typing import TextIO
 
 import numpy as np
 
@@ -52,15 +54,17 @@ def _fmt(value: float | None, precision: int) -> str:
     return f"{value:.{precision}g}"
 
 
-def _write_text(path: str | None, text: str, rows: Iterable[str] = ()) -> None:
-    """Write text and then each string of rows to path, or to stdout."""
+def _opened(stack: contextlib.ExitStack, path: str | None) -> TextIO:
+    """path opened for writing and closed with stack, or stdout for None."""
     if path is None:
-        sys.stdout.write(text)
-        sys.stdout.writelines(rows)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.writelines(rows)
+        return sys.stdout
+    return stack.enter_context(open(path, "w", encoding="utf-8"))
+
+
+def _write_text(path: str | None, text: str) -> None:
+    """Write text to path, or to stdout."""
+    with contextlib.ExitStack() as stack:
+        _opened(stack, path).write(text)
 
 
 # --- phi-table ---------------------------------------------------------------
@@ -90,25 +94,21 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
             f"the grid of {args.n} points on [{args.r_min}, {args.r_max}] would "
             f"overflow float64: (r_max - r_min) * {args.n - 1} is inf"
         )
-    if closed:
-        # the grid was checked above; derivative's guard keeps stencils inside
-        phi0_fn = harmonic.closed_form(model)
-    else:
-        phi0_fn = lambda r: harmonic.phi0_numeric(model, r, args.r_ref, tol=args.tol)
+    # the grid was checked above; derivative's guard keeps stencils inside
+    form = harmonic.closed_form(model) if closed else None
     lines = [_config_line(args)]
     lines.append("r,theta,phi1,phi0_closed,phi0_numeric_diff,laplacian_residual")
     try:
-        for r in grid:
-            phi0_val = phi0_fn(r) if closed else None
-            residual = harmonic.harmonicity_residual(model, phi0_fn, r)
+        diffs, residuals = harmonic.phi0_table(model, grid, args.r_ref, tol=args.tol)
+        for r, diff, residual in zip(grid, diffs, residuals):
             lines.append(
                 ",".join(
                     (
                         _fmt(r, p),
                         _fmt(theta(model, r), p),
                         _fmt(harmonic.phi1(model, r), p),
-                        _fmt(phi0_val, p),
-                        _fmt(harmonic.phi0_numeric(model, r, args.r_ref, tol=args.tol), p),
+                        _fmt(form(r) if closed else None, p),
+                        _fmt(diff, p),
                         f"{residual:.3e}",
                     )
                 )
@@ -274,11 +274,17 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     if grid is not None:
         lines.append("x,y,class")
         rows = _raster_rows(grid, res, p)
-    _write_text(args.out, "\n".join(lines) + "\n", rows)
-    if args.svg is not None:
-        path = args.svg if args.svg != "" else f"quotient_{args.group}.svg"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_quotient_svg(group, base, grid, config_line))
+    with contextlib.ExitStack() as stack:
+        # every output is opened before a byte is written, so a path that
+        # cannot be written leaves no output that looks like a result
+        out = _opened(stack, args.out)
+        svg = None
+        if args.svg is not None:
+            svg = _opened(stack, args.svg or f"quotient_{args.group}.svg")
+        out.write("\n".join(lines) + "\n")
+        out.writelines(rows)
+        if svg is not None:
+            svg.write(_quotient_svg(group, base, grid, config_line))
     return 0
 
 

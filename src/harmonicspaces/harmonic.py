@@ -393,25 +393,79 @@ def phi0_numeric(
     return value if r > r_ref else -value
 
 
-def laplacian_radial(model: SpaceModel, f: Callable[[float], float], r: float) -> float:
-    """Radial Laplace-Beltrami operator -(f'' + (log theta)' f') at r.
-
-    Both derivatives come from ``numerics.derivative``; for phi0 the
-    returned value is a residual near zero.
-    """
+def _radial_terms(model: SpaceModel, f, r):
+    """f'' and (log theta)' f' at r, the two terms of the radial Laplacian,
+    from ``numerics.derivative``; elementwise when r is a 1-D numpy array."""
     iv = domain(model)
     fp = derivative(f, r, 1, interval=iv)
     fpp = derivative(f, r, 2, interval=iv)
-    return -(fpp + log_derivative_theta(model, r) * fp)
+    return fpp, log_derivative_theta(model, r) * fp
 
 
-def harmonicity_residual(model: SpaceModel, f: Callable[[float], float], r: float) -> float:
-    """|radial Laplacian| scaled by max(1, phi1).
+def laplacian_radial(model: SpaceModel, f: Callable[[float], float], r):
+    """Radial Laplace-Beltrami operator -(f'' + (log theta)' f') at r.
 
-    phi1 is the natural magnitude of the two cancelling terms; on rows with
-    order-one values the scale is 1 and this is the raw residual.
+    Both derivatives come from ``numerics.derivative``; for phi0 the
+    returned value is a residual near zero.  ``r`` may be a 1-D numpy array,
+    and ``f`` is then called on arrays of radii, as ``derivative`` does.
     """
-    return abs(laplacian_radial(model, f, r)) / max(1.0, abs(phi1(model, r)))
+    fpp, drift = _radial_terms(model, f, r)
+    return -(fpp + drift)
+
+
+def harmonicity_residual(model: SpaceModel, f: Callable[[float], float], r):
+    """|radial Laplacian| scaled by max(1, |f''| + |(log theta)' f'|).
+
+    For phi0 the two terms cancel, and the scale is their own size: near
+    the origin both are about (m-1)/r times phi1.  On rows whose terms are
+    of order one the scale is 1 and this is the raw residual.  ``r`` may
+    be a 1-D numpy array, as in ``laplacian_radial``.
+    """
+    fpp, drift = _radial_terms(model, f, r)
+    size = abs(fpp) + abs(drift)
+    if getattr(r, "ndim", 0) == 0:
+        return abs(fpp + drift) / max(1.0, size)
+    import numpy as np  # here, so that the float path does not load numpy
+
+    return abs(fpp + drift) / np.maximum(1.0, size)
+
+
+def phi0_table(
+    model: SpaceModel, rs: list[float], r_ref: float, tol: float = DEFAULT_TOL
+) -> tuple[list[float], list[float]]:
+    """phi-table's two computed columns at the radii rs, in three grid passes.
+
+    The first is phi0(r) - phi0(r_ref) by ``phi0_numeric_grid``, and the
+    second ``harmonicity_residual`` of phi0 at each r, from one array
+    ``derivative`` per order: of the closed form, or where there is none of
+    the quadrature phi0 from r_ref at tol, with ``phi0_numeric_grid`` on
+    all the stencil points at once.  Where this array pass overflows or is
+    not finite, the points are taken one at a time by the scalar functions,
+    which raise what the scalar path raises.
+    """
+    import numpy as np  # here, so that importing harmonic does not load numpy
+
+    if has_closed_form(model):
+        scalar_phi0 = form = closed_form(model)
+        array_phi0 = lambda x: form(x, np)
+    else:
+        scalar_phi0 = lambda r: phi0_numeric(model, r, r_ref, tol)
+
+        def array_phi0(x):
+            values = phi0_numeric_grid(model, x.ravel().tolist(), r_ref, tol)
+            return np.reshape(values, x.shape)
+
+    radii = np.array(rs, dtype=float)
+    try:
+        with np.errstate(all="ignore"):
+            residuals = harmonicity_residual(model, array_phi0, radii)
+        redo = ~np.isfinite(residuals)
+    except OverflowError:
+        residuals, redo = np.empty(len(rs)), np.ones(len(rs), dtype=bool)
+    residuals[redo] = [
+        harmonicity_residual(model, scalar_phi0, r) for r in radii[redo].tolist()
+    ]
+    return phi0_numeric_grid(model, rs, r_ref, tol), residuals.tolist()
 
 
 class BoundaryBehavior(enum.Enum):

@@ -418,32 +418,6 @@ def klein_fundamental_region(a: float, q) -> bool:
     )
 
 
-def lens_domain(q) -> bool:
-    """Open fundamental domain of the lens quotient at e1: x1 > |x2|."""
-    v = _validate_points("sphere", q)
-    return bool(v[0] > abs(v[1]))
-
-
-def cp_quotient_distance(z) -> float:
-    """Distance from the basepoint orbit in CP^(2k+1)/Z_2.
-
-    The orbit of <e1> sees <z> at arccos|z1| (identity) and arccos|z2|
-    (the involution), so the quotient distance is the smaller of the two,
-    arccos(max(|z1|, |z2|)); a circulated closed form uses the smaller
-    modulus instead, which fails the two-element orbit oracle already at
-    the basepoint.  Verified against the brute-force orbit minimum.
-    """
-    v = _validate_points("cproj", z)
-    return math.acos(min(1.0, max(abs(complex(v[0])), abs(complex(v[1])))))
-
-
-def cp_domain(z) -> bool:
-    """Open fundamental domain of the projective involution at <e1>:
-    |z2| < |z1|."""
-    v = _validate_points("cproj", z)
-    return bool(abs(complex(v[1])) < abs(complex(v[0])))
-
-
 # --- self checks --------------------------------------------------------------
 
 

@@ -220,14 +220,20 @@ def theta_array(model: SpaceModel, r):
     return np.asarray(r, dtype=float) ** a
 
 
-def log_derivative_theta(model: SpaceModel, r: float) -> float:
-    """d/dr log(theta), in closed form."""
-    prof = check_radius(model, r)
+def log_derivative_theta(model: SpaceModel, r):
+    """d/dr log(theta), in closed form.  ``r`` may be a 1-D numpy array of
+    radii instead of a float, each checked, and the value is elementwise."""
+    if getattr(r, "ndim", 0) == 0:
+        prof, m = check_radius(model, r), math
+    else:
+        import numpy as m  # here, so that the float path does not load numpy
+
+        prof = check_radius(model, *r.tolist())
     a, b = prof.sine_exponent, prof.cosine_exponent
     if prof.curvature_sign > 0:
-        return a / math.tan(r) - b * math.tan(r)
+        return a / m.tan(r) - b * m.tan(r)
     if prof.curvature_sign < 0:
-        return a / math.tanh(r) + b * math.tanh(r)
+        return a / m.tanh(r) + b * m.tanh(r)
     return a / r
 
 
@@ -262,12 +268,28 @@ _VOLUME_TOL = 1e-11
 
 
 def model_volume(model: SpaceModel) -> float:
-    """Total volume of a compact (positive-curvature) model."""
+    """Total volume of a compact (positive-curvature) model, exactly.
+
+    The integral of sin^a cos^b over (0, pi/2) is B((a+1)/2, (b+1)/2) / 2,
+    and a sphere's integral of sin^a over (0, pi) is twice that with b = 0,
+    so the volume is unit_sphere_volume(m - 1) times a ratio of
+    ``gamma_half_integer`` values (Besse, 1978).  OverflowError where a
+    factor leaves float64, which a plain quotient would turn into 0.0 or nan.
+    """
     if model.curvature_sign != 1:
         raise UnsupportedModel(
             f"{model} is not compact; use ball_volume with an explicit radius"
         )
-    return ball_volume(model, domain_end(model))
+    # first, so that a dimension beyond float64 stops before the Gamma recursion
+    sphere_volume = unit_sphere_volume(model.dimension - 1)
+    prof = model.density
+    a, b = prof.sine_exponent, prof.cosine_exponent
+    beta = gamma_half_integer(a + 1) * gamma_half_integer(b + 1) / gamma_half_integer(a + b + 2)
+    # b = 0 on the spheres only, whose domain (0, pi) holds two quarter periods
+    volume = sphere_volume * (beta if b == 0 else 0.5 * beta)
+    if not 0.0 < volume < math.inf:
+        raise OverflowError(f"the volume of {model} has a Gamma factor outside float64")
+    return volume
 
 
 def ball_volume(model: SpaceModel, radius: float) -> float:

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmonicspaces import harmonic, spaces
 from harmonicspaces.cli import build_parser, main
-from harmonicspaces.harmonic import harmonicity_residual, phi0_numeric
 from harmonicspaces.quotients import classify_grid, classify_points
 from harmonicspaces.spaces import parse_model_id
 from harmonicspaces.verify import make_group
@@ -316,23 +316,23 @@ def test_quotient_outputs_pinned_at_resolution_400(
     [
         (
             ["phi-table", "S3", "0.3", "1.5", "5", "0.7854"],
-            "75c445a06dec28698e3c3b19fd380a0759a31f13edc8a165192de8cc610ba7b8",
+            "de35093c95984277e7103483b80c178361572a8e8232d9a8e86172f0f256aa4f",
         ),
         (
             ["phi-table", "hHP3", "0.3", "2.5", "5", "1.0"],
-            "5b83e8a4184b7ea532dc7230e84f41d2d940fbf5e5222259b59f3b306ddd6c6c",
+            "845a23b4e1eddbb8a3bae34cd5785b68829e3fd11ee2226c19947c89e1defde0",
         ),
         (
             ["phi-table", "OP2", "0.2", "1.3", "5", "0.7"],
-            "a836b82a9db8b49e5ae581f4aaa93cf78c881e066bc8dbc5d2c1a38300d36032",
+            "e2bb44b682b2509ef9b7c05efa981ddc5893e124cd7458e8dfe3c052cd2f3ae9",
         ),
         (
             ["phi-table", "E4", "0.5", "2", "4", "1.0"],
-            "c84deebf905352d2301d46ef5c858090a247dbcfb5f985a79435ea27cf85a3d7",
+            "55916c77226c6796020f4b8c707db8c1311b0dd1719937944774514bb255f22a",
         ),
         (
             ["phi-table", "S9", "0.3", "1.5", "4", "0.7854", "--numeric-only"],
-            "b4363c0a73897f051222cafd2c359e1e945b66ad543106263ba9d0ad712a3c00",
+            "e191be56b626930646c8dc96c1f0a35ccbfff7a512525958d8f10ced24ff6bd3",
         ),
         (["verify", "S3"], "766552a0aa5824e080cb0be2ec60a92d9948b3fc4e8e2b27b456ceac00cc9274"),
         (["verify", "hHP3"], "f6939f62409a6ac5f4274423a62428e1b9b7e736186ddd8e7086c783275b080f"),
@@ -350,18 +350,18 @@ def test_quotient_outputs_pinned_at_resolution_400(
         ),
         (
             ["bounds", "hCP2", "--orientable", "false"],
-            "0392720c1f9847f133e962a2b35fab8415aed7684a3edfa288772ee8119b51c3",
+            "05a59411749677bbb30a43b7e2e994b7687336de268f04fd08d05b6428d32981",
         ),
-        (["bounds", "hHP3"], "ec58baf9782550b54e473817fe04ad1015c602a6631807adb0b9679113d4a1c3"),
+        (["bounds", "hHP3"], "554f9f79723fe4bf7ee5f0b77aa3d4bc42f086849d5c35abd238e50e8be2e737"),
         (["bounds", "hOP2"], "7be3d7cfbdd0ed9552c4275ad058a9a0fb4018e693c4d2a2b0c680b71f864ed1"),
-        (["bounds", "hS2"], "8409768646e97b99bc520b80c00c2db422471406d79db8ce449eb24702252e6d"),
-        (["bounds", "hS4"], "b767a0bd8aa7ac13bd9311857f482bae27199e832276ce212defdad9595ff5af"),
+        (["bounds", "hS2"], "92cb3ead1bb13b42cb5030d54ea1ec531570f7577ac54ef58216cddf392e7545"),
+        (["bounds", "hS4"], "c2d14a2992ac78cd3c33fc9ad8195993e58f3b01c67d90e875fc11691de28aee"),
         (["bounds", "hS6"], "442ff5fcbe39967fd375ea2d2b27e4b5e59de75c5c18cd9c08da2bc554ba94a4"),
-        (["bounds", "hS8"], "f75213b02e26f150263a3d90897d5438086ecf08f187e4234b0547b99d4244ff"),
-        (["bounds", "hCP1"], "8314c57bf91f9f49e44ad2e1ee5f37b0bcee0f315ad7794fcb59fe85e7d66365"),
-        (["bounds", "hCP3"], "cc1b5fe3d2a60b5960002674bd639eb6538bdc9f62d67b19c7d56f55283b620f"),
-        (["bounds", "hCP4"], "8ef12d485cb83bb966a57a9d7259cb6bf97fd29635312ede4116741c164d25ba"),
-        (["bounds", "hHP2"], "af2656cbb3723646e7e60f800afe169459bc1a53edd9aa3cd8d93262a46ca81b"),
+        (["bounds", "hS8"], "3a13b9b6e6215f20afe3fa37dd9e72cb53712bcd56efb1e0753d25988f5928b0"),
+        (["bounds", "hCP1"], "e19cf836b3e07dee02c48fee2bacf27c72c092539ba25f7bbe3b9b20df1e7b1e"),
+        (["bounds", "hCP3"], "f9a8209b7466ff9ef18b4090f344b4f67d0602ee452698791ccf103cb10efc76"),
+        (["bounds", "hCP4"], "c5fcaf70634abd47be945b665bf4c025f14378a614a7c87676654bfd45737f83"),
+        (["bounds", "hHP2"], "c78e689ecdd62fdee57bf95ee6fcbc67d3a29ec5aa95f0e4d7b5ae6b3ac9d1f4"),
         (["bounds", "hHP4"], "085a27b2d987054cc04abc6dbb9a84376eb44020350e17bb7818762da6ea2d7a"),
     ],
     ids=[
@@ -393,7 +393,12 @@ def test_phi_table_and_verify_outputs_pinned(capsys, argv, digest):
     # per row: only the residuals of HP3, HP4, the eleven hyperbolic rows and
     # E5 moved, where numpy's elementary functions round apart from libm's.
     # verify-all-30000 was captured while the samples came from numpy's
-    # Generator: verify all prints only analytic constants of its samples
+    # Generator: verify all prints only analytic constants of its samples.
+    # The five phi digests were re-captured when the residual column became
+    # one array derivative per order, scaled by the Laplacian's own terms:
+    # only laplacian_residual values moved.  Nine bounds digests were
+    # re-captured when the volumes became Beta functions: only dual_volume,
+    # gb_bound and sig_bound moved, within 2 ulps (hCP1 now reads pi)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -548,17 +553,70 @@ def test_phi_table_point_count_is_capped(capsys, n):
     assert err == f"error: n must be in 1..100000, got {n}\n"
 
 
-def test_phi_table_numeric_residual_uses_tol(capsys):
+def test_phi_table_numeric_residual_uses_tol(capsys, monkeypatch):
+    # the residual column is the library's array residual of the quadrature
+    # phi0, and each of the table's three grid passes runs at --tol.  The
+    # column alone cannot show the tol: a quadrature error shared by a row's
+    # stencil cancels in its differences, and this column reads the same at
+    # tol 1e-10, so the tol is checked where the grid passes receive it
     model = parse_model_id("S9")
+    grid_pass, tols = harmonic.phi0_numeric_grid, []
+
+    def recording(model, rs, r_ref, tol):
+        tols.append(tol)
+        return grid_pass(model, rs, r_ref, tol)
+
+    monkeypatch.setattr(harmonic, "phi0_numeric_grid", recording)
     code, out, _ = run_cli(
         capsys, "phi-table", "S9", "0.3", "1.5", "4", "0.7854",
         "--numeric-only", "--tol", "1e-4",
     )
     assert code == 0
+    assert tols == [1e-4] * 3
     column = [row.split(",")[-1] for row in out.strip().splitlines()[2:]]
-    phi0 = lambda r: phi0_numeric(model, r, 0.7854, tol=1e-4)
     grid = [0.3 + (1.5 - 0.3) * i / 3 for i in range(4)]
-    assert column == [f"{harmonicity_residual(model, phi0, r):.3e}" for r in grid]
+    _, residuals = harmonic.phi0_table(model, grid, 0.7854, tol=1e-4)
+    assert column == [f"{residual:.3e}" for residual in residuals]
+
+
+def _count_work(monkeypatch, module):
+    """Count the scalar integrate calls and the array density points that
+    ``module`` asks for; a dict read after the run."""
+    counts = {"integrate": 0, "array_points": 0}
+    integrate, theta_array = module.integrate, spaces.theta_array
+
+    def counting_integrate(*args, **kwargs):
+        counts["integrate"] += 1
+        return integrate(*args, **kwargs)
+
+    def counting_theta_array(model, r):
+        counts["array_points"] += r.size
+        return theta_array(model, r)
+
+    monkeypatch.setattr(module, "integrate", counting_integrate)
+    monkeypatch.setattr(module, "theta_array", counting_theta_array)
+    return counts
+
+
+def test_numeric_phi_table_work_bounded(capsys, monkeypatch):
+    # deterministic work gate: the 25-row table is three grid passes (3,750
+    # density points, every first panel kept); one scalar integrate per
+    # stencil point made 250 calls
+    counts = _count_work(monkeypatch, harmonic)
+    code, _, _ = run_cli(
+        capsys, "phi-table", "S9", "0.3", "1.5", "25", "0.7854", "--numeric-only"
+    )
+    assert code == 0
+    assert counts["integrate"] <= 5
+    assert 0 < counts["array_points"] < 5_000
+
+
+def test_bounds_integrates_nothing(capsys, monkeypatch):
+    # the dual's volume is a Beta function, not a quadrature of theta
+    counts = _count_work(monkeypatch, spaces)
+    code, _, _ = run_cli(capsys, "bounds", "hOP2")
+    assert code == 0
+    assert counts == {"integrate": 0, "array_points": 0}
 
 
 @pytest.mark.parametrize(
@@ -848,6 +906,30 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
     code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quotient", "torus", "0,0", "--resolution", "4", "--svg", "{missing}/x.svg"],
+        ["quotient", "rp", "1,0,0", "--svg", "{dir}"],
+    ],
+    ids=["flat-missing-dir", "curved-svg-is-a-dir"],
+)
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_failed_svg_leaves_no_csv(capsys, tmp_path, argv, to_file):
+    # every output is opened before any byte is written: a failed run must
+    # not leave a CSV that looks like a result, on stdout or in --out
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path}
+    argv = [arg.format(**paths) for arg in argv]
+    csv = tmp_path / "q.csv"
+    if to_file:
+        argv += ["--out", str(csv)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert out == ""
+    assert not csv.exists() or csv.read_text() == ""
 
 
 def test_module_entry_point():

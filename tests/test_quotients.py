@@ -27,10 +27,9 @@ from harmonicspaces.quotients import (
     _grid_distances,
     _random_points,
     _row_norm,
+    _validate_points,
     classify_grid,
     classify_points,
-    cp_domain,
-    cp_quotient_distance,
     cproj_distances,
     flat_extension_is_radial,
     flat_extension_reflection_symmetric,
@@ -44,7 +43,6 @@ from harmonicspaces.quotients import (
     injectivity_radius_closed,
     klein_fundamental_region,
     klein_injectivity_closed,
-    lens_domain,
     lens_domain_volume_mc,
     orbit_distances,
     quotient_distance,
@@ -52,6 +50,36 @@ from harmonicspaces.quotients import (
 )
 
 E1_S2 = np.array([1.0, 0.0, 0.0])
+
+
+# Closed-form fundamental domains and distances, independent of the orbit
+# search, that the tests hold classify_points and the orbit distances to.
+
+
+def lens_domain(q) -> bool:
+    """Open fundamental domain of the lens quotient at e1: x1 > |x2|."""
+    v = _validate_points("sphere", q)
+    return bool(v[0] > abs(v[1]))
+
+
+def cp_quotient_distance(z) -> float:
+    """Distance from the basepoint orbit in CP^(2k+1)/Z_2.
+
+    The orbit of <e1> sees <z> at arccos|z1| (identity) and arccos|z2|
+    (the involution), so the quotient distance is the smaller of the two,
+    arccos(max(|z1|, |z2|)); a circulated closed form uses the smaller
+    modulus instead, which fails the two-element orbit oracle already at
+    the basepoint.
+    """
+    v = _validate_points("cproj", z)
+    return math.acos(min(1.0, max(abs(complex(v[0])), abs(complex(v[1])))))
+
+
+def cp_domain(z) -> bool:
+    """Open fundamental domain of the projective involution at <e1>:
+    |z2| < |z1|."""
+    v = _validate_points("cproj", z)
+    return bool(abs(complex(v[1])) < abs(complex(v[0])))
 
 
 def unit(v):

@@ -154,8 +154,9 @@ def test_projective_volumes_closed_forms():
 
 
 def test_model_volume_theta_calls_bounded(monkeypatch):
-    # the volume integrals of the whole catalogue take 9,675 theta calls
-    # (80,145 when open ends were approached by a geometric march)
+    # the volumes are Beta functions and evaluate no density; the ball
+    # quadrature of the whole catalogue to the diameter takes 9,675 theta
+    # calls (80,145 when open ends were approached by a geometric march)
     calls = 0
     real_theta = spaces.theta
 
@@ -167,6 +168,9 @@ def test_model_volume_theta_calls_bounded(monkeypatch):
     monkeypatch.setattr(spaces, "theta", counted)
     for model in positive_curvature_catalogue():
         model_volume(model)
+    assert calls == 0
+    for model in positive_curvature_catalogue():
+        ball_volume(model, domain_end(model))
     assert 0 < calls < 15_000
 
 
@@ -345,5 +349,15 @@ def test_density_resolved_once_per_model():
 
 
 def test_model_volume_is_ball_of_diameter():
-    for model in (sphere(3), complex_projective(2), octonion_plane()):
-        assert model_volume(model) == ball_volume(model, domain_end(model))
+    # the Beta-function volume against the quadrature of theta over (0, D)
+    for model in positive_curvature_catalogue():
+        exact = model_volume(model)
+        assert abs(exact - ball_volume(model, domain_end(model))) <= 1e-12 * exact, model
+
+
+@pytest.mark.parametrize("model_id", ["S343", "CP171", "HP85"])
+def test_model_volume_gamma_overflow_raises(model_id):
+    # Gamma((a+b+2)/2) is beyond float64 here, so a plain ratio would read 0.0
+    model = parse_model_id(model_id)
+    with pytest.raises(OverflowError, match=f"^the volume of {model_id} has a Gamma factor"):
+        model_volume(model)

@@ -116,7 +116,7 @@ def test_bound_ratios_exact():
 
 
 def test_volume_bounds_integrates_once(monkeypatch):
-    # the dual's volume is one open-interval quadrature; both bounds share it
+    # the dual's volume is computed once (a Beta function); both bounds share it
     calls = []
 
     def counted(model):
