@@ -24,7 +24,8 @@ import numpy as np
 
 from . import harmonic, quotients, topology, verify as verify_mod
 from .errors import DomainViolation, HarmonicSpacesError, UnsupportedModel
-from .spaces import check_radius, parse_model_id, theta
+from .numerics import stencil_nearest
+from .spaces import check_radius, domain, parse_model_id, theta
 from .svgfig import SvgFigure
 
 USAGE_ERROR = 2
@@ -33,10 +34,13 @@ VERIFY_FAIL = 1
 MAX_TABLE_POINTS = 100_000
 #: A fixed cap on quotient raster points per axis.  The raster, its orbit
 #: distances and region codes cost about 33 bytes a cell, and the CSV is
-#: written a raster row at a time: 2000 per axis, 4M cells, peaks near
-#: 0.16 GB (peak RSS of ``quotient torus|klein 0.2,0.1 --resolution 2000``).
+#: written _WRITE_ROWS raster rows at a time: 2000 per axis, 4M cells, peaks
+#: near 0.16 GB (peak RSS 160 MB of ``quotient torus|klein 0.2,0.1
+#: --resolution 2000 --svg``, Python 3.11, numpy 2.4).
 MAX_RESOLUTION = 2000
 VERIFY_SEED = 42
+#: Raster rows per string that cmd_quotient hands to writelines.
+_WRITE_ROWS = 16
 
 
 def _run_config(args: argparse.Namespace) -> dict:
@@ -94,7 +98,17 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
             f"the grid of {args.n} points on [{args.r_min}, {args.r_max}] would "
             f"overflow float64: (r_max - r_min) * {args.n - 1} is inf"
         )
-    # the grid was checked above; derivative's guard keeps stencils inside
+    # the residual column differentiates at every grid point, with stencils
+    # that must stay inside the radial domain
+    iv = domain(model)
+    for name, r in (("r_min", grid[0]), ("r_max", grid[-1])):
+        nearest = stencil_nearest(r, iv)
+        if nearest != r:
+            raise DomainViolation(
+                f"{name}={r!r} is too near an end of the domain (0, {iv.hi}) of "
+                f"{model.model_id} for the residual column's finite differences; the "
+                f"nearest {name} they accept is {nearest!r}"
+            )
     form = harmonic.closed_form(model) if closed else None
     lines = [_config_line(args)]
     lines.append("r,theta,phi1,phi0_closed,phi0_numeric_diff,laplacian_residual")
@@ -198,7 +212,7 @@ def _normalized(v: np.ndarray, kind: str) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _quotient_svg(group, base, grid, config_line: str) -> str:
+def _quotient_svg(group, base, grid, res: int, config_line: str) -> str:
     fig = SvgFigure(metadata=config_line)
     if group.ambient == "flat":
         hw = quotients.RASTER_HALFWIDTH
@@ -206,9 +220,10 @@ def _quotient_svg(group, base, grid, config_line: str) -> str:
         fig.x_range = (cx - hw, cx + hw)
         fig.y_range = (cy - hw, cy + hw)
         assert grid is not None
-        boundary = grid.points_in(quotients.Region.BOUNDARY)
+        boundary = grid.cells_in(quotients.Region.BOUNDARY)
         stride = max(1, len(boundary) // 4000)
-        fig.dots(boundary[::stride], radius=1.0, color="#1f3b70")
+        xs, ys = grid.points[:res, 0], grid.points[::res, 1]
+        fig.dots(xs, ys, boundary[::stride], radius=1.0, color="#1f3b70")
         fig.dot((cx, cy), radius=3.0, color="#b02020")
         fig.text((cx + 0.05, cy + 0.05), "P")
     else:
@@ -236,21 +251,30 @@ def _quotient_svg(group, base, grid, config_line: str) -> str:
 
 
 def _raster_rows(grid, res: int, p: int) -> Iterator[str]:
-    """Yield the CSV lines of each raster row as one string.
+    """Yield the CSV lines of the raster, _WRITE_ROWS raster rows a string.
 
     The raster is a meshgrid: point k is (xs[k % res], ys[k // res]).  Each
-    x is followed by the suffix ",y,class" that its row and region code pick.
+    x is followed by the suffix ",y,class" that its row and region code pick,
+    so a run of equal codes along a row is one join of its xs.
     """
     xs = [_fmt(x, p) for x in grid.points[:res, 0]]
     ys = [_fmt(y, p) for y in grid.points[::res, 1]]
-    cells = [""] * (2 * res)
-    cells[0::2] = xs
-    for y, codes in zip(ys, grid.codes.reshape(res, res)):
-        suffixes = np.array(
-            [f",{y},{region.value}\n" for region in quotients.REGION_TABLE], dtype=object
-        )
-        cells[1::2] = suffixes[codes].tolist()
-        yield "".join(cells)
+    classes = [region.value for region in quotients.REGION_TABLE]
+    # a run starts at each row's first cell and wherever the code changes
+    starts = np.ones(len(grid.codes), dtype=bool)
+    np.not_equal(grid.codes[1:], grid.codes[:-1], out=starts[1:])
+    starts[::res] = True
+    ks = np.flatnonzero(starts)
+    ends = np.append(ks[1:], len(starts))
+    block, pieces = _WRITE_ROWS * res, []
+    for k, end, code in zip(ks.tolist(), ends.tolist(), grid.codes[ks].tolist()):
+        if k % block == 0 and pieces:
+            yield "".join(pieces)
+            pieces = []
+        row, a = divmod(k, res)
+        suffix = f",{ys[row]},{classes[code]}\n"
+        pieces.append(suffix.join(xs[a : a + end - k]) + suffix)
+    yield "".join(pieces)
 
 
 def cmd_quotient(args: argparse.Namespace) -> int:
@@ -284,7 +308,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
         out.write("\n".join(lines) + "\n")
         out.writelines(rows)
         if svg is not None:
-            svg.write(_quotient_svg(group, base, grid, config_line))
+            svg.write(_quotient_svg(group, base, grid, res, config_line))
     return 0
 
 

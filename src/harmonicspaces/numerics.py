@@ -182,6 +182,10 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float = DEFAULT_TO
     raise NonConvergence(f"integral over [{a}, {b}] is not finite: {total_v!r}")
 
 
+#: derivative's step relative to max(1, |r|), per order; order 2's is the wider
+_STEP = {1: EPS ** (1.0 / 3.0), 2: 2.0 * EPS**0.25}
+
+
 def _richardson(samples, h, order: int):
     """(4 D(h) - D(2h)) / 3 from the samples of f at r + h, r - h, r + 2h,
     r - 2h, with f(r) first for order 2; elementwise on arrays."""
@@ -201,6 +205,20 @@ def _stencil_inside(r, h, iv: Interval):
     lo_ok = r - 4.0 * h > iv.lo if iv.open_ends[0] else r - 4.0 * h >= iv.lo
     hi_ok = r + 4.0 * h < iv.hi if iv.open_ends[1] else r + 4.0 * h <= iv.hi
     return lo_ok & hi_ok
+
+
+def stencil_nearest(r: float, iv: Interval) -> float:
+    """The float nearest r at which ``derivative`` of either order keeps its
+    stencil inside ``iv``: r itself when it does.  r - 4h and r + 4h grow
+    with r, so the accepted r form an interval, and a bisection between r
+    and the midpoint of iv (which must be accepted) ends at its edge."""
+    inside = lambda x: _stencil_inside(x, _STEP[2] * max(1.0, abs(x)), iv)
+    good, bad = iv.lo / 2.0 + min(iv.hi, _FLOAT_MAX) / 2.0, r
+    if inside(r):
+        return r
+    while (mid := good + (bad - good) / 2.0) not in (good, bad):
+        good, bad = (mid, bad) if inside(mid) else (good, mid)
+    return good
 
 
 def _stencil_outside(r: float, h: float, iv: Interval) -> DomainViolation:
@@ -237,12 +255,9 @@ def derivative(
     for bit.  The DomainViolation and the OverflowError are those of the
     first point that fails, as its float call words them.
     """
-    if order == 1:
-        step = EPS ** (1.0 / 3.0)
-    elif order == 2:
-        step = 2.0 * EPS**0.25
-    else:
+    if order not in _STEP:
         raise ValueError(f"order must be 1 or 2, got {order}")
+    step = _STEP[order]
     if getattr(r, "ndim", 0) == 0:  # a float, or a numpy scalar
         h = step * max(1.0, abs(r))
         if interval is not None and not _stencil_inside(r, h, interval):

@@ -604,9 +604,13 @@ class GridClassification:
     codes: np.ndarray  # (n,) int8 region codes, indices into REGION_TABLE
     spacing: float
 
+    def cells_in(self, region: Region) -> np.ndarray:
+        """The indices, ascending, of the points classified as region."""
+        return np.flatnonzero(self.codes == _CODE[region])
+
     def points_in(self, region: Region) -> np.ndarray:
         """The rows of points classified as region."""
-        return self.points[self.codes == _CODE[region]]
+        return self.points[self.cells_in(region)]
 
 
 def _region_codes(d_id, d_min, tol: float) -> np.ndarray:

@@ -58,16 +58,18 @@ class SvgFigure:
             f'r="{radius}" fill="{color}"/>'
         )
 
-    def dots(self, points, radius: float = 1.2, color: str = "#1f3b70") -> None:
-        """One dot per row of an (n, 2) numpy array, as n dot calls would draw.
+    def dots(self, xs, ys, ks, radius: float = 1.2, color: str = "#1f3b70") -> None:
+        """One dot per flat index k of the raster with numpy axes xs and ys,
+        at (xs[k % len(xs)], ys[k // len(xs)]), as dot would draw it.
 
-        _sx and _sy run as array expressions: the same IEEE operations in
-        the same order, so the same bits before formatting.
+        Each axis is formatted once.  _sx and _sy run as array expressions:
+        the same IEEE operations in the same order, so the same bits before
+        formatting.
         """
-        cxs = self._sx(points[:, 0]).tolist()
-        cys = self._sy(points[:, 1]).tolist()
-        tail = f'" r="{radius}" fill="{color}"/>'
-        self._body.extend(f'<circle cx="{cx:.2f}" cy="{cy:.2f}{tail}' for cx, cy in zip(cxs, cys))
+        heads = [f'<circle cx="{cx:.2f}" cy="' for cx in self._sx(xs).tolist()]
+        tails = [f'{cy:.2f}" r="{radius}" fill="{color}"/>' for cy in self._sy(ys).tolist()]
+        n = len(heads)
+        self._body.extend(heads[k % n] + tails[k // n] for k in ks.tolist())
 
     def text(self, p, s: str, size: int = 12, color: str = "#222222") -> None:
         self._body.append(

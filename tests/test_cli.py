@@ -234,6 +234,49 @@ def test_quotient_csv_rows_follow_grid_points(capsys, argv, resolution):
         assert out.splitlines()[3:] == expected
 
 
+def _code_rows(res):
+    """Rows of res region codes: one region throughout, alternating single
+    cells from any region, or runs of any length and region."""
+    code = st.integers(0, 2)
+    runs = st.lists(st.tuples(code, st.integers(1, res)), min_size=1, max_size=res)
+    return st.one_of(
+        code.map(lambda c: [c] * res),
+        code.map(lambda c: [(c + j) % 3 for j in range(res)]),
+        runs.map(lambda rs: np.resize(np.repeat(*zip(*rs)), res).tolist()),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    res=st.integers(1, 40),
+    centre=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    data=st.data(),
+)
+def test_raster_rows_are_the_per_cell_lines(res, centre, data):
+    # reference: each cell formatted on its own, as cmd_quotient wrote it once
+    from harmonicspaces import cli
+    from harmonicspaces.quotients import REGION_TABLE, GridClassification
+
+    codes = np.array(data.draw(st.lists(_code_rows(res), min_size=res, max_size=res)))
+    axis = (np.arange(res) + 0.5) * (3.0 / res) - 1.5
+    points = np.empty((res, res, 2))
+    points[..., 0] = centre[0] + axis
+    points[..., 1] = (centre[1] + axis)[:, None]
+    grid = GridClassification(points.reshape(-1, 2), codes.ravel().astype(np.int8), 3.0 / res)
+    for p in (6, 17):
+        blocks = list(cli._raster_rows(grid, res, p))
+        expected = "".join(
+            f"{x:.{p}g},{y:.{p}g},{REGION_TABLE[c].value}\n"
+            for (x, y), c in zip(grid.points, grid.codes)
+        )
+        assert "".join(blocks) == expected
+        # whole raster rows, _WRITE_ROWS of them to a string bar the last
+        step = cli._WRITE_ROWS
+        assert [b.count("\n") for b in blocks] == [
+            min(step, res - i) * res for i in range(0, res, step)
+        ]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     r=st.integers(-2, 6),
@@ -309,6 +352,22 @@ def test_quotient_outputs_pinned_at_resolution_400(
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == csv_sha
     assert hashlib.sha256((tmp_path / "fig.svg").read_bytes()).hexdigest() == svg_sha
+
+
+def test_quotient_outputs_pinned_where_the_svg_strides(capsys, tmp_path, monkeypatch):
+    # 9,516 boundary cells: the SVG draws every second one (at resolution
+    # 1200 there are 7,052, and every one is drawn)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(
+        capsys, "quotient", "--resolution", "1600", "--svg", "fig.svg", "klein", "0,0.25"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "b8b51deb31bde3a89ce17eb9af58f4c92c1d62103b204cd54b5bcaa5b4026e50"
+    )
+    assert hashlib.sha256((tmp_path / "fig.svg").read_bytes()).hexdigest() == (
+        "09a0403dba66485afa3f0fd75a5dd0511dc5460d13639c065184beaffd9a00fd"
+    )
 
 
 @pytest.mark.parametrize(
@@ -653,6 +712,30 @@ def test_phi_table_reference_at_the_pole_is_overflow_usage_error(capsys, model_i
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["hS9", "1e-300", "3.2", "2", "1.5", "--numeric-only"], "r_min"),
+        (["S3", "1e-300", "1.2", "2", "0.5"], "r_min"),
+        (["S3", "0.3", "3.14159265", "2", "0.5"], "r_max"),
+    ],
+)
+def test_phi_table_names_the_end_the_residual_column_refuses(capsys, argv, name):
+    # r_min or r_max inside the radial domain but within the residual
+    # column's finite-difference stencil of its end
+    given = argv[1] if name == "r_min" else argv[2]
+    code, out, err = run_cli(capsys, "phi-table", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name}={given} ") and "stencil" not in err
+    nearest = float(err.split()[-1])
+    # the value named is the edge: it gives a table, the next float out does not
+    inward = [repr(nearest) if a == given else a for a in argv]
+    assert run_cli(capsys, "phi-table", *inward)[0] == 0
+    outward = [repr(math.nextafter(nearest, float(given))) if a == given else a for a in argv]
+    code, _, err = run_cli(capsys, "phi-table", *outward)
+    assert code == 2 and err.split()[-1] == repr(nearest)
+
+
 _FUZZ_REAL = st.one_of(
     st.floats(-1.0, 1000.0),
     st.sampled_from(["nan", "inf", "-inf", "0", "1e-300", "1e300", "x"]),
@@ -824,13 +907,19 @@ def test_scalar_radial_path_leaves_out_numpy():
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "all"], ["quotient", "torus", "0,0", "--resolution", "8"]],
-    ids=["verify-all", "quotient-torus"],
+    [
+        ["verify", "all"],
+        ["quotient", "torus", "0,0", "--resolution", "8"],
+        ["quotient", "klein", "0,0.25", "--resolution", "40", "--svg", "{tmp}/fig.svg"],
+    ],
+    ids=["verify-all", "quotient-torus", "quotient-klein-svg"],
 )
-def test_cli_runs_leave_out_numpy_random(argv):
+def test_cli_runs_leave_out_numpy_random(argv, tmp_path):
     # a fresh interpreter: the seeded checks draw from quotients.SeededStream,
     # so no command loads numpy.random and the 19 modules it pulls in; nor
-    # any other module once the parser is built (np.unique loads numpy.ma)
+    # any other module once the parser is built (np.unique loads numpy.ma,
+    # and np.char its own package)
+    argv = [a.format(tmp=tmp_path) for a in argv]
     code = (
         "import contextlib, io, sys\n"
         "from harmonicspaces.cli import build_parser, main\n"
@@ -874,19 +963,27 @@ def test_svg_dots_draw_what_a_loop_of_dot_draws(centre):
     rng = np.random.default_rng(5)
     cx, cy = centre
     ranges = dict(x_range=(cx - 1.5, cx + 1.5), y_range=(cy - 1.5, cy + 1.5))
-    # inside the window, outside it, far off and on it
-    points = np.vstack((
-        np.array(centre) + rng.uniform(-1.5, 1.5, size=(300, 2)),
-        np.array(centre) + rng.uniform(-1e3, 1e3, size=(50, 2)),
-        [(-1e300, 1e300), (cx - 1.5, cy + 1.5), (-0.0, 0.0)],
-    ))
-    for pts in (points, points[:0]):
+    # axis values inside the window, outside it, far off and on it; the y
+    # axis shorter, so that a swapped column and row would show
+    xs, ys = (
+        np.concatenate((
+            c + rng.uniform(-1.5, 1.5, size=300),
+            c + rng.uniform(-1e3, 1e3, size=50),
+            [-1e300, 1e300, c - 1.5, c + 1.5, -0.0],
+        ))
+        for c in centre
+    )
+    ys = ys[::3]
+    n = len(xs) * len(ys)
+    # the first and last cell, the ends of the first row, and a sample
+    ks = np.concatenate(([0, len(xs) - 1, len(xs), n - 1], rng.integers(0, n, 400)))
+    for cells in (ks, ks[:0]):
         batched, looped = SvgFigure(**ranges), SvgFigure(**ranges)
-        batched.dots(pts, radius=1.0, color="#1f3b70")
-        for pt in pts:
-            looped.dot(pt, radius=1.0, color="#1f3b70")
+        batched.dots(xs, ys, cells, radius=1.0, color="#1f3b70")
+        for k in cells:
+            looped.dot((xs[k % len(xs)], ys[k // len(xs)]), radius=1.0, color="#1f3b70")
         assert batched._body == looped._body
-        assert len(batched._body) == len(pts)
+        assert len(batched._body) == len(cells)
 
 
 @pytest.mark.parametrize(
