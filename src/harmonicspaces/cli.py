@@ -23,7 +23,7 @@ from typing import TextIO
 import numpy as np
 
 from . import harmonic, quotients, topology, verify as verify_mod
-from .errors import DomainViolation, HarmonicSpacesError, UnsupportedModel
+from .errors import DomainViolation, HarmonicSpacesError, NonConvergence, UnsupportedModel
 from .numerics import stencil_nearest
 from .spaces import check_radius, domain, parse_model_id, theta
 from .svgfig import SvgFigure
@@ -32,11 +32,12 @@ USAGE_ERROR = 2
 VERIFY_FAIL = 1
 #: A fixed cap on phi-table rows: the grid is built before any row is written.
 MAX_TABLE_POINTS = 100_000
-#: A fixed cap on quotient raster points per axis.  The raster, its orbit
-#: distances and region codes cost about 33 bytes a cell, and the CSV is
-#: written _WRITE_ROWS raster rows at a time: 2000 per axis, 4M cells, peaks
-#: near 0.16 GB (peak RSS 160 MB of ``quotient torus|klein 0.2,0.1
-#: --resolution 2000 --svg``, Python 3.11, numpy 2.4).
+#: A fixed cap on quotient raster points per axis.  The raster is held as
+#: its two axes and about 2.5 bytes a cell (region codes and run starts),
+#: its orbit distances are taken in blocks of rows, and the CSV is written
+#: _WRITE_ROWS raster rows at a time: 2000 per axis, 4M cells, peaks near
+#: 41 MB (peak RSS of ``quotient torus|klein 0.2,0.1 --resolution 2000
+#: --svg``, 31 MB at resolution 1; Python 3.11, numpy 2.4).
 MAX_RESOLUTION = 2000
 VERIFY_SEED = 42
 #: Raster rows per string that cmd_quotient hands to writelines.
@@ -132,6 +133,9 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
             f"{model.model_id} values overflow float64 on the grid "
             f"[{args.r_min}, {args.r_max}] with r_ref={args.r_ref}"
         ) from None
+    except NonConvergence as exc:
+        where = f"{model.model_id} from r_ref={args.r_ref} at --tol={args.tol}"
+        raise ValueError(f"the phi0 integrals of {where} do not converge: {exc}") from None
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -212,18 +216,16 @@ def _normalized(v: np.ndarray, kind: str) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _quotient_svg(group, base, grid, res: int, config_line: str) -> str:
+def _quotient_svg(group, base, grid, config_line: str) -> str:
     fig = SvgFigure(metadata=config_line)
     if group.ambient == "flat":
         hw = quotients.RASTER_HALFWIDTH
         cx, cy = float(base[0]), float(base[1])
         fig.x_range = (cx - hw, cx + hw)
         fig.y_range = (cy - hw, cy + hw)
-        assert grid is not None
         boundary = grid.cells_in(quotients.Region.BOUNDARY)
         stride = max(1, len(boundary) // 4000)
-        xs, ys = grid.points[:res, 0], grid.points[::res, 1]
-        fig.dots(xs, ys, boundary[::stride], radius=1.0, color="#1f3b70")
+        fig.dots(grid.xs, grid.ys, boundary[::stride], radius=1.0, color="#1f3b70")
         fig.dot((cx, cy), radius=3.0, color="#b02020")
         fig.text((cx + 0.05, cy + 0.05), "P")
     else:
@@ -250,15 +252,16 @@ def _quotient_svg(group, base, grid, res: int, config_line: str) -> str:
     return fig.render()
 
 
-def _raster_rows(grid, res: int, p: int) -> Iterator[str]:
+def _raster_rows(grid, p: int) -> Iterator[str]:
     """Yield the CSV lines of the raster, _WRITE_ROWS raster rows a string.
 
-    The raster is a meshgrid: point k is (xs[k % res], ys[k // res]).  Each
-    x is followed by the suffix ",y,class" that its row and region code pick,
-    so a run of equal codes along a row is one join of its xs.
+    Cell k of the raster is (xs[k % res], ys[k // res]).  Each x is
+    followed by the suffix ",y,class" that its row and region code pick, so
+    a run of equal codes along a row is one join of its xs.
     """
-    xs = [_fmt(x, p) for x in grid.points[:res, 0]]
-    ys = [_fmt(y, p) for y in grid.points[::res, 1]]
+    res = len(grid.xs)
+    xs = [_fmt(x, p) for x in grid.xs]
+    ys = [_fmt(y, p) for y in grid.ys]
     classes = [region.value for region in quotients.REGION_TABLE]
     # a run starts at each row's first cell and wherever the code changes
     starts = np.ones(len(grid.codes), dtype=bool)
@@ -297,7 +300,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     rows = ()
     if grid is not None:
         lines.append("x,y,class")
-        rows = _raster_rows(grid, res, p)
+        rows = _raster_rows(grid, p)
     with contextlib.ExitStack() as stack:
         # every output is opened before a byte is written, so a path that
         # cannot be written leaves no output that looks like a result
@@ -308,7 +311,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
         out.write("\n".join(lines) + "\n")
         out.writelines(rows)
         if svg is not None:
-            svg.write(_quotient_svg(group, base, grid, res, config_line))
+            svg.write(_quotient_svg(group, base, grid, config_line))
     return 0
 
 

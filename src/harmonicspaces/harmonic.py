@@ -439,32 +439,26 @@ def phi0_table(
     second ``harmonicity_residual`` of phi0 at each r, from one array
     ``derivative`` per order: of the closed form, or where there is none of
     the quadrature phi0 from r_ref at tol, with ``phi0_numeric_grid`` on
-    all the stencil points at once.  Where this array pass overflows or is
-    not finite, the points are taken one at a time by the scalar functions,
-    which raise what the scalar path raises.
+    all the stencil points at once.  A residual that is not finite raises
+    an OverflowError naming the model and the first such radius.
     """
     import numpy as np  # here, so that importing harmonic does not load numpy
 
     if has_closed_form(model):
-        scalar_phi0 = form = closed_form(model)
-        array_phi0 = lambda x: form(x, np)
+        form = closed_form(model)
+        phi0 = lambda x: form(x, np)
     else:
-        scalar_phi0 = lambda r: phi0_numeric(model, r, r_ref, tol)
 
-        def array_phi0(x):
+        def phi0(x):
             values = phi0_numeric_grid(model, x.ravel().tolist(), r_ref, tol)
             return np.reshape(values, x.shape)
 
     radii = np.array(rs, dtype=float)
-    try:
-        with np.errstate(all="ignore"):
-            residuals = harmonicity_residual(model, array_phi0, radii)
-        redo = ~np.isfinite(residuals)
-    except OverflowError:
-        residuals, redo = np.empty(len(rs)), np.ones(len(rs), dtype=bool)
-    residuals[redo] = [
-        harmonicity_residual(model, scalar_phi0, r) for r in radii[redo].tolist()
-    ]
+    with np.errstate(all="ignore"):
+        residuals = harmonicity_residual(model, phi0, radii)
+    bad = radii[~np.isfinite(residuals)].tolist()
+    if bad:
+        raise OverflowError(f"residual of phi0 of {model.model_id} at r={bad[0]!r} is not finite")
     return phi0_numeric_grid(model, rs, r_ref, tol), residuals.tolist()
 
 

@@ -14,10 +14,12 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+#: Side of the square figure in SVG user units.
+SIZE = 480
+
+
 @dataclass
 class SvgFigure:
-    width: int = 480
-    height: int = 480
     x_range: tuple[float, float] = (-1.5, 1.5)
     y_range: tuple[float, float] = (-1.5, 1.5)
     metadata: str = ""
@@ -25,11 +27,11 @@ class SvgFigure:
 
     def _sx(self, x: float) -> float:
         x0, x1 = self.x_range
-        return (x - x0) / (x1 - x0) * self.width
+        return (x - x0) / (x1 - x0) * SIZE
 
     def _sy(self, y: float) -> float:
         y0, y1 = self.y_range
-        return self.height - (y - y0) / (y1 - y0) * self.height
+        return SIZE - (y - y0) / (y1 - y0) * SIZE
 
     def line(self, p0, p1, color: str = "#333333", width: float = 1.0) -> None:
         self._body.append(
@@ -46,7 +48,7 @@ class SvgFigure:
         )
 
     def circle(self, center, radius: float, color: str = "#333333", width: float = 1.0) -> None:
-        rx = radius / (self.x_range[1] - self.x_range[0]) * self.width
+        rx = radius / (self.x_range[1] - self.x_range[0]) * SIZE
         self._body.append(
             f'<circle cx="{self._sx(center[0]):.2f}" cy="{self._sy(center[1]):.2f}" '
             f'r="{rx:.2f}" fill="none" stroke="{color}" stroke-width="{width}"/>'
@@ -80,12 +82,12 @@ class SvgFigure:
     def render(self) -> str:
         parts = [
             '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+            f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">',
         ]
         if self.metadata:
             parts.append(f"<metadata>{escape(self.metadata)}</metadata>")
-        parts.append(f'<rect width="{self.width}" height="{self.height}" fill="white"/>')
+        parts.append(f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>')
         parts.extend(self._body)
         parts.append("</svg>")
         return "\n".join(parts) + "\n"

@@ -259,12 +259,11 @@ def test_raster_rows_are_the_per_cell_lines(res, centre, data):
 
     codes = np.array(data.draw(st.lists(_code_rows(res), min_size=res, max_size=res)))
     axis = (np.arange(res) + 0.5) * (3.0 / res) - 1.5
-    points = np.empty((res, res, 2))
-    points[..., 0] = centre[0] + axis
-    points[..., 1] = (centre[1] + axis)[:, None]
-    grid = GridClassification(points.reshape(-1, 2), codes.ravel().astype(np.int8), 3.0 / res)
+    grid = GridClassification(
+        centre[0] + axis, centre[1] + axis, codes.ravel().astype(np.int8), 3.0 / res
+    )
     for p in (6, 17):
-        blocks = list(cli._raster_rows(grid, res, p))
+        blocks = list(cli._raster_rows(grid, p))
         expected = "".join(
             f"{x:.{p}g},{y:.{p}g},{REGION_TABLE[c].value}\n"
             for (x, y), c in zip(grid.points, grid.codes)
@@ -736,6 +735,24 @@ def test_phi_table_names_the_end_the_residual_column_refuses(capsys, argv, name)
     assert code == 2 and err.split()[-1] == repr(nearest)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["S5", "0.3", "1.5", "3", "3.14159265"],
+        ["CP2", "0.3", "1.2", "3", "1.570796326794"],
+        ["HP2", "0.3", "1.2", "3", "1.5707963"],
+        ["S9", "0.3", "1.5", "3", "3.1415926", "--numeric-only"],
+    ],
+)
+def test_phi_table_reference_near_the_far_pole_is_usage_error(capsys, argv):
+    # phi1 is not integrable at the far end of a compact model, so the phi0
+    # integrals from an r_ref next to it cannot meet --tol
+    code, out, err = run_cli(capsys, "phi-table", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"r_ref={argv[4]} " in err and "--tol=1e-10" in err
+
+
 _FUZZ_REAL = st.one_of(
     st.floats(-1.0, 1000.0),
     st.sampled_from(["nan", "inf", "-inf", "0", "1e-300", "1e300", "x"]),
@@ -885,10 +902,10 @@ def test_cli_import_leaves_out_urllib():
 
 
 def test_scalar_radial_path_leaves_out_numpy():
-    # a fresh interpreter: one phi0 integral, one volume and phi-table's
-    # closed-form columns (phi0_closed and the residual of its two
-    # derivatives) load no numpy, which only the array paths import, inside
-    # the functions that use it
+    # a fresh interpreter: one phi0 integral, one volume, phi0_closed and the
+    # float residual of its two derivatives load no numpy, which only the
+    # array paths import, inside the functions that use it (phi-table's
+    # columns are array passes, so phi-table itself loads numpy)
     code = (
         "import sys\n"
         "from harmonicspaces.harmonic import harmonicity_residual, phi0_closed, phi0_numeric\n"

@@ -20,6 +20,7 @@ from harmonicspaces.harmonic import (
     phi0_closed,
     phi0_numeric,
     phi0_numeric_grid,
+    phi0_table,
     phi1,
     scaled_residual,
     verification_grid,
@@ -438,3 +439,9 @@ def test_harmonicity_residual_scaled():
     f = lambda r: phi0_closed(model, r)
     for r in (0.2, 0.8, 1.3):
         assert harmonicity_residual(model, f, r) <= 1e-5
+
+
+def test_phi0_table_non_finite_residual_names_the_model_and_radius():
+    # -coth r is finite at 900, but its array form is inf / inf there
+    with pytest.raises(OverflowError, match=r"\bhS3 at r=900\.0 is not finite"):
+        phi0_table(parse_model_id("hS3"), [0.5, 900.0], 1.0)

@@ -840,7 +840,8 @@ def test_selfcheck_names_the_violated_identity(group, message):
 
 def test_torus_cut_locus_is_unit_square_boundary():
     torus = TorusGroup()
-    pts = classify_grid(torus, (0.0, 0.0), 400).points_in(Region.BOUNDARY)
+    grid = classify_grid(torus, (0.0, 0.0), 400)
+    pts = grid.points[grid.cells_in(Region.BOUNDARY)]
     assert len(pts) > 0
     tol = 2.0 * (3.0 / 400.0)
     edge = np.max(np.abs(pts), axis=1)
@@ -849,14 +850,16 @@ def test_torus_cut_locus_is_unit_square_boundary():
 
 def test_klein_cut_locus_origin():
     klein = KleinGroup()
-    pts = classify_grid(klein, (0.0, 0.0), 300).points_in(Region.BOUNDARY)
+    grid = classify_grid(klein, (0.0, 0.0), 300)
+    pts = grid.points[grid.cells_in(Region.BOUNDARY)]
     # the locus converges to the lines x = +-1/2
     assert np.all(np.abs(np.abs(pts[:, 0]) - 0.5) <= 0.05)
 
 
 def test_klein_cut_locus_shifted_basepoint():
     klein = KleinGroup()
-    pts = classify_grid(klein, (0.0, 1.0), 300).points_in(Region.BOUNDARY)
+    grid = classify_grid(klein, (0.0, 1.0), 300)
+    pts = grid.points[grid.cells_in(Region.BOUNDARY)]
     on_glide_line = [p for p in pts if abs(1.0 + 2.0 * p[0] + 4.0 * p[1]) < 0.1]
     near_vertical = [p for p in pts if abs(p[0] - 1.0) < 0.05]
     assert on_glide_line, "expected samples near 1 + 2x + 4ay = 0"
@@ -963,8 +966,19 @@ def test_classify_grid_runs_without_orbit_distances(monkeypatch):
         classify_points(TorusGroup(), (0.2, 0.1), [(0.0, 0.0)])
 
 
+@pytest.mark.parametrize("group", [TorusGroup(), KleinGroup()], ids=["torus", "klein"])
+def test_classify_grid_blocks_of_rows_give_the_whole_raster(group):
+    rows = quotients._BLOCK_CELLS // 700
+    assert rows < 700 and 700 % rows  # several blocks, the last one partial
+    p = np.array([0.2, -0.1])
+    grid = classify_grid(group, p, 700)
+    d_id, d_min = _grid_distances(group, p, grid.xs, grid.ys)
+    whole = quotients._region_codes(d_id, d_min, 2.0 * grid.spacing).ravel()
+    assert np.array_equal(grid.codes, whole)
+
+
 def test_lens_monte_carlo_volume():
-    vol, stderr = lens_domain_volume_mc(samples=100_000, seed=42)
+    vol, stderr = lens_domain_volume_mc()
     exact = math.pi**2 / 2.0
     assert abs(vol - exact) <= 3.0 * stderr
 

@@ -1,7 +1,11 @@
-"""The benchmark tracer wraps package functions by name; they must exist."""
+"""The benchmark tracer wraps package functions by name; they must exist,
+and its hooks must run on what they return."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -19,3 +23,37 @@ def test_every_traced_name_resolves():
             for part in qualname.split("."):
                 target = getattr(target, part)
             assert callable(target), f"{modname}.{qualname}"
+
+
+def test_tracer_hooks_read_what_the_package_returns():
+    # a fresh interpreter, as the benchmark's workers run it: the hooks read
+    # attributes of the traced functions' arguments and results
+    code = (
+        "import importlib.util, io, contextlib, json, sys\n"
+        f"spec = importlib.util.spec_from_file_location('perfbench_tracer', {str(TRACER)!r})\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "t = tracer.Tracer()\n"
+        "t.install()\n"
+        "from harmonicspaces import cli\n"
+        "jobs = [\n"
+        "    ['quotient', 'torus', '0,0', '--resolution', '4'],\n"
+        "    ['phi-table', 'S9', '0.3', '1.5', '5', '0.7854', '--numeric-only'],\n"
+        "    ['bounds', 'hOP2'],\n"
+        "    ['verify', 'S3'],\n"
+        "]\n"
+        "codes = []\n"
+        "for job, argv in enumerate(jobs):\n"
+        "    t.job = job\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main(argv))\n"
+        "summary = t.summary()\n"
+        "print(json.dumps({'codes': codes, 'calls': summary['spans']['cli.main']['calls'],\n"
+        "                  'counts': summary['counts']}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0] and result["calls"] == 4
+    assert result["counts"]["quotients.classify_grid.cells"] == 16
+    assert result["counts"]["verify.checks"] > 0
