@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: phi-table, verify, quotient, bounds.  Exit codes: 0 success,
-1 verification failure, 2 usage error.  A command raises where it finds a
-fault, and ``main`` alone turns the exception into an exit code and one
-``error:`` line on stderr.  All angles are radians; CSV is the
+1 verification failure, 2 usage error, 141 a closed stdout.  A command
+raises where it finds a fault, and ``main`` alone turns the exception into
+an exit code and one ``error:`` line on stderr.  All angles are radians; CSV is the
 single data format and SVG the single figure format, both deterministic
 for a fixed configuration.  Each subcommand accepts only the options it
 reads, and its parsed arguments are the configuration every output echoes.
@@ -16,6 +16,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from collections.abc import Iterator
 from typing import TextIO
@@ -30,6 +31,8 @@ from .svgfig import SvgFigure
 
 USAGE_ERROR = 2
 VERIFY_FAIL = 1
+#: 128 + SIGPIPE, what a shell reports for a writer whose reader went away.
+BROKEN_PIPE = 141
 #: A fixed cap on phi-table rows: the grid is built before any row is written.
 MAX_TABLE_POINTS = 100_000
 #: A fixed cap on quotient raster points per axis.  The raster is held as
@@ -432,9 +435,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    # argparse binds an optional positional with the one before it, so a
+    # quotient basepoint after an option, or one starting with '-', is left over
+    if args.command == "quotient" and args.basepoint is None:
+        rest = extra[1:] if extra[:1] == ["--"] else extra
+        if len(rest) == 1 and not rest[0].startswith("--"):
+            args.basepoint, extra = rest[0], []
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: end quietly, as a shell reports SIGPIPE
+        return BROKEN_PIPE
     except (UnsupportedModel, DomainViolation, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -444,7 +459,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = BROKEN_PIPE
+    if code == BROKEN_PIPE:
+        # what stdout still buffers goes nowhere when the interpreter flushes it at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -26,25 +26,32 @@ from .spaces import (
     log_derivative_theta,
     parse_model_id,
     theta,
-    theta_array,
 )
 
 _FLOAT_MAX = sys.float_info.max
 
 
-def phi1(model: SpaceModel, r: float) -> float:
+def phi1(model: SpaceModel, r):
     """Reciprocal density 1/theta, the derivative of phi0.  OverflowError
-    where 1/theta is not finite: theta is 0.0 or subnormal."""
-    try:
-        value = 1.0 / theta(model, r)
-    except ZeroDivisionError:
-        value = math.inf
-    if not value <= _FLOAT_MAX:
-        raise OverflowError(
-            f"phi1 of {model.model_id} at r={r!r} overflows float64: "
-            f"theta is {theta(model, r)!r}"
-        )
-    return value
+    where 1/theta is not finite: theta is 0.0 or subnormal.  ``r`` may be a
+    numpy array, as for ``theta``, whose errors come first."""
+    th = theta(model, r)
+    if getattr(r, "ndim", 0) == 0:
+        value = 1.0 / th if th else math.inf
+        if value <= _FLOAT_MAX:
+            return value
+    else:
+        import numpy as np  # here, so that the float path does not load numpy
+
+        with np.errstate(over="ignore", divide="ignore"):
+            value = 1.0 / th
+        if value.max(initial=0.0) <= _FLOAT_MAX:
+            return value
+        outside = ~(value <= _FLOAT_MAX)
+        r, th = float(r[outside][0]), float(th[outside][0])
+    raise OverflowError(
+        f"phi1 of {model.model_id} at r={r!r} overflows float64: theta is {th!r}"
+    )
 
 
 # --- closed-form catalogue -------------------------------------------------
@@ -338,12 +345,11 @@ def phi0_numeric_grid(
     Each gap between neighbouring distinct points of rs and r_ref is
     integrated once at tol / gaps, so the summed error estimate keeps the
     bound of one integral at tol, and the values are running sums outward
-    from r_ref.  The first GK15 panels of all gaps take one density call on
+    from r_ref.  The first GK15 panels of all gaps take one ``phi1`` call on
     all their nodes, which ``_gk15`` then sums, so a panel is bit for bit
-    the one ``integrate`` starts from.  A gap keeps its panel when theta
-    and 1/theta are finite at all 15 nodes and the panel meets
+    the one ``integrate`` starts from.  A gap keeps its panel when it meets
     ``integrate``'s own stopping rule, and every other gap goes to
-    ``integrate``, which raises what the scalar path raises.
+    ``integrate``.
     """
     import numpy as np  # here, so that importing harmonic does not load numpy
 
@@ -357,13 +363,11 @@ def phi0_numeric_grid(
     nodes = [c]
     for x in _XGK:
         nodes += (c - h * x, c + h * x)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        th = theta_array(model, np.stack(nodes))
-        values = 1.0 / th
-        finite = (np.isfinite(th) & np.isfinite(values)).all(axis=0)
-        rows = iter(values)
+    rows = iter(phi1(model, np.stack(nodes)))
+    # a panel sum can still leave float64, and then integrate takes the gap
+    with np.errstate(over="ignore", invalid="ignore"):
         gaps, error = _gk15(lambda _: next(rows), a, b)
-        accepted = finite & converged(gaps, error, gap_tol)
+        accepted = converged(gaps, error, gap_tol)
     # the other gaps go to integrate outward from r_ref, right side first
     k = int(np.searchsorted(points, r_ref))
     rejected = np.flatnonzero(~accepted).tolist()
@@ -555,9 +559,9 @@ def verify_table_entry(model: SpaceModel) -> TableVerification:
     Match check: quadrature differences along the grid against closed-form
     differences.  Each check is one array evaluation of the form, on the
     stencils of the whole grid and on the grid.  A NaN residual at any grid
-    point is kept, so the row fails.  Where the array pass overflows, or
-    1/theta is not finite, the grid points are taken one at a time by the
-    scalar functions, which raise an OverflowError naming the model.
+    point is kept, so the row fails.  Where the array derivative overflows,
+    the grid points are taken one at a time, so the OverflowError names the
+    model and the first failing point, as ``phi1``'s does.
     """
     import numpy as np  # here, so that importing harmonic does not load numpy
 
@@ -569,12 +573,7 @@ def verify_table_entry(model: SpaceModel) -> TableVerification:
         fd = derivative(lambda x: form(x, np), rs, 1, interval=domain(model))
     except OverflowError:
         fd = np.array([_ode_derivative(model, form, r) for r in grid])
-    with np.errstate(over="ignore", divide="ignore"):
-        th = theta_array(model, rs)
-        phi1_grid = 1.0 / th
-    outside = ~(np.isfinite(th) & np.isfinite(phi1_grid))
-    phi1_grid[outside] = [phi1(model, r) for r in rs[outside].tolist()]
-    ode = float(np.max(scaled_residual(fd, phi1_grid)))
+    ode = float(np.max(scaled_residual(fd, phi1(model, rs))))
 
     values = form(rs, np)
     numeric = np.array(phi0_numeric_grid(model, grid, grid[k]))

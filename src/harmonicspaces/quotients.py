@@ -48,9 +48,6 @@ ANALYTIC_TOL = 1e-9
 #: Half the side of the square raster about the basepoint in cut-locus samples.
 RASTER_HALFWIDTH = 1.5
 
-#: Rows per pass of orbit_distances: it bounds the (ring, rows) temporaries.
-_BLOCK_ROWS = 4096
-
 #: Raster cells per pass of classify_grid: it bounds the distance temporaries.
 _BLOCK_CELLS = 1 << 16
 
@@ -320,26 +317,18 @@ def orbit_distances(group: DeckGroup, p, qs) -> tuple[np.ndarray, np.ndarray, np
     kind = group.ambient
     p = _group_points(group, p, ndims=(1, 2))
     qs = _group_points(group, qs, ndims=(2,))
-    n = len(qs)
-    if p.ndim == 2 and len(p) != n:
+    if p.ndim == 2 and len(p) != len(qs):
         raise InvalidPoint(f"points of shape {p.shape} do not pair with rows {qs.shape}")
     distance = _DISTANCES[kind]
-    d_id = distance(p, qs)
-    d_min, first = np.empty(n), np.empty(n, int)
-    for lo in range(0, n, _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        pb, qb = (p[rows] if p.ndim == 2 else p), qs[rows]
-        # d[k, i]: distance from p to the image of row i under ring element k
-        if kind == "flat":
-            eids = group.nearest_cell(pb, qb) + np.array(group.ring)[:, None]
-            d = distance(pb, group.apply(eids, qb))
-            # the ring holds the identity on the rows whose nearest cell is -offset
-            d[~eids.reshape(d.shape + (-1,)).any(axis=-1)] = np.inf
-        else:
-            d = distance(pb, np.stack([group.apply(eid, qb) for eid in group.ring]))
-        first[rows] = np.argmin(d, axis=0)
-        d_min[rows] = np.min(d, axis=0)
-    return d_id, d_min, first
+    # d[k, i]: distance from p to the image of row i under ring element k
+    if kind == "flat":
+        eids = group.nearest_cell(p, qs) + np.array(group.ring)[:, None]
+        d = distance(p, group.apply(eids, qs))
+        # the ring holds the identity on the rows whose nearest cell is -offset
+        d[~eids.reshape(d.shape + (-1,)).any(axis=-1)] = np.inf
+    else:
+        d = distance(p, np.stack([group.apply(eid, qs) for eid in group.ring]))
+    return distance(p, qs), np.min(d, axis=0), np.argmin(d, axis=0)
 
 
 def quotient_distance(group: DeckGroup, p, q) -> float:
@@ -431,6 +420,10 @@ class SelfCheckReport:
 
 
 _ISOMETRY_TOL = 1e-12
+#: Random point pairs of group_action_selfcheck's isometry check.
+_SELFCHECK_PAIRS = 200
+#: Smallest sampled displacement a fixed-point-free action may show.
+_DISPLACEMENT_FLOOR = 0.1
 
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -504,17 +497,16 @@ def _first_row(bad: np.ndarray):
 def group_action_selfcheck(
     group: DeckGroup,
     samples: int = 10_000,
-    pairs: int = 200,
     seed: int = 42,
-    displacement_floor: float = 0.1,
 ) -> SelfCheckReport:
     """Verify the defining identities of a deck-group action.
 
     Raises SelfCheckFailed naming the violated identity, at the first
     violation in sample order.  Checks: the group law on generators (flat
     groups), T^4 = id and T^2 = -id (lens), the projective involution
-    identity and fixed-point freeness via sampled displacements (cp), and
-    the isometry property on random pairs (all).
+    identity (cp), fixed-point freeness via sampled displacements above
+    _DISPLACEMENT_FLOOR (rp, lens, cp), and the isometry property on
+    _SELFCHECK_PAIRS random pairs (all).
     """
     rng = SeededStream(seed)
     distance = _DISTANCES[group.ambient]
@@ -567,10 +559,10 @@ def group_action_selfcheck(
             for eid in group.ring
         )
         min_disp = worst
-        if worst <= displacement_floor:
+        if worst <= _DISPLACEMENT_FLOOR:
             raise SelfCheckFailed(
                 f"{group.name}: sampled displacement {worst:.3e} at or below "
-                f"floor {displacement_floor}; action may have fixed points"
+                f"floor {_DISPLACEMENT_FLOOR}; action may have fixed points"
             )
         checks.append("fixed_point_free_sampled")
 
@@ -580,8 +572,8 @@ def group_action_selfcheck(
         isometry_ids = [(1, 0), (0, 1), (-1, 1), (2, -2)]
     else:
         isometry_ids = [-2, -1, 1, 2]
-    pts = _random_points(group, rng, 2 * pairs)
-    p, q = pts.reshape(pairs, 2, pts.shape[-1]).transpose(1, 0, 2)
+    pts = _random_points(group, rng, 2 * _SELFCHECK_PAIRS)
+    p, q = pts.reshape(_SELFCHECK_PAIRS, 2, pts.shape[-1]).transpose(1, 0, 2)
     d = distance(p, q)
     broken = []
     for eid in isometry_ids:

@@ -169,11 +169,17 @@ def domain(model: SpaceModel) -> Interval:
     return Interval(0.0, domain_end(model), (True, True))
 
 
-def check_radius(model: SpaceModel, *rs: float) -> DensityProfile:
+def check_radius(model: SpaceModel, *rs) -> DensityProfile:
     """The model's density profile, once every r lies in the open radial
-    domain (0, D); DomainViolation names the first r that does not."""
+    domain (0, D); DomainViolation names the first r that does not, in C
+    order within a numpy array of radii."""
     prof = model.density
     for r in rs:
+        if getattr(r, "ndim", 0):
+            inside = (0.0 < r) & (r < prof.domain_end)
+            if inside.all():
+                continue
+            r = float(r[~inside][0])
         if not (0.0 < r < prof.domain_end):
             raise DomainViolation(
                 f"r={r!r} outside the open domain (0, {prof.domain_end}) of {model}"
@@ -181,54 +187,50 @@ def check_radius(model: SpaceModel, *rs: float) -> DensityProfile:
     return prof
 
 
-def theta(model: SpaceModel, r: float) -> float:
+def theta(model: SpaceModel, r):
     """Volume density at geodesic distance r from the basepoint.
-    OverflowError naming the model where the value leaves float64."""
+    OverflowError naming the model where the value leaves float64.  ``r``
+    may be a numpy array of radii, elementwise by numpy's functions, which
+    agree with libm's to a few ulps; its errors are the float's, for the
+    first bad radius in C order."""
     prof = check_radius(model, r)
     a, b = prof.sine_exponent, prof.cosine_exponent
-    try:
-        if prof.curvature_sign > 0:
-            value = math.sin(r) ** a * math.cos(r) ** b
-        elif prof.curvature_sign < 0:
-            value = math.sinh(r) ** a * math.cosh(r) ** b
-        else:
-            value = r**a
-    except OverflowError:
-        value = math.inf
-    if value == math.inf:
-        raise OverflowError(f"theta of {model.model_id} at r={r!r} overflows float64")
-    return value
+    if getattr(r, "ndim", 0) == 0:
+        try:
+            if prof.curvature_sign > 0:
+                value = math.sin(r) ** a * math.cos(r) ** b
+            elif prof.curvature_sign < 0:
+                value = math.sinh(r) ** a * math.cosh(r) ** b
+            else:
+                value = r**a
+        except OverflowError:
+            value = math.inf
+        if value != math.inf:
+            return value
+    else:
+        import numpy as np  # here, so that the float path does not load numpy
 
-
-def theta_array(model: SpaceModel, r):
-    """``theta`` at every radius of the numpy array ``r``, elementwise.
-
-    The radii must lie in the open domain; none is checked, and a value
-    outside float64 reads inf as numpy gives it (with its overflow warning
-    unless the caller's ``np.errstate`` silences it).  Agrees with ``theta``
-    to a few ulps: numpy's ``power``, ``sinh`` and ``cosh`` need not round
-    as libm does.
-    """
-    import numpy as np  # here, so that importing spaces does not load numpy
-
-    prof = model.density
-    a, b = prof.sine_exponent, prof.cosine_exponent
-    if prof.curvature_sign > 0:
-        return np.sin(r) ** a * np.cos(r) ** b
-    if prof.curvature_sign < 0:
-        return np.sinh(r) ** a * np.cosh(r) ** b
-    return np.asarray(r, dtype=float) ** a
+        with np.errstate(over="ignore"):
+            if prof.curvature_sign > 0:
+                value = np.sin(r) ** a * np.cos(r) ** b
+            elif prof.curvature_sign < 0:
+                value = np.sinh(r) ** a * np.cosh(r) ** b
+            else:
+                value = np.asarray(r, dtype=float) ** a
+        if value.max(initial=0.0) < np.inf:
+            return value
+        r = float(r[value == np.inf][0])
+    raise OverflowError(f"theta of {model.model_id} at r={r!r} overflows float64")
 
 
 def log_derivative_theta(model: SpaceModel, r):
-    """d/dr log(theta), in closed form.  ``r`` may be a 1-D numpy array of
-    radii instead of a float, each checked, and the value is elementwise."""
+    """d/dr log(theta), in closed form; elementwise on a numpy array of
+    radii, checked as ``theta`` checks it."""
+    prof = check_radius(model, r)
     if getattr(r, "ndim", 0) == 0:
-        prof, m = check_radius(model, r), math
+        m = math
     else:
         import numpy as m  # here, so that the float path does not load numpy
-
-        prof = check_radius(model, *r.tolist())
     a, b = prof.sine_exponent, prof.cosine_exponent
     if prof.curvature_sign > 0:
         return a / m.tan(r) - b * m.tan(r)

@@ -180,6 +180,51 @@ def test_quotient_bad_basepoint(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, same_as",
+    [
+        (["torus", "--resolution", "4", "0,0"], ["torus", "0,0", "--resolution", "4"]),
+        (["torus", "--resolution", "4", "--", "-0.5,0"], ["--resolution", "4", "torus", "--", "-0.5,0"]),
+        (["torus", "-0.5,0", "--resolution", "4"], ["--resolution", "4", "torus", "--", "-0.5,0"]),
+    ],
+)
+def test_quotient_basepoint_after_an_option_or_starting_with_a_dash(capsys, argv, same_as):
+    # argparse binds the optional basepoint together with the group, so
+    # main takes the one token left over as the basepoint
+    got = run_cli(capsys, "quotient", *argv)
+    assert got[0] == 0
+    assert got == run_cli(capsys, "quotient", *same_as)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quotient", "torus", "0,0", "1,1"],
+        ["quotient", "torus", "--resolution", "4", "0,0", "1,1"],
+        ["quotient", "torus", "--resolution", "4", "--bogus"],
+    ],
+)
+def test_quotient_leftover_tokens_stay_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_closed_stdout_ends_quietly_with_sigpipe_status():
+    # the reader goes away after one line of a 160,000-row raster
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "harmonicspaces", "quotient", "torus", "0,0", "--resolution", "400"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"# config ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize(
     "argv, expected, message",
     [
         (["torus", "inf,0"], 2, "non-finite"),
@@ -638,21 +683,22 @@ def test_phi_table_numeric_residual_uses_tol(capsys, monkeypatch):
 
 
 def _count_work(monkeypatch, module):
-    """Count the scalar integrate calls and the array density points that
-    ``module`` asks for; a dict read after the run."""
-    counts = {"integrate": 0, "array_points": 0}
-    integrate, theta_array = module.integrate, spaces.theta_array
+    """Count the scalar integrate calls and the density points, one per
+    float and the size of each array, that ``module`` asks theta for; a dict
+    read after the run."""
+    counts = {"integrate": 0, "theta_points": 0}
+    integrate, theta = module.integrate, module.theta
 
     def counting_integrate(*args, **kwargs):
         counts["integrate"] += 1
         return integrate(*args, **kwargs)
 
-    def counting_theta_array(model, r):
-        counts["array_points"] += r.size
-        return theta_array(model, r)
+    def counting_theta(model, r):
+        counts["theta_points"] += np.size(r)
+        return theta(model, r)
 
     monkeypatch.setattr(module, "integrate", counting_integrate)
-    monkeypatch.setattr(module, "theta_array", counting_theta_array)
+    monkeypatch.setattr(module, "theta", counting_theta)
     return counts
 
 
@@ -666,7 +712,7 @@ def test_numeric_phi_table_work_bounded(capsys, monkeypatch):
     )
     assert code == 0
     assert counts["integrate"] <= 5
-    assert 0 < counts["array_points"] < 5_000
+    assert 0 < counts["theta_points"] < 5_000
 
 
 def test_bounds_integrates_nothing(capsys, monkeypatch):
@@ -674,7 +720,7 @@ def test_bounds_integrates_nothing(capsys, monkeypatch):
     counts = _count_work(monkeypatch, spaces)
     code, _, _ = run_cli(capsys, "bounds", "hOP2")
     assert code == 0
-    assert counts == {"integrate": 0, "array_points": 0}
+    assert counts == {"integrate": 0, "theta_points": 0}
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import accumulate
 
 import numpy as np
@@ -37,7 +38,6 @@ from harmonicspaces.spaces import (
     positive_curvature_catalogue,
     sphere,
     theta,
-    theta_array,
 )
 
 # 1/(sinh(1)^3 cosh(1)), mpmath 30 digits
@@ -130,9 +130,10 @@ def test_array_flat_form_overflow_names_the_model():
 
 @pytest.mark.parametrize("mid", _TABLE_IDS)
 def test_theta_array_matches_theta_on_verification_grid(mid):
+    # theta on an array of radii against theta on each float
     model = parse_model_id(mid)
     grid = verification_grid(model)
-    got = theta_array(model, np.array(grid))
+    got = theta(model, np.array(grid))
     for r, value in zip(grid, got.tolist()):
         assert value == pytest.approx(theta(model, r), rel=1e-14, abs=0.0)
 
@@ -147,7 +148,7 @@ def test_phi0_numeric_grid_first_panels_are_gk15_panels_bit_for_bit(monkeypatch)
     monkeypatch.setattr(harmonic, "integrate", no_fallback)
     model = parse_model_id("S3")
     grid = verification_grid(model)[:12]
-    f = lambda s: float(1.0 / theta_array(model, np.array([s]))[0])
+    f = lambda s: float(1.0 / theta(model, np.array([s]))[0])
     panels = [_gk15(f, a, b)[0] for a, b in zip(grid, grid[1:])]
     for k in (0, 5, 11):
         left = [-s for s in accumulate(reversed(panels[:k]), initial=0.0)][:0:-1]
@@ -156,7 +157,8 @@ def test_phi0_numeric_grid_first_panels_are_gk15_panels_bit_for_bit(monkeypatch)
 
 
 def test_phi0_numeric_grid_overflow_raises_through_the_scalar_path():
-    # sinh(100.5)^15 is inf, so 1/theta would read 0.0 on the array path
+    # sinh(100.5)^15 is inf: the array call on the Kronrod nodes raises the
+    # float's error for the gap centre, the first node in C order
     with pytest.raises(OverflowError) as exc:
         phi0_numeric_grid(parse_model_id("hOP2"), [100.0, 101.0], 100.0)
     assert str(exc.value) == "theta of hOP2 at r=100.5 overflows float64"
@@ -274,6 +276,35 @@ def test_theta_overflow_names_the_model(mid, r):
             f(model, r)
 
 
+@pytest.mark.parametrize(
+    "mid,rs,bad,error",
+    [
+        # pi is outside S3's domain, and -0.5 comes after it in C order
+        ("S3", [[1.0, 4.0], [-0.5, 1.0]], 4.0, DomainViolation),
+        # sinh(800) and sinh(900) overflow, 800 first in C order
+        ("hOP2", [[1.0, 800.0], [900.0, 2.0]], 800.0, OverflowError),
+    ],
+)
+def test_array_density_raises_the_float_error_of_the_first_bad_radius(mid, rs, bad, error):
+    model = parse_model_id(mid)
+    for f in (theta, phi1):
+        with pytest.raises(error) as want:
+            f(model, bad)
+        with pytest.raises(error) as got:
+            f(model, np.array(rs))
+        assert str(got.value) == str(want.value)
+
+
+def test_array_phi1_raises_the_float_error_where_theta_reads_zero():
+    # 0.3^999 and 0.2^999 underflow to 0.0, 0.3 first in C order; 2^999 is finite
+    model = parse_model_id("E1000")
+    with pytest.raises(OverflowError) as got:
+        phi1(model, np.array([[2.0, 0.3], [0.2, 1.0]]))
+    assert str(got.value) == "phi1 of E1000 at r=0.3 overflows float64: theta is 0.0"
+    with pytest.raises(OverflowError, match=f"^{re.escape(str(got.value))}$"):
+        phi1(model, 0.3)
+
+
 def test_laplacian_closed_form_is_harmonic():
     model = sphere(3)
     assert abs(laplacian_radial(model, lambda r: phi0_closed(model, r), 1.0)) <= 1e-5
@@ -344,21 +375,25 @@ def test_verify_flags_wrong_entry(monkeypatch):
 
 
 def test_non_finite_array_phi1_is_taken_from_the_scalar_phi1(monkeypatch):
-    # theta_array reading 0.0 at one grid point would make 1/theta inf there;
-    # the ODE check then asks the scalar phi1, which gives the finite value
+    # theta reading 0.0 at one grid point makes 1/theta inf there: the ODE
+    # check's one phi1 call on the grid raises, naming the model and radius
     model = parse_model_id("hS3")
     grid = verification_grid(model)
-    exact = verify_table_entry(model)
 
     def zero_at_one_point(model, r):
-        values = theta_array(model, r)
+        values = theta(model, r)
         return np.where(r == grid[7], 0.0, values) if r.shape == (len(grid),) else values
 
-    monkeypatch.setattr(harmonic, "theta_array", zero_at_one_point)
-    res = verify_table_entry(model)
-    assert res.passed
-    assert res.max_ode_residual == pytest.approx(exact.max_ode_residual, rel=0.5)
-    monkeypatch.setattr(harmonic, "phi1", lambda model, r: math.nan)
+    monkeypatch.setattr(harmonic, "theta", zero_at_one_point)
+    with pytest.raises(OverflowError) as exc:
+        verify_table_entry(model)
+    assert str(exc.value) == f"phi1 of hS3 at r={grid[7]!r} overflows float64: theta is 0.0"
+    monkeypatch.undo()
+
+    def nan_on_the_grid(model, r):
+        return np.full(r.shape, math.nan) if r.shape == (len(grid),) else phi1(model, r)
+
+    monkeypatch.setattr(harmonic, "phi1", nan_on_the_grid)
     assert math.isnan(verify_table_entry(model).max_ode_residual)
 
 

@@ -743,17 +743,26 @@ def test_cp_distance_gauge_invariance(phase):
     [TorusGroup(), KleinGroup(), AntipodalGroup(), LensGroup(), CPInvolutionGroup()],
 )
 def test_selfcheck_passes(group):
-    report = group_action_selfcheck(group, samples=500, pairs=50)
+    report = group_action_selfcheck(group, samples=500)
     assert "isometry_random_pairs" in report.checks
+
+
+class _FixedPointAntipodal(AntipodalGroup):
+    """Negative control: -id replaced by the identity, which fixes every point."""
+
+    def apply(self, eid, point):
+        return np.asarray(point, float).copy()
 
 
 def test_selfcheck_fixed_point_floor():
     report = group_action_selfcheck(CPInvolutionGroup(), samples=2000)
     assert report.min_sampled_displacement is not None
     assert report.min_sampled_displacement > 0.1
-    # -id displaces every point by pi, which a floor of 4 rejects
-    with pytest.raises(SelfCheckFailed, match=r"^rp: sampled displacement 3\.142e\+00 at or below"):
-        group_action_selfcheck(AntipodalGroup(), samples=100, pairs=20, displacement_floor=4.0)
+    # an antipodal map that fixes every point displaces none of them
+    with pytest.raises(
+        SelfCheckFailed, match=r"^rp: sampled displacement 0\.000e\+00 at or below floor 0\.1;"
+    ):
+        group_action_selfcheck(_FixedPointAntipodal(), samples=100)
 
 
 class _CorruptedLens(LensGroup):
@@ -815,9 +824,9 @@ class _DilatingTorus(TorusGroup):
 
 def test_selfcheck_catches_corruption():
     with pytest.raises(SelfCheckFailed, match=r"^lens: T\^4 != id$"):
-        group_action_selfcheck(_CorruptedLens(), samples=100, pairs=20)
+        group_action_selfcheck(_CorruptedLens(), samples=100)
     with pytest.raises(SelfCheckFailed, match=r"^lens: T\^2 != -id$"):
-        group_action_selfcheck(_FixedPointLens(), samples=100, pairs=20)
+        group_action_selfcheck(_FixedPointLens(), samples=100)
 
 
 @pytest.mark.parametrize(
@@ -832,7 +841,7 @@ def test_selfcheck_catches_corruption():
 )
 def test_selfcheck_names_the_violated_identity(group, message):
     with pytest.raises(SelfCheckFailed, match=message):
-        group_action_selfcheck(group, samples=100, pairs=20)
+        group_action_selfcheck(group, samples=100)
 
 
 # --- cut locus sampling and measures

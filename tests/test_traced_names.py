@@ -42,14 +42,16 @@ def test_tracer_hooks_read_what_the_package_returns():
         "    ['bounds', 'hOP2'],\n"
         "    ['verify', 'S3'],\n"
         "]\n"
-        "codes = []\n"
+        "codes, points = [], []\n"
         "for job, argv in enumerate(jobs):\n"
         "    t.job = job\n"
+        "    before = t.counts['spaces.theta.points']\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes.append(cli.main(argv))\n"
+        "    points.append(t.counts['spaces.theta.points'] - before)\n"
         "summary = t.summary()\n"
         "print(json.dumps({'codes': codes, 'calls': summary['spans']['cli.main']['calls'],\n"
-        "                  'counts': summary['counts']}))\n"
+        "                  'counts': summary['counts'], 'points': points}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -57,3 +59,6 @@ def test_tracer_hooks_read_what_the_package_returns():
     assert result["codes"] == [0, 0, 0, 0] and result["calls"] == 4
     assert result["counts"]["quotients.classify_grid.cells"] == 16
     assert result["counts"]["verify.checks"] > 0
+    # verify S3 evaluates the density on the 15 Kronrod nodes of each of its
+    # 49 grid gaps and on its 50 grid points, all through spaces.theta
+    assert result["points"][3] >= 49 * 15 + 50

@@ -158,29 +158,22 @@ def test_make_group_and_basepoints():
 
 
 def test_verify_all_theta_calls_bounded(monkeypatch):
-    # deterministic work gate on density points evaluated: one per scalar
-    # theta call plus the size of each array-density call.  The boundary
-    # verdicts evaluate no integrand, and each table row integrates each
-    # grid gap once (20,950 points; one integral per grid point made
-    # 62,440 theta calls, a budget probe 272,980)
-    scalar = array = 0
-    theta, theta_array = harmonic.theta, harmonic.theta_array
+    # deterministic work gate on density points evaluated: one per float
+    # theta call and the size of each array.  The boundary verdicts evaluate
+    # no integrand, and each table row integrates each grid gap once (20,950
+    # points; one integral per grid point made 62,440 theta calls, a budget
+    # probe 272,980)
+    points = 0
+    theta = harmonic.theta
 
     def counting_theta(model, r):
-        nonlocal scalar
-        scalar += 1
+        nonlocal points
+        points += np.size(r)
         return theta(model, r)
 
-    def counting_theta_array(model, r):
-        nonlocal array
-        array += r.size
-        return theta_array(model, r)
-
     monkeypatch.setattr(harmonic, "theta", counting_theta)
-    monkeypatch.setattr(harmonic, "theta_array", counting_theta_array)
     run_all(seed=42)
-    assert array > 0
-    assert scalar + array < 25_000
+    assert 20_000 < points < 25_000
 
 
 def test_check_result_line_format():
