@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import UnsupportedModel
-from .numerics import _XGK, DEFAULT_TOL, Interval, _gk15, converged, derivative, integrate
+from .numerics import (
+    DEFAULT_TOL,
+    Interval,
+    _nodes_inside,
+    converged,
+    derivative,
+    gk15_panels,
+    integrate,
+)
 from .spaces import (
     Family,
     SpaceModel,
@@ -345,11 +353,14 @@ def phi0_numeric_grid(
     Each gap between neighbouring distinct points of rs and r_ref is
     integrated once at tol / gaps, so the summed error estimate keeps the
     bound of one integral at tol, and the values are running sums outward
-    from r_ref.  The first GK15 panels of all gaps take one ``phi1`` call on
-    all their nodes, which ``_gk15`` then sums, so a panel is bit for bit
-    the one ``integrate`` starts from.  A gap keeps its panel when it meets
-    ``integrate``'s own stopping rule, and every other gap goes to
-    ``integrate``.
+    from r_ref.  Each gap takes the steps ``integrate`` would, in array
+    passes: the first GK15 panels of all gaps take one ``phi1`` call
+    (``numerics.gk15_panels``), and a gap keeps its panel when it meets
+    ``integrate``'s stopping rule, ``numerics.converged``.  The two halves
+    of every other gap take one more call, and are summed as ``integrate``
+    sums its first split.  A gap that still misses the rule, whose first
+    panel is not finite, or that float64 cannot halve goes to ``integrate``,
+    whose errors then name it.
     """
     import numpy as np  # here, so that importing harmonic does not load numpy
 
@@ -358,20 +369,28 @@ def phi0_numeric_grid(
     points = np.array(sorted({*rs, r_ref}))
     gap_tol = tol / max(len(points) - 1, 1)
     a, b = points[:-1], points[1:]
-    # the nodes of every first panel in the order _gk15 asks for them
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = [c]
-    for x in _XGK:
-        nodes += (c - h * x, c + h * x)
-    rows = iter(phi1(model, np.stack(nodes)))
+    f = lambda s: phi1(model, s)
     # a panel sum can still leave float64, and then integrate takes the gap
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps, error = _gk15(lambda _: next(rows), a, b)
+        gaps, error = gk15_panels(f, a, b)
         accepted = converged(gaps, error, gap_tol)
+        mids = 0.5 * (a + b)
+        split = np.flatnonzero(
+            ~accepted & np.isfinite(gaps) & _nodes_inside(a, mids) & _nodes_inside(mids, b)
+        )
+        if len(split):
+            lo, mid, hi = a[split], mids[split], b[split]
+            halves = gk15_panels(f, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+            (v1, v2), (e1, e2) = (x.reshape(2, -1) for x in halves)
+            # integrate's sums after one split: v0 + (v1 + v2 - v0), and so on
+            v0, e0 = gaps[split], error[split]
+            value = v0 + (v1 + v2 - v0)
+            done = converged(value, e0 + (e1 + e2 + -e0), gap_tol)
+            gaps[split[done]] = value[done]
+            accepted[split[done]] = True
     # the other gaps go to integrate outward from r_ref, right side first
     k = int(np.searchsorted(points, r_ref))
     rejected = np.flatnonzero(~accepted).tolist()
-    f = lambda s: phi1(model, s)
     for i in [i for i in rejected if i >= k] + [i for i in rejected[::-1] if i < k]:
         lo, hi = points[i : i + 2].tolist()
         gaps[i] = integrate(f, Interval(lo, hi), tol=gap_tol).value

@@ -81,32 +81,56 @@ class QuadratureResult:
     evaluations: int
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One 7/15 Gauss-Kronrod application on [a, b].
-
-    Returns (kronrod value, |kronrod - gauss| error estimate).  f is called
-    at the centre c first, then at c - h x and c + h x for each abscissa x
-    of ``_XGK`` in turn; a and b may be numpy arrays of panel ends.
-    """
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc = f(c)
+def _gk15_sum(fc, pair_sums, h):
+    """(Kronrod value, |Kronrod - Gauss| error) from f at the centre and
+    the sums f(c - h x) + f(c + h x) over the abscissae x of ``_XGK`` in
+    turn, added in one fixed order; elementwise on numpy arrays."""
     resk = _WGK_CENTER * fc
     resg = _WG_CENTER * fc
-    for j, x in enumerate(_XGK):
-        dx = h * x
-        s = f(c - dx) + f(c + dx)
+    for j, s in enumerate(pair_sums):
         resk += _WGK[j] * s
         if j % 2 == 1:
             resg += _WG[j // 2] * s
     return resk * h, abs((resk - resg) * h)
 
 
-def _nodes_inside(a: float, b: float) -> bool:
-    """True when the outermost nodes ``_gk15`` places round strictly inside [a, b]."""
+def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """One 7/15 Gauss-Kronrod application on [a, b].
+
+    Returns (kronrod value, |kronrod - gauss| error estimate).  f is called
+    at the centre c first, then at c - h x and c + h x for each abscissa x
+    of ``_XGK`` in turn.
+    """
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    return _gk15_sum(f(c), [f(c - h * x) + f(c + h * x) for x in _XGK], h)
+
+
+#: The 15 Kronrod nodes of the panel about c of half-width h are c + h * offset.
+_OFFSETS = (0.0,) + tuple(s * x for x in _XGK for s in (-1.0, 1.0))
+
+
+def gk15_panels(f, a, b):
+    """``_gk15`` on each panel [a[i], b[i]] of two 1-D numpy arrays.
+
+    f is called once, on the (15, n) array of all the nodes, and each
+    panel's (value, error) pair is ``_gk15``'s for the same values of f, bit
+    for bit: c + h * (-x) is c - h x.  Returns two arrays.
+    """
+    import numpy as np  # here, so that the float path does not load numpy
+
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    values = f(c + h * np.array(_OFFSETS)[:, None])
+    return _gk15_sum(values[0], values[1::2] + values[2::2], h)
+
+
+def _nodes_inside(a, b):
+    """True when the outermost nodes ``_gk15`` places round strictly inside
+    [a, b]; elementwise on numpy arrays."""
     c = 0.5 * (a + b)
     dx = 0.5 * (b - a) * _XGK[0]
-    return a < c - dx and c + dx < b
+    return (a < c - dx) & (c + dx < b)
 
 
 def converged(value, error, tol: float):

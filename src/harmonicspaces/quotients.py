@@ -87,16 +87,26 @@ def flat_distances(a, b) -> np.ndarray:
     return _row_norm(a - b)
 
 
+def _sphere_cosines(a, b) -> np.ndarray:
+    return np.clip(_row_dot(a, b), -1.0, 1.0)
+
+
+def _cproj_cosines(a, b) -> np.ndarray:
+    return np.minimum(1.0, _each(abs, _row_dot(np.conj(a), b)))
+
+
 def sphere_distances(a, b) -> np.ndarray:
-    return _each(math.acos, np.clip(_row_dot(a, b), -1.0, 1.0))
+    return _each(math.acos, _sphere_cosines(a, b))
 
 
 def cproj_distances(a, b) -> np.ndarray:
     """Fubini-Study distances between projective points given by unit vectors."""
-    return _each(math.acos, np.minimum(1.0, _each(abs, _row_dot(np.conj(a), b))))
+    return _each(math.acos, _cproj_cosines(a, b))
 
 
 _DISTANCES = {"flat": flat_distances, "sphere": sphere_distances, "cproj": cproj_distances}
+#: The clipped cosines whose arccosines are the curved distances.
+_COSINES = {"sphere": _sphere_cosines, "cproj": _cproj_cosines}
 
 
 def _validate_points(kind: str, p, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
@@ -430,10 +440,13 @@ _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
-    """The SplitMix64 finaliser on a uint64 array (arrays wrap silently)."""
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-    return z ^ (z >> 31)
+    """The SplitMix64 finaliser, in place on a uint64 array (arrays wrap silently)."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
 
 class SeededStream:
@@ -460,7 +473,10 @@ class SeededStream:
         self._count += n
         z *= _GOLDEN_GAMMA
         z += self._key
-        return (_splitmix64(z) >> 11) * 2.0**-53
+        _splitmix64(z)
+        z >>= 11
+        # int64 holds the 53 bits, and converts to float64 faster than uint64
+        return z.view(np.int64) * 2.0**-53
 
     def uniform(self, lo: float, hi: float, size) -> np.ndarray:
         return lo + (hi - lo) * self._unit(int(np.prod(size))).reshape(size)
@@ -554,10 +570,13 @@ def group_action_selfcheck(
 
     if isinstance(group, (AntipodalGroup, LensGroup, CPInvolutionGroup)):
         q = _random_points(group, rng, samples)
-        worst = min(
-            float(np.min(distance(q, group.apply(eid, q)), initial=math.inf))
-            for eid in group.ring
+        cosine = _COSINES[group.ambient]
+        # acos decreases, so the least displacement is one acos of the
+        # largest cosine, as math.acos would give it for that sample
+        largest = max(
+            float(np.max(cosine(q, group.apply(eid, q)), initial=-1.0)) for eid in group.ring
         )
+        worst = math.acos(largest) if len(q) else math.inf
         min_disp = worst
         if worst <= _DISPLACEMENT_FLOOR:
             raise SelfCheckFailed(

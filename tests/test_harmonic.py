@@ -27,7 +27,7 @@ from harmonicspaces.harmonic import (
     verification_grid,
     verify_table_entry,
 )
-from harmonicspaces.numerics import Interval, _gk15, integrate
+from harmonicspaces.numerics import DEFAULT_TOL, Interval, _gk15, integrate
 from harmonicspaces.spaces import (
     complex_hyperbolic,
     complex_projective,
@@ -164,25 +164,52 @@ def test_phi0_numeric_grid_overflow_raises_through_the_scalar_path():
     assert str(exc.value) == "theta of hOP2 at r=100.5 overflows float64"
 
 
-def test_phi0_numeric_grid_gaps_that_fall_back(monkeypatch):
-    # three gaps of hOP2's verification grid miss tolerance on their first
-    # array panel and go to the scalar integrate
-    model = parse_model_id("hOP2")
-    grid = verification_grid(model)
-    r_ref = grid[len(grid) // 2]
-    scalar_gaps = []
+def _recording_integrate(monkeypatch):
+    """Patch harmonic.integrate to record each interval it is called on."""
+    intervals = []
 
     def recording_integrate(f, iv, tol):
-        scalar_gaps.append(iv)
+        intervals.append(iv)
         return integrate(f, iv, tol=tol)
 
     monkeypatch.setattr(harmonic, "integrate", recording_integrate)
+    return intervals
+
+
+def test_phi0_numeric_grid_gaps_that_fall_back(monkeypatch):
+    # every gap of hOP2's verification grid converges on its first array
+    # panel or on its array split, so none reaches the scalar integrate
+    model = parse_model_id("hOP2")
+    grid = verification_grid(model)
+    r_ref = grid[len(grid) // 2]
+    scalar_gaps = _recording_integrate(monkeypatch)
     summed = phi0_numeric_grid(model, grid, r_ref)
-    assert len(scalar_gaps) == 3
-    assert all(iv.lo in grid and iv.hi in grid for iv in scalar_gaps)
+    assert scalar_gaps == []
+    # one wide gap still misses tolerance after its split, and integrate
+    # takes it from the start, as phi0_numeric does
+    wide = phi0_numeric_grid(model, [0.3, 1.0], 0.3)
+    assert scalar_gaps == [Interval(0.3, 1.0)]
     monkeypatch.undo()
+    assert wide == [0.0, phi0_numeric(model, 1.0, 0.3)]
     for r, value in zip(grid, summed):
         assert scaled_residual(value, phi0_numeric(model, r, r_ref)) <= 1e-13
+
+
+def test_phi0_numeric_grid_split_is_integrates_first_split_bit_for_bit(monkeypatch):
+    # 1 / r^3 rounds the same on a float and on an array, so a gap that
+    # integrate settles in one split must read integrate's value exactly
+    f = lambda r: 1.0 / (r * r * r)
+    monkeypatch.setattr(harmonic, "phi1", lambda model, r: f(r))
+    scalar_gaps = _recording_integrate(monkeypatch)
+    model = parse_model_id("E4")
+    points = [0.1, 0.16, 0.25, 0.4, 0.64, 1.0, 1.6]
+    gap_tol = DEFAULT_TOL / (len(points) - 1)
+    results = [integrate(f, Interval(a, b), tol=gap_tol) for a, b in zip(points, points[1:])]
+    # 45 evaluations are the first panel and its two halves
+    assert [res.evaluations for res in results] == [45, 45, 45, 45, 15, 15]
+    right = list(accumulate((res.value for res in results), initial=0.0))
+    assert phi0_numeric_grid(model, points, points[0]) == right
+    assert scalar_gaps == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -228,6 +255,9 @@ def test_phi0_numeric_grid_domain():
         phi0_numeric_grid(sphere(3), [0.5, 1.0], 0.0)
     with pytest.raises(DomainViolation):
         phi0_numeric(euclidean(3), -1.0, 1.0)
+    # the first bad radius of rs, then r_ref; not the least one
+    with pytest.raises(DomainViolation, match=r"^r=4\.0 outside"):
+        phi0_numeric_grid(sphere(3), [0.5, 4.0, -1.0], -2.0)
 
 
 _OUTSIDE = [

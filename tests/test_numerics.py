@@ -11,8 +11,10 @@ from harmonicspaces.numerics import (
     EPS,
     Interval,
     QuadratureResult,
+    _gk15,
     converged,
     derivative,
+    gk15_panels,
     integrate,
 )
 
@@ -20,6 +22,23 @@ from harmonicspaces.numerics import (
 def test_interval_requires_ordering():
     with pytest.raises(ValueError):
         Interval(1.0, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ends=st.lists(
+        st.tuples(st.floats(0.01, 10.0), st.floats(1e-9, 10.0)), min_size=1, max_size=8
+    )
+)
+def test_gk15_panels_are_gk15_bit_for_bit(ends):
+    # 1 / r^3 rounds the same on a float and on an array, so each array
+    # panel must be _gk15's panel exactly, value and error
+    f = lambda r: 1.0 / (r * r * r)
+    a = np.array([lo for lo, _ in ends])
+    b = np.array([lo + width for lo, width in ends])
+    values, errors = gk15_panels(f, a, b)
+    assert values.tolist() == [_gk15(f, lo, hi)[0] for lo, hi in zip(a.tolist(), b.tolist())]
+    assert errors.tolist() == [_gk15(f, lo, hi)[1] for lo, hi in zip(a.tolist(), b.tolist())]
 
 
 def test_integrate_sin_closed():

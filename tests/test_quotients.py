@@ -571,6 +571,29 @@ def test_seeded_stream_repeats_its_draws(seed):
     assert np.array_equal(a.standard_normal(5), b.standard_normal(5))
 
 
+def _splitmix64_reference(seed, n):
+    """The first n values of SeededStream(seed), on Python ints mod 2^64."""
+    mask, gamma = 2**64 - 1, 0x9E3779B97F4A7C15
+
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    key = 0
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = mix((key + gamma + (seed >> shift)) & mask)
+    return [mix((key + i * gamma) & mask) for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64, 10**30])
+def test_seeded_stream_is_splitmix64_bit_for_bit(seed):
+    # two draws, so the counter carries from the first to the second
+    stream = SeededStream(seed)
+    drawn = stream.uniform(0.0, 1.0, 300).tolist() + stream.uniform(0.0, 1.0, 700).tolist()
+    assert drawn == [(z >> 11) * 2.0**-53 for z in _splitmix64_reference(seed, 1000)]
+
+
 def test_seeded_stream_seeds_give_different_draws():
     # seeds at and above 2^64 fold every 64-bit word into the key, so none
     # of them repeats the draws of its remainder mod 2^64
@@ -763,6 +786,21 @@ def test_selfcheck_fixed_point_floor():
         SelfCheckFailed, match=r"^rp: sampled displacement 0\.000e\+00 at or below floor 0\.1;"
     ):
         group_action_selfcheck(_FixedPointAntipodal(), samples=100)
+
+
+@pytest.mark.parametrize("group", [AntipodalGroup(), LensGroup(), CPInvolutionGroup()])
+def test_selfcheck_displacement_is_the_least_sampled_distance(group):
+    # one arccosine of the largest cosine: the minimum of the per-sample
+    # arccosines, bit for bit, since acos decreases
+    report = group_action_selfcheck(group, samples=300, seed=5)
+    rng = SeededStream(5)
+    if isinstance(group, (LensGroup, CPInvolutionGroup)):
+        _random_points(group, rng, 20)  # the draws of the lens or involution check
+    q = _random_points(group, rng, 300)
+    distance = cproj_distances if group.ambient == "cproj" else sphere_distances
+    least = min(float(distance(q, group.apply(eid, q)).min()) for eid in group.ring)
+    assert report.min_sampled_displacement == least
+    assert group_action_selfcheck(group, samples=0).min_sampled_displacement == math.inf
 
 
 class _CorruptedLens(LensGroup):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from harmonicspaces import harmonic, quotients
+from harmonicspaces import harmonic, numerics, quotients
 from harmonicspaces.cli import main
 from harmonicspaces.numerics import EPS
 from harmonicspaces.spaces import euclidean, parse_model_id
@@ -160,20 +160,30 @@ def test_make_group_and_basepoints():
 def test_verify_all_theta_calls_bounded(monkeypatch):
     # deterministic work gate on density points evaluated: one per float
     # theta call and the size of each array.  The boundary verdicts evaluate
-    # no integrand, and each table row integrates each grid gap once (20,950
-    # points; one integral per grid point made 62,440 theta calls, a budget
-    # probe 272,980)
+    # no integrand, and each table row integrates each grid gap once, in
+    # array passes through the first split, so no scalar GK15 panel is
+    # summed, and no scalar integrate runs, since each sums at least one
+    # (20,770 points; 20,950 when 12 gaps fell back to integrate, 62,440
+    # with one integral per grid point)
     points = 0
+    panels = 0
     theta = harmonic.theta
+    gk15 = numerics._gk15
 
     def counting_theta(model, r):
         nonlocal points
         points += np.size(r)
         return theta(model, r)
 
+    def counting_gk15(f, a, b):
+        nonlocal panels
+        panels += 1
+        return gk15(f, a, b)
+
     monkeypatch.setattr(harmonic, "theta", counting_theta)
+    monkeypatch.setattr(numerics, "_gk15", counting_gk15)
     run_all(seed=42)
-    assert 20_000 < points < 25_000
+    assert (points, panels) == (20_770, 0)
 
 
 def test_check_result_line_format():
