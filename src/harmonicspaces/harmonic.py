@@ -353,52 +353,119 @@ def phi0_numeric_grid(
     Each gap between neighbouring distinct points of rs and r_ref is
     integrated once at tol / gaps, so the summed error estimate keeps the
     bound of one integral at tol, and the values are running sums outward
-    from r_ref.  Each gap takes the steps ``integrate`` would, in array
-    passes: the first GK15 panels of all gaps take one ``phi1`` call
-    (``numerics.gk15_panels``), and a gap keeps its panel when it meets
-    ``integrate``'s stopping rule, ``numerics.converged``.  The two halves
-    of every other gap take one more call, and are summed as ``integrate``
-    sums its first split.  A gap that still misses the rule, whose first
-    panel is not finite, or that float64 cannot halve goes to ``integrate``,
-    whose errors then name it.
+    from r_ref.  The one-row call of ``phi0_numeric_grids``, which says how.
+    """
+    return phi0_numeric_grids([(model, rs, r_ref)], tol)[0]
+
+
+def _panels_by_model(models, owner, a, b):
+    """``gk15_panels`` on the panels [a[i], b[i]] of models[owner[i]], in
+    their order.  The pass groups the panels by model, stably, and each
+    model's density is one ``phi1`` call on its own nodes as one contiguous
+    (15, n) array: the array a pass over that model's panels alone would
+    evaluate, so every value is that pass's, bit for bit."""
+    if len(models) == 1:
+        return gk15_panels(lambda nodes: phi1(models[0], nodes), a, b)
+    import numpy as np  # here, so that importing harmonic does not load numpy
+
+    order = np.argsort(owner, kind="stable")
+    stops = np.cumsum(np.bincount(owner, minlength=len(models))).tolist()
+
+    def density(nodes):
+        values = np.empty_like(nodes)
+        for model, lo, hi in zip(models, [0, *stops], stops):
+            if lo < hi:
+                values[:, lo:hi] = phi1(model, np.ascontiguousarray(nodes[:, lo:hi]))
+        return values
+
+    back = np.argsort(order)
+    return [x[back] for x in gk15_panels(density, a[order], b[order])]
+
+
+def phi0_numeric_grids(rows, tol: float = DEFAULT_TOL) -> list[list[float]]:
+    """``phi0_numeric_grid(model, rs, r_ref, tol)`` for each (model, rs,
+    r_ref) of ``rows``, in array passes over the gaps of all rows at once.
+
+    Each gap takes the steps ``integrate`` would.  The first GK15 panels of
+    all gaps take one ``numerics.gk15_panels`` pass, and a gap keeps its
+    panel when it meets ``integrate``'s stopping rule at its row's
+    tolerance (``numerics.converged``).  The two halves of every other gap
+    take one more pass, and are summed as ``integrate`` sums its first
+    split.  A gap that still misses the rule, whose first panel is not
+    finite, or that float64 cannot halve goes to ``integrate``, row by row
+    and outward from each row's r_ref, and its errors then name it.  In
+    each pass a model's density is one ``phi1`` call on the nodes of its
+    own gaps, so every value and error is the one its row gives alone.
+    Every row's DomainViolation comes before any density, in row order.
     """
     import numpy as np  # here, so that importing harmonic does not load numpy
 
-    check_radius(model, *rs, r_ref)
+    models = [model for model, _, _ in rows]
     # sorted() and not np.unique, which loads numpy.ma (13 ms) on numpy 2
-    points = np.array(sorted({*rs, r_ref}))
-    gap_tol = tol / max(len(points) - 1, 1)
+    grids = [sorted({*rs, r_ref}) for _, rs, r_ref in rows]
+    sizes = [len(grid) for grid in grids]
+    points = np.array([r for grid in grids for r in grid])
+    # without NaN each grid is sorted, so its ends bound it
+    if not (
+        np.isfinite(points).all()
+        and all(grid[0] > 0.0 and grid[-1] < m.density.domain_end for grid, m in zip(grids, models))
+    ):
+        for model, rs, r_ref in rows:
+            check_radius(model, *rs, r_ref)
+    # the gaps between neighbouring points of each row, row after row;
+    # the last point of a row begins none
     a, b = points[:-1], points[1:]
-    f = lambda s: phi1(model, s)
+    widths = [max(size - 1, 0) for size in sizes]
+    if len(rows) > 1:
+        gap = np.ones(len(a), dtype=bool)
+        gap[np.cumsum(sizes[:-1]) - 1] = False
+        a, b = a[gap], b[gap]
+    row_tols = [tol / max(width, 1) for width in widths]
+    gap_tol = np.array(row_tols).repeat(widths)
+    owner = np.arange(len(rows)).repeat(widths)
     # a panel sum can still leave float64, and then integrate takes the gap
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps, error = gk15_panels(f, a, b)
+        gaps, error = _panels_by_model(models, owner, a, b)
         accepted = converged(gaps, error, gap_tol)
-        mids = 0.5 * (a + b)
-        split = np.flatnonzero(
-            ~accepted & np.isfinite(gaps) & _nodes_inside(a, mids) & _nodes_inside(mids, b)
-        )
+        split = np.flatnonzero(~accepted)
+        missed = len(split)
+        if missed:
+            lo, hi = a[split], b[split]
+            mid = 0.5 * (lo + hi)
+            halve = np.isfinite(gaps[split]) & _nodes_inside(lo, mid) & _nodes_inside(mid, hi)
+            split, lo, mid, hi = split[halve], lo[halve], mid[halve], hi[halve]
         if len(split):
-            lo, mid, hi = a[split], mids[split], b[split]
-            halves = gk15_panels(f, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+            halves = _panels_by_model(
+                models,
+                np.concatenate((owner[split], owner[split])),
+                np.concatenate((lo, mid)),
+                np.concatenate((mid, hi)),
+            )
             (v1, v2), (e1, e2) = (x.reshape(2, -1) for x in halves)
             # integrate's sums after one split: v0 + (v1 + v2 - v0), and so on
             v0, e0 = gaps[split], error[split]
             value = v0 + (v1 + v2 - v0)
-            done = converged(value, e0 + (e1 + e2 + -e0), gap_tol)
+            done = converged(value, e0 + (e1 + e2 + -e0), gap_tol[split])
             gaps[split[done]] = value[done]
             accepted[split[done]] = True
-    # the other gaps go to integrate outward from r_ref, right side first
-    k = int(np.searchsorted(points, r_ref))
-    rejected = np.flatnonzero(~accepted).tolist()
-    for i in [i for i in rejected if i >= k] + [i for i in rejected[::-1] if i < k]:
-        lo, hi = points[i : i + 2].tolist()
-        gaps[i] = integrate(f, Interval(lo, hi), tol=gap_tol).value
-    # running sums outward from r_ref; cumsum adds in sequence
-    sums = np.zeros(len(points))
-    sums[k + 1 :] = np.cumsum(gaps[k:])
-    sums[:k] = -np.cumsum(gaps[:k][::-1])[::-1]
-    return sums[np.searchsorted(points, rs)].tolist()
+    rejected = np.flatnonzero(~accepted).tolist() if missed else []
+    out, start, first = [], 0, 0
+    for (model, rs, r_ref), size, width, row_tol in zip(rows, sizes, widths, row_tols):
+        row, row_gaps = points[first : first + size], gaps[start : start + width]
+        k = int(np.searchsorted(row, r_ref))
+        if rejected:
+            # the other gaps go to integrate outward from r_ref, right side first
+            mine = [i - start for i in rejected if start <= i < start + width]
+            f = lambda s: phi1(model, s)
+            for i in [i for i in mine if i >= k] + [i for i in mine[::-1] if i < k]:
+                row_gaps[i] = integrate(f, Interval(*row[i : i + 2].tolist()), tol=row_tol).value
+        # running sums outward from r_ref; cumsum adds in sequence
+        sums = np.zeros(size)
+        sums[k + 1 :] = np.cumsum(row_gaps[k:])
+        sums[:k] = -np.cumsum(row_gaps[:k][::-1])[::-1]
+        out.append(sums[np.searchsorted(row, rs)].tolist())
+        start, first = start + width, first + size
+    return out
 
 
 def phi0_numeric(
@@ -572,29 +639,44 @@ def _ode_derivative(model: SpaceModel, form, r: float) -> float:
 
 
 def verify_table_entry(model: SpaceModel) -> TableVerification:
-    """Check a closed form against the two independent oracles.
+    """Check a closed form against the two independent oracles; the one-row
+    call of ``verify_table_entries``."""
+    return verify_table_entries([model])[0]
+
+
+def verify_table_entries(models: list[SpaceModel]) -> list[TableVerification]:
+    """Check each closed form of ``models`` against the two independent oracles.
 
     ODE check: ``numerics.derivative`` of the closed form against phi1.
     Match check: quadrature differences along the grid against closed-form
-    differences.  Each check is one array evaluation of the form, on the
-    stencils of the whole grid and on the grid.  A NaN residual at any grid
-    point is kept, so the row fails.  Where the array derivative overflows,
-    the grid points are taken one at a time, so the OverflowError names the
-    model and the first failing point, as ``phi1``'s does.
+    differences.  Each check is one array evaluation of the form per row,
+    on the stencils of the whole grid and on the grid, and the quadrature
+    of all rows is one ``phi0_numeric_grids`` call.  A NaN residual at any
+    grid point is kept, so the row fails.  Where the array derivative
+    overflows, the grid points are taken one at a time, so the
+    OverflowError names the model and the first failing point, as
+    ``phi1``'s does.  The ODE checks of all rows run before the quadrature.
     """
     import numpy as np  # here, so that importing harmonic does not load numpy
 
-    form = closed_form(model)
-    grid = verification_grid(model)
-    k = len(grid) // 2
-    rs = np.array(grid)
-    try:
-        fd = derivative(lambda x: form(x, np), rs, 1, interval=domain(model))
-    except OverflowError:
-        fd = np.array([_ode_derivative(model, form, r) for r in grid])
-    ode = float(np.max(scaled_residual(fd, phi1(model, rs))))
-
-    values = form(rs, np)
-    numeric = np.array(phi0_numeric_grid(model, grid, grid[k]))
-    match = float(np.max(scaled_residual(numeric, values - values[k])))
-    return TableVerification(model.model_id, ode, match)
+    rows, odes, closed = [], [], []
+    for model in models:
+        form = closed_form(model)
+        grid = verification_grid(model)
+        rs = np.array(grid)
+        try:
+            fd = derivative(lambda x: form(x, np), rs, 1, interval=domain(model))
+        except OverflowError:
+            fd = np.array([_ode_derivative(model, form, r) for r in grid])
+        odes.append(float(np.max(scaled_residual(fd, phi1(model, rs)))))
+        values = form(rs, np)
+        k = len(grid) // 2
+        closed.append(values - values[k])
+        rows.append((model, grid, grid[k]))
+    numeric = phi0_numeric_grids(rows)
+    return [
+        TableVerification(
+            model.model_id, ode, float(np.max(scaled_residual(np.array(values), diffs)))
+        )
+        for model, ode, values, diffs in zip(models, odes, numeric, closed)
+    ]

@@ -57,8 +57,10 @@ _BLOCK_CELLS = 1 << 16
 # Every distance works row-wise on (..., d) arrays, and a query on n points
 # gives exactly the n single-point answers.  Row dot products go through a
 # batched matmul, which equals np.dot on each row bit for bit (norm(axis=1)
-# sums in another order); arccosines and complex moduli go through the
-# Python builtins, which np.arccos and np.abs may miss in the last bit.
+# sums in another order); arccosines go through math.acos, which np.arccos
+# may miss in the last bit, and complex moduli through np.hypot of the real
+# and imaginary parts, the libm hypot that Python's abs calls too (np.abs
+# may miss it in the last bit).
 # The raster kernel _grid_distances squares and adds elementwise instead:
 # that differs from the matmul in the last bit on some rows (a fused
 # multiply-add inside it, probably), so a raster's region code can differ
@@ -92,7 +94,8 @@ def _sphere_cosines(a, b) -> np.ndarray:
 
 
 def _cproj_cosines(a, b) -> np.ndarray:
-    return np.minimum(1.0, _each(abs, _row_dot(np.conj(a), b)))
+    z = _row_dot(np.conj(a), b)
+    return np.minimum(1.0, np.hypot(z.real, z.imag))
 
 
 def sphere_distances(a, b) -> np.ndarray:

@@ -192,7 +192,10 @@ def theta(model: SpaceModel, r):
     OverflowError naming the model where the value leaves float64.  ``r``
     may be a numpy array of radii, elementwise by numpy's functions, which
     agree with libm's to a few ulps; its errors are the float's, for the
-    first bad radius in C order."""
+    first bad radius in C order.  The last bits of an array's values depend
+    on the SIMD kernels numpy dispatches on the host, and so do the outputs
+    that carry them: the residual digits of ``verify`` and the
+    ``laplacian_residual`` column of ``phi-table``."""
     prof = check_radius(model, r)
     a, b = prof.sine_exponent, prof.cosine_exponent
     if getattr(r, "ndim", 0) == 0:

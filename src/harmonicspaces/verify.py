@@ -30,14 +30,17 @@ class CheckResult:
         return f"{self.status:<4} {self.name}: {self.details}"
 
 
-def check_table_row(model: SpaceModel) -> CheckResult:
-    """Oracle verdict for one closed-form row."""
-    res = verify_table_entry(model)
+def _table_result(res: harmonic.TableVerification) -> CheckResult:
     detail = (
         f"ode_residual={res.max_ode_residual:.3e} "
         f"match_residual={res.max_match_residual:.3e}"
     )
-    return CheckResult(f"table {model.model_id}", "PASS" if res.passed else "FAIL", detail)
+    return CheckResult(f"table {res.model_id}", "PASS" if res.passed else "FAIL", detail)
+
+
+def check_table_row(model: SpaceModel) -> CheckResult:
+    """Oracle verdict for one closed-form row."""
+    return _table_result(verify_table_entry(model))
 
 
 #: The table rows: every transcribed closed form, then the flat family.
@@ -47,7 +50,7 @@ _TABLE_IDS = (*harmonic.CLOSED_FORMS, "E2", "E3", "E4", "E5")
 def table_checks(models: list[SpaceModel] | None = None) -> list[CheckResult]:
     if models is None:
         models = [parse_model_id(mid) for mid in _TABLE_IDS]
-    return [check_table_row(m) for m in models]
+    return [_table_result(res) for res in harmonic.verify_table_entries(models)]
 
 
 def boundary_checks(models: list[SpaceModel] | None = None) -> list[CheckResult]:

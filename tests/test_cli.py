@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 import warnings
@@ -501,10 +503,34 @@ def test_phi_table_and_verify_outputs_pinned(capsys, argv, digest):
     # one array derivative per order, scaled by the Laplacian's own terms:
     # only laplacian_residual values moved.  Nine bounds digests were
     # re-captured when the volumes became Beta functions: only dual_volume,
-    # gb_bound and sig_bound moved, within 2 ulps (hCP1 now reads pi)
+    # gb_bound and sig_bound moved, within 2 ulps (hCP1 now reads pi).
+    # Every digest was captured with numpy's AVX-512 kernels dispatched
+    # (X86_V4): the residual digits of verify and phi-table's
+    # laplacian_residual carry the last bits of numpy's SIMD elementary
+    # functions, which differ by dispatch target (see the test below)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_verify_all_differs_by_simd_target_only_in_residual_digits():
+    # numpy's own switch NPY_DISABLE_CPU_FEATURES makes a fresh interpreter
+    # use the kernels of a CPU without AVX-512; only the *_residual= values
+    # of verify all may then differ from a run on the default target.  numpy
+    # refuses a feature it did not build kernels for with an ImportWarning
+    argv = [sys.executable, "-W", "always::ImportWarning", "-m", "harmonicspaces"]
+    argv += ["verify", "all", "--seed", "42"]
+    disabled = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    runs = []
+    for extra in ({}, disabled):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        proc = subprocess.run(argv, capture_output=True, text=True, env={**env, **extra})
+        if extra and "cannot disable CPU features" in proc.stderr:
+            pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES: {proc.stderr.strip()}")
+        assert proc.returncode == 0, proc.stderr
+        runs.append(re.sub(r"(_residual=)\S+", r"\1?", proc.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0].count("_residual=?") == 52
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-10", "abc"])

@@ -21,11 +21,13 @@ from harmonicspaces.harmonic import (
     phi0_closed,
     phi0_numeric,
     phi0_numeric_grid,
+    phi0_numeric_grids,
     phi0_table,
     phi1,
     scaled_residual,
     verification_grid,
     verify_table_entry,
+    verify_table_entries,
 )
 from harmonicspaces.numerics import DEFAULT_TOL, Interval, _gk15, integrate
 from harmonicspaces.spaces import (
@@ -227,6 +229,70 @@ def test_phi0_numeric_is_one_integral_bit_for_bit(mid, r, r_ref):
     iv = Interval(min(r, r_ref), max(r, r_ref))
     value = integrate(lambda s: phi1(model, s), iv).value
     assert got == (value if r > r_ref else -value)
+
+
+def _batch_rows():
+    """Rows for the batched quadrature: the table rows and three models
+    without a closed form, each in four rows, with r_ref in the middle of
+    the grid, at both ends and off it, and with unsorted radii that repeat;
+    then gaps that reach integrate, and a row without gaps."""
+    rows = []
+    for mid in [*_TABLE_IDS, "S9", "hS9", "CP5"]:
+        model = parse_model_id(mid)
+        grid = verification_grid(model)
+        rows.append((model, grid, grid[len(grid) // 2]))
+        rows.append((model, grid[::7], grid[0]))
+        rows.append((model, grid[:9], grid[-1]))
+        rows.append((model, [grid[3], grid[1], grid[3], grid[2], grid[1]], 0.5 * (grid[1] + grid[2])))
+    hp5 = parse_model_id("HP5")
+    rows.append((hp5, [0.15 + 1.25 * i / 24 for i in range(25)], 0.7854))  # 2 reach integrate
+    rows.append((parse_model_id("hOP2"), [1.0, 0.3], 0.3))  # misses after its split
+    rows.append((parse_model_id("S3"), [1.0, 1.0], 1.0))  # no gap at all
+    return rows
+
+
+def test_phi0_numeric_grids_equal_the_one_row_calls_bit_for_bit():
+    rows = _batch_rows()
+    batch = phi0_numeric_grids(rows)
+    singles = [phi0_numeric_grid(*row) for row in rows]
+    assert [[v.hex() for v in values] for values in batch] == [
+        [v.hex() for v in values] for values in singles
+    ]
+    assert phi0_numeric_grids([]) == []
+
+
+def test_verify_table_entries_equal_the_one_row_calls():
+    models = [parse_model_id(mid) for mid in _TABLE_IDS]
+    assert verify_table_entries(models) == [verify_table_entry(m) for m in models]
+
+
+def test_phi0_numeric_grids_raise_domain_errors_before_any_density(monkeypatch):
+    # the third row's first bad radius, in its rs order, before the fourth
+    # row's error and before theta runs on any row
+    calls = []
+    density = harmonic.theta
+    monkeypatch.setattr(harmonic, "theta", lambda model, r: calls.append(r) or density(model, r))
+    rows = [
+        (sphere(3), [0.5, 1.0], 0.7),
+        (parse_model_id("hS4"), [0.5, 1.0], 2.0),
+        (parse_model_id("CP2"), [0.5, 2.0, 1.7], 0.7),
+        (sphere(3), [-1.0], 0.7),
+    ]
+    with pytest.raises(DomainViolation) as exc:
+        phi0_numeric_grids(rows)
+    assert str(exc.value) == f"r=2.0 outside the open domain (0, {math.pi / 2}) of CP2"
+    assert calls == []
+
+
+def test_phi0_numeric_grids_overflow_names_its_row():
+    rows = [
+        (sphere(3), [0.5, 1.0], 0.7),
+        (parse_model_id("hOP2"), [100.0, 101.0], 100.0),
+        (parse_model_id("hS3"), [0.5, 1.0], 0.7),
+    ]
+    with pytest.raises(OverflowError) as exc:
+        phi0_numeric_grids(rows)
+    assert str(exc.value) == "theta of hOP2 at r=100.5 overflows float64"
 
 
 def test_phi0_numeric_grid_order_duplicates_and_reference():

@@ -105,6 +105,16 @@ def test_cproj_distance():
     assert cproj_distances(p, q) == pytest.approx(math.pi / 4, abs=1e-12)
 
 
+def test_cproj_distances_match_per_sample_abs_and_acos():
+    # np.hypot of the parts is the libm hypot that abs(complex) calls, so the
+    # array moduli equal the per-sample path bit for bit (np.abs does not)
+    group = CPInvolutionGroup()
+    a, b = (_random_points(group, SeededStream(seed), 2000) for seed in (7, 8))
+    cosines = quotients._row_dot(np.conj(a), b).tolist()
+    expected = [math.acos(min(1.0, abs(c))) for c in cosines]
+    assert [d.hex() for d in cproj_distances(a, b).tolist()] == [d.hex() for d in expected]
+
+
 def test_invalid_points_rejected():
     with pytest.raises(InvalidPoint, match="unit norm"):
         quotient_distance(AntipodalGroup(m=2), np.array([1.0, 1.0, 0.0]), E1_S2)

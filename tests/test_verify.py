@@ -186,6 +186,37 @@ def test_verify_all_theta_calls_bounded(monkeypatch):
     assert (points, panels) == (20_770, 0)
 
 
+def test_verify_all_sums_every_table_row_in_two_gk15_passes(monkeypatch):
+    # deterministic work gate on the batched quadrature: one gk15_panels
+    # pass takes the first panels of the 1,274 gaps of all 26 table rows,
+    # and one more the halves of every gap that needs them (32 passes when
+    # each row ran its own), on the same density points and with no scalar
+    # GK15 panel
+    passes = points = panels = 0
+    gk15_panels, theta, gk15 = harmonic.gk15_panels, harmonic.theta, numerics._gk15
+
+    def counting_gk15_panels(f, a, b):
+        nonlocal passes
+        passes += 1
+        return gk15_panels(f, a, b)
+
+    def counting_theta(model, r):
+        nonlocal points
+        points += np.size(r)
+        return theta(model, r)
+
+    def counting_gk15(f, a, b):
+        nonlocal panels
+        panels += 1
+        return gk15(f, a, b)
+
+    monkeypatch.setattr(harmonic, "gk15_panels", counting_gk15_panels)
+    monkeypatch.setattr(harmonic, "theta", counting_theta)
+    monkeypatch.setattr(numerics, "_gk15", counting_gk15)
+    run_all(seed=42)
+    assert (passes, points, panels) == (2, 20_770, 0)
+
+
 def test_check_result_line_format():
     res = check_table_row(euclidean(2))
     assert res.line().startswith("PASS table E2: ")
