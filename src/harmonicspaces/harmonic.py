@@ -12,8 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import UnsupportedModel
 from .numerics import (
@@ -558,8 +557,7 @@ class BoundaryBehavior(enum.Enum):
     NO_BOUNDARY = "no_boundary"
 
 
-@dataclass(frozen=True)
-class BoundaryClassification:
+class BoundaryClassification(NamedTuple):
     at_origin: BoundaryBehavior
     at_far_end: BoundaryBehavior
 
@@ -592,8 +590,7 @@ ODE_TOLERANCE = 1e-6
 MATCH_TOLERANCE = 1e-8
 
 
-@dataclass(frozen=True)
-class TableVerification:
+class TableVerification(NamedTuple):
     """Residuals of one closed-form row against the quadrature oracle.
 
     Residuals are scaled: |x - y| / max(1, |x|, |y|).  On rows whose values

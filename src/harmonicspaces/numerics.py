@@ -14,8 +14,8 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from typing import Callable, NamedTuple
 
 from .errors import DomainViolation, NonConvergence
 
@@ -60,22 +60,19 @@ _WG = (
 _WG_CENTER = 0.4179591836734694
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(namedtuple("Interval", ("lo", "hi", "open_ends"))):
     """An integration interval; ``open_ends`` marks endpoints where the
     integrand may be singular, so they are never evaluated."""
 
-    lo: float
-    hi: float
-    open_ends: tuple[bool, bool] = (False, False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise ValueError(f"interval requires lo < hi, got ({self.lo}, {self.hi})")
+    def __new__(cls, lo: float, hi: float, open_ends: tuple[bool, bool] = (False, False)):
+        if not (lo < hi):
+            raise ValueError(f"interval requires lo < hi, got ({lo}, {hi})")
+        return super().__new__(cls, lo, hi, open_ends)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int

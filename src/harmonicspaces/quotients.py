@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .errors import (
     SelfCheckFailed,
     UnsupportedModel,
 )
-from .numerics import derivative
 
 UNIT_NORM_TOL = 1e-12
 
@@ -146,9 +145,11 @@ class DeckGroup:
     within them; ``element_ids(p, q)`` gives the elements themselves.  The
     ascending ring order fixes which of several tied minimizers is reported.
     Every translation along ``translation_axes`` commutes with the group,
-    so displacements do not depend on those coordinates.
+    so displacements do not depend on those coordinates.  Groups are
+    immutable; they compare and hash by identity.
     """
 
+    __slots__ = ()
     ambient: str = "flat"
     ambient_dim: int = 2
     name: str = "group"
@@ -169,11 +170,17 @@ class DeckGroup:
         e1[0] = 1.0
         return e1
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-@dataclass(frozen=True)
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class TorusGroup(DeckGroup):
     """Integer-lattice translations of the plane: the square torus R^2/Z^2."""
 
+    __slots__ = ()
     ambient = "flat"
     name = "torus"
     ring = tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
@@ -195,10 +202,10 @@ class TorusGroup(DeckGroup):
         return np.asarray(point, float) + eid
 
 
-@dataclass(frozen=True)
 class KleinGroup(DeckGroup):
     """The glide group generated by T(x, y) = (x + 1, -y)."""
 
+    __slots__ = ()
     ambient = "flat"
     name = "klein"
     #: glide powers about the nearest cell: they hold the nearest even and
@@ -234,15 +241,16 @@ class KleinGroup(DeckGroup):
         return np.stack((pt[..., 0] + n, flipped), axis=-1)
 
 
-@dataclass(frozen=True)
 class AntipodalGroup(DeckGroup):
     """{id, -id} on the m-sphere; the quotient is real projective space."""
 
-    m: int = 2
-
+    __slots__ = ("m",)
     ambient = "sphere"
     name = "rp"
     ring = ("-id",)
+
+    def __init__(self, m: int = 2):
+        object.__setattr__(self, "m", m)
 
     @property
     def ambient_dim(self) -> int:
@@ -252,15 +260,16 @@ class AntipodalGroup(DeckGroup):
         return -np.asarray(point, float)
 
 
-@dataclass(frozen=True)
 class LensGroup(DeckGroup):
     """Z_4 on S^(2k+1): T(x1, x2, ...) = (-x2, x1, ..., -x_{2k+2}, x_{2k+1})."""
 
-    k: int = 1
-
+    __slots__ = ("k",)
     ambient = "sphere"
     name = "lens"
     ring = ("T", "T^2", "T^3")
+
+    def __init__(self, k: int = 1):
+        object.__setattr__(self, "k", k)
 
     @property
     def ambient_dim(self) -> int:
@@ -280,7 +289,6 @@ class LensGroup(DeckGroup):
         return v
 
 
-@dataclass(frozen=True)
 class CPInvolutionGroup(DeckGroup):
     """Z_2 on CP^(2k+1): <T> with T(z) = (-conj(z2), conj(z1), ...).
 
@@ -288,11 +296,13 @@ class CPInvolutionGroup(DeckGroup):
     action is an involution; it is fixed-point free.
     """
 
-    k: int = 1
-
+    __slots__ = ("k",)
     ambient = "cproj"
     name = "cpq"
     ring = ("T",)
+
+    def __init__(self, k: int = 1):
+        object.__setattr__(self, "k", k)
 
     @property
     def ambient_dim(self) -> int:
@@ -350,8 +360,7 @@ def quotient_distance(group: DeckGroup, p, q) -> float:
     return float(min(d_id[0], d_min[0]))
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
+class InjectivityReport(NamedTuple):
     radius: float
     minimizer: object
 
@@ -412,22 +421,10 @@ def in_fundamental_domain(group: DeckGroup, p, q, tol: float = ANALYTIC_TOL) -> 
     return classify_points(group, p, [q], tol)[0]
 
 
-def klein_fundamental_region(a: float, q) -> bool:
-    """Strict inequalities cutting the smooth radial region about (0, a):
-    -1 < x < 1, 1 + 2x + 4ay > 0, 1 - 2x + 4ay > 0."""
-    x, y = float(q[0]), float(q[1])
-    return (
-        -1.0 < x < 1.0
-        and 1.0 + 2.0 * x + 4.0 * a * y > 0.0
-        and 1.0 - 2.0 * x + 4.0 * a * y > 0.0
-    )
-
-
 # --- self checks --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SelfCheckReport:
+class SelfCheckReport(NamedTuple):
     checks: tuple[str, ...]
     min_sampled_displacement: float | None = None
 
@@ -615,8 +612,7 @@ def group_action_selfcheck(
 # --- cut-locus sampling and areas ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridClassification:
+class GridClassification(NamedTuple):
     """A raster by its axes: cell k is (xs[k % len(xs)], ys[k // len(xs)])."""
 
     xs: np.ndarray  # (res,) x of each raster column
@@ -739,82 +735,3 @@ def fundamental_domain_area(group: DeckGroup, p, resolution: int) -> float:
     """Interior cells times cell area, half-width 1 and the analytic tolerance."""
     grid = classify_grid(group, p, resolution, 1.0, tol=ANALYTIC_TOL)
     return np.count_nonzero(grid.codes == _CODE[Region.INTERIOR]) * grid.spacing**2
-
-
-def lens_domain_volume_mc(k: int = 1) -> tuple[float, float]:
-    """Monte Carlo (estimate, standard error) of the volume of the lens
-    fundamental domain on S^(2k+1), exactly vol(S^(2k+1))/4, from 100,000
-    points of the seed-42 stream."""
-    from .spaces import unit_sphere_volume
-
-    samples = 100_000
-    pts = _random_points(LensGroup(k), SeededStream(42), samples)
-    inside = pts[:, 0] > np.abs(pts[:, 1])
-    frac = float(np.mean(inside))
-    total = unit_sphere_volume(2 * k + 1)
-    err = total * math.sqrt(frac * (1.0 - frac) / samples)
-    return total * frac, err
-
-
-# --- the flat radial extension of remark-style domains ------------------------
-
-
-def flat_extension_domain(delta: float) -> tuple[float, float]:
-    """The square window (-delta, 1-delta)^2 on which log(x^2+y^2) extends
-    the torus radial harmonic function."""
-    if not (0.0 < delta < 1.0):
-        raise DomainViolation("delta must lie in (0, 1)")
-    return (-delta, 1.0 - delta)
-
-
-def flat_radial_extension(delta: float, q) -> float:
-    """log(x^2 + y^2) on the square window O(delta) minus the origin."""
-    lo, hi = flat_extension_domain(delta)
-    x, y = float(q[0]), float(q[1])
-    if not (lo < x < hi and lo < y < hi):
-        raise DomainViolation(f"point {q!r} outside ({lo}, {hi})^2")
-    if x == 0.0 and y == 0.0:
-        raise DomainViolation("the origin is excluded from the extension domain")
-    return math.log(x * x + y * y)
-
-
-def flat_harmonic_residual(delta: float, q) -> float:
-    """|f_xx + f_yy| of the flat extension at q, from ``numerics.derivative``."""
-    x, y = float(q[0]), float(q[1])
-    f_xx = derivative(lambda u: flat_radial_extension(delta, (u, y)), x, 2)
-    f_yy = derivative(lambda v: flat_radial_extension(delta, (x, v)), y, 2)
-    return abs(f_xx + f_yy)
-
-
-def flat_extension_is_radial(delta: float) -> bool:
-    """Whether the extension is a function of the quotient distance alone:
-    four probes and 400 points of the seed-7 stream each agree to 1e-9 with
-    the point at the same quotient distance from the image of the origin on
-    the positive x-axis inside the window."""
-    lo, hi = flat_extension_domain(delta)
-    probes = [[0.96 * hi, 0.02], [0.96 * lo, 0.02], [0.02, 0.96 * hi], [0.02, 0.96 * lo]]
-    qs = np.vstack((probes, SeededStream(7).uniform(lo + 1e-3, hi - 1e-3, (400, 2))))
-    qs = qs[np.all((lo < qs) & (qs < hi), axis=1) & (_row_norm(qs) >= 0.05)]
-    torus, origin = TorusGroup(), np.zeros(2)
-    d = np.minimum(*orbit_distances(torus, origin, qs)[:2])
-    refs = np.column_stack((d, np.zeros_like(d)))
-    d_ref = np.minimum(*orbit_distances(torus, origin, refs)[:2])
-    keep = (lo < d) & (d < hi) & (np.abs(d_ref - d) <= 1e-12)
-    return all(
-        abs(flat_radial_extension(delta, q) - flat_radial_extension(delta, ref)) <= 1e-9
-        for q, ref in zip(qs[keep], refs[keep])
-    )
-
-
-def flat_extension_reflection_symmetric(delta: float) -> bool:
-    """Invariance of the extension domain and values under (x,y) -> (-x,y)
-    and (x,y) -> (x,-y) at 200 seed-11 points; exact when the window is centered."""
-    lo, hi = flat_extension_domain(delta)
-    if abs(lo + hi) > 1e-12:
-        return False
-    qs = SeededStream(11).uniform(lo + 1e-3, hi - 1e-3, (200, 2))
-    return all(
-        abs(flat_radial_extension(delta, image) - flat_radial_extension(delta, q)) <= 1e-12
-        for q in qs[_row_norm(qs) >= 0.05]
-        for image in ((-q[0], q[1]), (q[0], -q[1]))
-    )

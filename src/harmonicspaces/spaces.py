@@ -19,8 +19,8 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DomainViolation, UnsupportedModel
 from .numerics import Interval, integrate
@@ -52,32 +52,54 @@ _ROWS = {
 }
 
 
-@dataclass(frozen=True)
-class DensityProfile:
+class DensityProfile(NamedTuple):
     sine_exponent: int
     cosine_exponent: int
     curvature_sign: int  # selects sin/cos (> 0), sinh/cosh (< 0) or r (0)
     domain_end: float  # upper end of the open radial domain
 
 
-@dataclass(frozen=True)
 class SpaceModel:
-    family: Family
-    dimension: int
-    projective_index: int | None = None
+    """A catalogue model: its family, real dimension m and, for the families
+    with d > 1, projective index k.  Immutable, and equal and hashed on
+    those three; ``density`` is cached in the instance ``__dict__``."""
 
-    def __post_init__(self):
-        _, _, d = _ROWS[self.family]
-        m, k = self.dimension, self.projective_index
+    def __init__(self, family: Family, dimension: int, projective_index: int | None = None):
+        self.__dict__.update(family=family, dimension=dimension, projective_index=projective_index)
+        _, _, d = _ROWS[family]
+        m, k = dimension, projective_index
         if d == 8 and (m, k) != (16, 2):
             raise UnsupportedModel("only the projective plane OP2 exists in the catalogue")
         if m < 2:
             raise UnsupportedModel(f"dimension must be >= 2, got {m}")
         if d == 1:
             if k is not None:
-                raise UnsupportedModel(f"{self.family.value} takes no projective index")
+                raise UnsupportedModel(f"{family.value} takes no projective index")
         elif k is None or m != d * k:
-            raise UnsupportedModel(f"{self.family.value} needs m = {d}k, got m={m}, k={k}")
+            raise UnsupportedModel(f"{family.value} needs m = {d}k, got m={m}, k={k}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.family, self.dimension, self.projective_index)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"SpaceModel(family={self.family!r}, dimension={self.dimension!r}, "
+            f"projective_index={self.projective_index!r})"
+        )
 
     @property
     def curvature_sign(self) -> int:

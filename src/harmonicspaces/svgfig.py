@@ -6,8 +6,6 @@ keeps them diffable in regression runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 def escape(text: str) -> str:
     # as xml.sax.saxutils.escape, whose import pulls in urllib.request
@@ -18,12 +16,19 @@ def escape(text: str) -> str:
 SIZE = 480
 
 
-@dataclass
 class SvgFigure:
-    x_range: tuple[float, float] = (-1.5, 1.5)
-    y_range: tuple[float, float] = (-1.5, 1.5)
-    metadata: str = ""
-    _body: list[str] = field(default_factory=list)
+    __slots__ = ("x_range", "y_range", "metadata", "_body")
+
+    def __init__(
+        self,
+        x_range: tuple[float, float] = (-1.5, 1.5),
+        y_range: tuple[float, float] = (-1.5, 1.5),
+        metadata: str = "",
+    ):
+        self.x_range = x_range
+        self.y_range = y_range
+        self.metadata = metadata
+        self._body: list[str] = []
 
     def _sx(self, x: float) -> float:
         x0, x1 = self.x_range

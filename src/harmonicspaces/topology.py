@@ -10,7 +10,7 @@ its chi = 3, signature 1 and order set {1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UnsupportedModel
 from .spaces import Family, SpaceModel, model_volume, positive_dual
@@ -59,8 +59,7 @@ def allowed_group_orders(model: SpaceModel) -> set[int]:
     return {1} if model.projective_index % 2 == 0 else {1, 2}
 
 
-@dataclass(frozen=True)
-class VolumeBoundReport:
+class VolumeBoundReport(NamedTuple):
     """Lower volume bounds for compact manifolds modeled on a
     negative-curvature rank-1 symmetric space."""
 

@@ -10,7 +10,7 @@ advisory notes; the suite fails only on disagreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .harmonic import BoundaryBehavior, verify_table_entry
 from .spaces import SpaceModel, parse_model_id, positive_curvature_catalogue
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # PASS | WARN | FAIL
     details: str

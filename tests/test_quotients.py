@@ -31,22 +31,24 @@ from harmonicspaces.quotients import (
     classify_grid,
     classify_points,
     cproj_distances,
-    flat_extension_is_radial,
-    flat_extension_reflection_symmetric,
     flat_distances,
-    flat_harmonic_residual,
-    flat_radial_extension,
     fundamental_domain_area,
     group_action_selfcheck,
     in_fundamental_domain,
     injectivity_radius,
     injectivity_radius_closed,
-    klein_fundamental_region,
     klein_injectivity_closed,
-    lens_domain_volume_mc,
     orbit_distances,
     quotient_distance,
     sphere_distances,
+)
+from quotient_helpers import (
+    flat_extension_is_radial,
+    flat_extension_reflection_symmetric,
+    flat_harmonic_residual,
+    flat_radial_extension,
+    klein_fundamental_region,
+    lens_domain_volume_mc,
 )
 
 E1_S2 = np.array([1.0, 0.0, 0.0])
