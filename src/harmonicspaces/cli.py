@@ -175,7 +175,7 @@ def _group_and_basepoint(group_id: str, text: str | None):
     default basepoint.  Sphere and projective groups size themselves from
     the number of reals."""
     if text is None:
-        group = verify_mod.make_group(group_id)
+        group = quotients.make_group(group_id)
         return group, group.basepoint()
     try:
         values = [float(tok) for tok in text.split(",")]
@@ -187,12 +187,12 @@ def _group_and_basepoint(group_id: str, text: str | None):
     if group_id == "rp":
         if n < 3:
             raise ValueError("rp basepoints live on S^m, m >= 2: give m+1 reals")
-        group = verify_mod.make_group(group_id, m=n - 1)
+        group = quotients.make_group(group_id, m=n - 1)
         return group, _normalized(np.asarray(values), "sphere")
     if group_id == "lens":
         if n < 4 or n % 2 != 0:
             raise ValueError("lens basepoints live on S^(2k+1): give 2k+2 reals")
-        group = verify_mod.make_group(group_id, k=n // 2 - 1)
+        group = quotients.make_group(group_id, k=n // 2 - 1)
         return group, _normalized(np.asarray(values), "sphere")
     if group_id == "cpq":
         # 4k+4 reals are interleaved re,im; 2k+2 reals a real vector
@@ -202,9 +202,9 @@ def _group_and_basepoint(group_id: str, text: str | None):
             v = np.asarray(values, dtype=complex)
         else:
             raise ValueError("cpq basepoints take 2k+2 reals or 4k+4 interleaved re,im")
-        group = verify_mod.make_group(group_id, k=len(v) // 2 - 1)
+        group = quotients.make_group(group_id, k=len(v) // 2 - 1)
         return group, _normalized(v, "projective")
-    group = verify_mod.make_group(group_id)
+    group = quotients.make_group(group_id)
     if n != 2:
         raise ValueError("flat basepoints take 2 coordinates")
     return group, np.asarray(values)

@@ -18,7 +18,7 @@ from .errors import UnsupportedModel
 from .numerics import (
     DEFAULT_TOL,
     Interval,
-    _nodes_inside,
+    bisect,
     converged,
     derivative,
     gk15_panels,
@@ -388,11 +388,10 @@ def phi0_numeric_grids(rows, tol: float = DEFAULT_TOL) -> list[list[float]]:
     Each gap takes the steps ``integrate`` would.  The first GK15 panels of
     all gaps take one ``numerics.gk15_panels`` pass, and a gap keeps its
     panel when it meets ``integrate``'s stopping rule at its row's
-    tolerance (``numerics.converged``).  The two halves of every other gap
-    take one more pass, and are summed as ``integrate`` sums its first
-    split.  A gap that still misses the rule, whose first panel is not
-    finite, or that float64 cannot halve goes to ``integrate``, row by row
-    and outward from each row's r_ref, and its errors then name it.  In
+    tolerance (``numerics.converged``).  The others go on through
+    ``numerics.bisect``, the bisection of ``integrate``: each pass halves
+    the worst panel of every gap still above tolerance, in one more array
+    pass, and its errors name the first gap that fails, in row order.  In
     each pass a model's density is one ``phi1`` call on the nodes of its
     own gaps, so every value and error is the one its row gives alone.
     Every row's DomainViolation comes before any density, in row order.
@@ -419,45 +418,23 @@ def phi0_numeric_grids(rows, tol: float = DEFAULT_TOL) -> list[list[float]]:
         gap = np.ones(len(a), dtype=bool)
         gap[np.cumsum(sizes[:-1]) - 1] = False
         a, b = a[gap], b[gap]
-    row_tols = [tol / max(width, 1) for width in widths]
-    gap_tol = np.array(row_tols).repeat(widths)
+    gap_tol = np.array([tol / max(width, 1) for width in widths]).repeat(widths)
     owner = np.arange(len(rows)).repeat(widths)
-    # a panel sum can still leave float64, and then integrate takes the gap
+    # a panel sum can still leave float64, and then bisect names the gap
     with np.errstate(over="ignore", invalid="ignore"):
         gaps, error = _panels_by_model(models, owner, a, b)
-        accepted = converged(gaps, error, gap_tol)
-        split = np.flatnonzero(~accepted)
-        missed = len(split)
-        if missed:
-            lo, hi = a[split], b[split]
-            mid = 0.5 * (lo + hi)
-            halve = np.isfinite(gaps[split]) & _nodes_inside(lo, mid) & _nodes_inside(mid, hi)
-            split, lo, mid, hi = split[halve], lo[halve], mid[halve], hi[halve]
-        if len(split):
-            halves = _panels_by_model(
-                models,
-                np.concatenate((owner[split], owner[split])),
-                np.concatenate((lo, mid)),
-                np.concatenate((mid, hi)),
-            )
-            (v1, v2), (e1, e2) = (x.reshape(2, -1) for x in halves)
-            # integrate's sums after one split: v0 + (v1 + v2 - v0), and so on
-            v0, e0 = gaps[split], error[split]
-            value = v0 + (v1 + v2 - v0)
-            done = converged(value, e0 + (e1 + e2 + -e0), gap_tol[split])
-            gaps[split[done]] = value[done]
-            accepted[split[done]] = True
-    rejected = np.flatnonzero(~accepted).tolist() if missed else []
+        missed = np.flatnonzero(~converged(gaps, error, gap_tol))
+        if len(missed):
+            rows_of = owner[missed]
+            halves = lambda i, lo, hi: [
+                x.tolist() for x in _panels_by_model(models, rows_of[i], np.array(lo), np.array(hi))
+            ]
+            firsts = zip(*(x[missed].tolist() for x in (a, b, gaps, error, gap_tol)))
+            gaps[missed] = [res.value for res in bisect(halves, firsts)]
     out, start, first = [], 0, 0
-    for (model, rs, r_ref), size, width, row_tol in zip(rows, sizes, widths, row_tols):
+    for (_, rs, r_ref), size, width in zip(rows, sizes, widths):
         row, row_gaps = points[first : first + size], gaps[start : start + width]
         k = int(np.searchsorted(row, r_ref))
-        if rejected:
-            # the other gaps go to integrate outward from r_ref, right side first
-            mine = [i - start for i in rejected if start <= i < start + width]
-            f = lambda s: phi1(model, s)
-            for i in [i for i in mine if i >= k] + [i for i in mine[::-1] if i < k]:
-                row_gaps[i] = integrate(f, Interval(*row[i : i + 2].tolist()), tol=row_tol).value
         # running sums outward from r_ref; cumsum adds in sequence
         sums = np.zeros(size)
         sums[k + 1 :] = np.cumsum(row_gaps[k:])

@@ -6,7 +6,8 @@ All Kronrod nodes round strictly inside their panel, so an open endpoint
 is never evaluated.  A panel next to an open end counts its whole value
 as error, so an integrable end converges once that panel is small, and a
 divergent one is halved until float64 cannot halve it and raises
-:class:`NonConvergence`.
+:class:`NonConvergence`.  ``bisect`` runs it on many intervals in step;
+``integrate`` and ``harmonic.phi0_numeric_grids`` are its two callers.
 """
 
 from __future__ import annotations
@@ -159,48 +160,74 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float = DEFAULT_TO
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     a, b = iv.lo, iv.hi
-    open_lo, open_hi = iv.open_ends
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"interval ({a}, {b}) has a non-finite end")
-    if (open_lo or open_hi) and not _nodes_inside(a, b):
+    if any(iv.open_ends) and not _nodes_inside(a, b):
         raise NonConvergence(f"interval ({a}, {b}) is too narrow for nodes strictly inside it")
-
     v, e = _gk15(f, a, b)
-    if open_lo or open_hi:
-        # a panel touching an open end counts its whole value as error
-        e = max(e, abs(v))
-    heap = [(-e, a, b, v)]
-    total_v, total_e = v, e
-    splits = 0
-    while math.isfinite(total_v):
-        if converged(total_v, total_e, tol):
-            # every _gk15 panel evaluates f at its 15 Kronrod nodes
-            return QuadratureResult(total_v, total_e, evaluations=15 * (1 + 2 * splits))
-        if splits == _MAX_SPLITS:
-            raise NonConvergence(
-                f"error estimate {total_e:.3e} above tolerance after "
-                f"{_MAX_SPLITS} subdivisions on [{a}, {b}]"
-            )
-        neg_e0, a0, b0, v0 = heapq.heappop(heap)
-        m = 0.5 * (a0 + b0)
-        if not (_nodes_inside(a0, m) and _nodes_inside(m, b0)):
-            raise NonConvergence(
-                f"error estimate {-neg_e0:.3e} on the panel [{a0!r}, {b0!r}] of "
-                f"[{a}, {b}] cannot be reduced: float64 cannot halve the panel"
-            )
-        v1, e1 = _gk15(f, a0, m)
-        v2, e2 = _gk15(f, m, b0)
-        if open_lo and a0 == a:
-            e1 = max(e1, abs(v1))
-        if open_hi and b0 == b:
-            e2 = max(e2, abs(v2))
-        heapq.heappush(heap, (-e1, a0, m, v1))
-        heapq.heappush(heap, (-e2, m, b0, v2))
-        total_v += v1 + v2 - v0
-        total_e += e1 + e2 + neg_e0
-        splits += 1
-    # the running sum never returns from inf or nan, so splitting stops
-    raise NonConvergence(f"integral over [{a}, {b}] is not finite: {total_v!r}")
+    halves = lambda owner, los, his: zip(*[_gk15(f, lo, hi) for lo, hi in zip(los, his)])
+    return bisect(halves, [(a, b, v, e, tol)], iv.open_ends)[0]
+
+
+def bisect(panels, gaps, open_ends=(False, False)) -> list[QuadratureResult]:
+    """``integrate``'s bisection on many intervals in step.
+
+    Each gap is (a, b, value, error, tol): an interval, the GK15 value and
+    error of its one panel, and the tolerance of ``converged``.  Each pass
+    pops the worst panel of every gap still above tolerance and evaluates
+    all the halves in one call ``panels(owner, los, his)``, which returns
+    their values and errors: left halves in gap order, then right ones,
+    ``owner`` giving each half's gap by index.  ``open_ends`` holds for
+    every gap.  Returns a QuadratureResult per gap; ``integrate``'s
+    NonConvergence names the first gap, in pass order, that fails.
+    """
+    work = []
+    for a, b, v, e, tol in gaps:
+        if any(open_ends):
+            # a panel touching an open end counts its whole value as error
+            e = max(e, abs(v))
+        work.append([a, b, tol, v, e, [(-e, a, b, v)]])
+    active, splits = range(len(work)), 0
+    while True:
+        owner, popped = [], []
+        for i in active:
+            a, b, tol, total_v, total_e, heap = work[i]
+            if not math.isfinite(total_v):
+                # the running sum never returns from inf or nan
+                raise NonConvergence(f"integral over [{a}, {b}] is not finite: {total_v!r}")
+            if converged(total_v, total_e, tol):
+                # the slot takes the result; each panel is 15 evaluations
+                work[i] = QuadratureResult(total_v, total_e, evaluations=15 * (1 + 2 * splits))
+                continue
+            if splits == _MAX_SPLITS:
+                raise NonConvergence(
+                    f"error estimate {total_e:.3e} above tolerance after "
+                    f"{_MAX_SPLITS} subdivisions on [{a}, {b}]"
+                )
+            neg_e0, a0, b0, v0 = heapq.heappop(heap)
+            m = 0.5 * (a0 + b0)
+            if not (_nodes_inside(a0, m) and _nodes_inside(m, b0)):
+                raise NonConvergence(
+                    f"error estimate {-neg_e0:.3e} on the panel [{a0!r}, {b0!r}] of "
+                    f"[{a}, {b}] cannot be reduced: float64 cannot halve the panel"
+                )
+            owner.append(i)
+            popped.append((neg_e0, a0, m, b0, v0))
+        if not owner:
+            return work
+        _, los, mids, his, _ = zip(*popped)
+        values, errors = panels(owner + owner, los + mids, mids + his)
+        halves = zip(owner, popped, values, values[len(owner) :], errors, errors[len(owner) :])
+        for i, (neg_e0, a0, m, b0, v0), v1, v2, e1, e2 in halves:
+            a, b, _, total_v, total_e, heap = work[i]
+            if open_ends[0] and a0 == a:
+                e1 = max(e1, abs(v1))
+            if open_ends[1] and b0 == b:
+                e2 = max(e2, abs(v2))
+            heapq.heappush(heap, (-e1, a0, m, v1))
+            heapq.heappush(heap, (-e2, m, b0, v2))
+            work[i][3:5] = total_v + (v1 + v2 - v0), total_e + (e1 + e2 + neg_e0)
+        active, splits = owner, splits + 1
 
 
 #: derivative's step relative to max(1, |r|), per order; order 2's is the wider

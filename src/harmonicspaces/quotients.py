@@ -316,6 +316,17 @@ class CPInvolutionGroup(DeckGroup):
         return out
 
 
+#: The five deck groups by id, the ``name`` of each class.
+GROUPS = {g.name: g for g in (TorusGroup, KleinGroup, AntipodalGroup, LensGroup, CPInvolutionGroup)}
+
+
+def make_group(group_id: str, **kwargs) -> DeckGroup:
+    try:
+        return GROUPS[group_id](**kwargs)
+    except KeyError:
+        raise ValueError(f"unknown group id {group_id!r}") from None
+
+
 # --- quotient metric and domains ---------------------------------------------
 
 

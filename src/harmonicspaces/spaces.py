@@ -334,9 +334,9 @@ def ball_volume(model: SpaceModel, radius: float) -> float:
     return unit_sphere_volume(model.dimension - 1) * result.value
 
 
-def positive_curvature_catalogue(max_sphere_dim: int = 8) -> list[SpaceModel]:
+def positive_curvature_catalogue() -> list[SpaceModel]:
     """The compact models exercised by verification runs."""
-    models = [sphere(m) for m in range(2, max_sphere_dim + 1)]
+    models = [sphere(m) for m in range(2, 9)]
     models += [complex_projective(k) for k in (1, 2, 3, 4)]
     models += [quaternion_projective(k) for k in (2, 3, 4)]
     models.append(octonion_plane())

@@ -17,6 +17,7 @@ import numpy as np
 from . import harmonic, quotients, topology
 from .errors import SelfCheckFailed
 from .harmonic import BoundaryBehavior, verify_table_entry
+from .quotients import make_group
 from .spaces import SpaceModel, parse_model_id, positive_curvature_catalogue
 
 
@@ -70,25 +71,9 @@ def boundary_checks(models: list[SpaceModel] | None = None) -> list[CheckResult]
     return out
 
 
-_GROUPS = {
-    "torus": quotients.TorusGroup,
-    "klein": quotients.KleinGroup,
-    "rp": quotients.AntipodalGroup,
-    "lens": quotients.LensGroup,
-    "cpq": quotients.CPInvolutionGroup,
-}
-
-
-def make_group(group_id: str, **kwargs) -> quotients.DeckGroup:
-    try:
-        return _GROUPS[group_id](**kwargs)
-    except KeyError:
-        raise ValueError(f"unknown group id {group_id!r}") from None
-
-
 def group_checks(seed: int = 42) -> list[CheckResult]:
     out = []
-    for gid in _GROUPS:
+    for gid in quotients.GROUPS:
         group = make_group(gid)
         try:
             report = quotients.group_action_selfcheck(group, samples=2000, seed=seed)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from itertools import accumulate
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from harmonicspaces import harmonic
 from harmonicspaces.cli import main
-from harmonicspaces.errors import DomainViolation, UnsupportedModel
+from harmonicspaces.errors import DomainViolation, NonConvergence, UnsupportedModel
 from harmonicspaces.harmonic import (
     BoundaryBehavior,
     CLOSED_FORMS,
@@ -186,32 +187,100 @@ def test_phi0_numeric_grid_gaps_that_fall_back(monkeypatch):
     r_ref = grid[len(grid) // 2]
     scalar_gaps = _recording_integrate(monkeypatch)
     summed = phi0_numeric_grid(model, grid, r_ref)
-    assert scalar_gaps == []
-    # one wide gap still misses tolerance after its split, and integrate
-    # takes it from the start, as phi0_numeric does
+    # one wide gap still misses tolerance after its split, and bisects on
+    # in array passes rather than restarting in the scalar integrate
     wide = phi0_numeric_grid(model, [0.3, 1.0], 0.3)
-    assert scalar_gaps == [Interval(0.3, 1.0)]
+    assert scalar_gaps == []
     monkeypatch.undo()
-    assert wide == [0.0, phi0_numeric(model, 1.0, 0.3)]
+    assert wide[0] == 0.0
+    assert scaled_residual(wide[1], phi0_numeric(model, 1.0, 0.3)) <= 1e-13
     for r, value in zip(grid, summed):
         assert scaled_residual(value, phi0_numeric(model, r, r_ref)) <= 1e-13
 
 
 def test_phi0_numeric_grid_split_is_integrates_first_split_bit_for_bit(monkeypatch):
     # 1 / r^3 rounds the same on a float and on an array, so a gap that
-    # integrate settles in one split must read integrate's value exactly
+    # integrate settles in one split, or in four, must read integrate's
+    # value exactly
     f = lambda r: 1.0 / (r * r * r)
     monkeypatch.setattr(harmonic, "phi1", lambda model, r: f(r))
     scalar_gaps = _recording_integrate(monkeypatch)
     model = parse_model_id("E4")
-    points = [0.1, 0.16, 0.25, 0.4, 0.64, 1.0, 1.6]
+    points = [0.01, 0.03, 0.1, 0.16, 0.25, 0.4, 0.64, 1.0, 1.6]
     gap_tol = DEFAULT_TOL / (len(points) - 1)
     results = [integrate(f, Interval(a, b), tol=gap_tol) for a, b in zip(points, points[1:])]
-    # 45 evaluations are the first panel and its two halves
-    assert [res.evaluations for res in results] == [45, 45, 45, 45, 15, 15]
+    # 45 evaluations are the first panel and its two halves, 135 four splits
+    assert [res.evaluations for res in results] == [135, 135, 45, 45, 45, 45, 15, 15]
     right = list(accumulate((res.value for res in results), initial=0.0))
     assert phi0_numeric_grid(model, points, points[0]) == right
     assert scalar_gaps == []
+
+
+def test_phi0_numeric_grids_nonconvergence_names_the_first_failing_gap(monkeypatch):
+    # 1e307 / r + 1e307 / (3 - r) overflows near 0 and near 3, so three gaps
+    # sum to inf; the error names the first of them in row order, gaps
+    # ascending, not the first outward from r_ref (which was [2.0, 3 - 1e-10])
+    f = lambda r: 1e307 / r + 1e307 / (3.0 - r)
+    monkeypatch.setattr(harmonic, "phi1", lambda model, r: f(r))
+    e3 = parse_model_id("E3")
+    rows = [
+        (e3, [1.0, 2.0], 1.0),
+        (e3, [1e-10, 1.0, 2.0, 3.0 - 1e-10], 1.0),
+        (e3, [1e-11, 1.0], 1.0),
+    ]
+    with pytest.raises(NonConvergence) as exc:
+        phi0_numeric_grids(rows)
+    assert str(exc.value) == "integral over [1e-10, 1.0] is not finite: inf"
+
+
+@pytest.mark.parametrize(
+    "argv, work, digest",
+    [
+        (
+            ["HP5", "0.15", "1.4", "25", "0.7854"],
+            (0, 12, 4_645),
+            "137964b24ded887ceba5bc8dd3b04c56d5b403316c9cd84dc15caed506b6680a",
+        ),
+        (
+            ["hHP5", "0.3", "2.5", "25", "1.6"],
+            (0, 12, 4_495),
+            "989f2f73c34e68f3e7f993b07f9ec78867980812f47da525e170553d1bf08a71",
+        ),
+    ],
+    ids=["HP5", "hHP5"],
+)
+def test_numeric_only_tables_bisect_without_restarting(capsys, monkeypatch, argv, work, digest):
+    # deterministic work gate: the gaps of these tables that miss after
+    # their first split bisect on in array passes, one gk15_panels pass per
+    # split of each of the table's three grids, so no scalar integrate runs
+    # and no density point of a first panel or split is evaluated twice
+    # (6 integrate calls, 6 passes and 4,915 / 4,765 points when each such
+    # gap restarted in integrate), with the same output bytes
+    calls = passes = points = 0
+    gk15_panels, theta = harmonic.gk15_panels, harmonic.theta
+
+    def counting_integrate(f, iv, tol):
+        nonlocal calls
+        calls += 1
+        return integrate(f, iv, tol=tol)
+
+    def counting_gk15_panels(f, a, b):
+        nonlocal passes
+        passes += 1
+        return gk15_panels(f, a, b)
+
+    def counting_theta(model, r):
+        nonlocal points
+        points += np.size(r)
+        return theta(model, r)
+
+    monkeypatch.setattr(harmonic, "integrate", counting_integrate)
+    monkeypatch.setattr(harmonic, "gk15_panels", counting_gk15_panels)
+    monkeypatch.setattr(harmonic, "theta", counting_theta)
+    assert main(["phi-table", *argv, "--numeric-only"]) == 0
+    out = capsys.readouterr().out
+    assert (calls, passes, points) == work
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @settings(max_examples=40, deadline=None)
@@ -235,7 +304,7 @@ def _batch_rows():
     """Rows for the batched quadrature: the table rows and three models
     without a closed form, each in four rows, with r_ref in the middle of
     the grid, at both ends and off it, and with unsorted radii that repeat;
-    then gaps that reach integrate, and a row without gaps."""
+    then gaps that bisect past their first split, and a row without gaps."""
     rows = []
     for mid in [*_TABLE_IDS, "S9", "hS9", "CP5"]:
         model = parse_model_id(mid)
@@ -245,7 +314,7 @@ def _batch_rows():
         rows.append((model, grid[:9], grid[-1]))
         rows.append((model, [grid[3], grid[1], grid[3], grid[2], grid[1]], 0.5 * (grid[1] + grid[2])))
     hp5 = parse_model_id("HP5")
-    rows.append((hp5, [0.15 + 1.25 * i / 24 for i in range(25)], 0.7854))  # 2 reach integrate
+    rows.append((hp5, [0.15 + 1.25 * i / 24 for i in range(25)], 0.7854))  # 2 bisect past a split
     rows.append((parse_model_id("hOP2"), [1.0, 0.3], 0.3))  # misses after its split
     rows.append((parse_model_id("S3"), [1.0, 1.0], 1.0))  # no gap at all
     return rows

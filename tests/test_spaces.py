@@ -217,7 +217,7 @@ def test_ball_volume_hyperbolic_small_radius():
 @given(r=st.floats(0.01, 1.0))
 def test_duality_substitution(r):
     # independent evaluation of the sinh/cosh substitution via exponentials
-    for pos in positive_curvature_catalogue(max_sphere_dim=5):
+    for pos in positive_curvature_catalogue():
         neg = parse_model_id("h" + pos.model_id)
         a = pos.dimension - 1
         b = pos.density.cosine_exponent
