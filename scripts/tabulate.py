@@ -12,12 +12,12 @@ from pathlib import Path
 
 from harmonicspaces.cli import main as cli_main
 from harmonicspaces.spaces import domain_end, parse_model_id
-from harmonicspaces.verify import _TABLE_IDS
+from harmonicspaces.verify import TABLE_IDS
 
 
 def run(out_dir: Path, points: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    for mid in _TABLE_IDS:
+    for mid in TABLE_IDS:
         model = parse_model_id(mid)
         end = min(domain_end(model), 3.0)
         r_min, r_max = 0.1 * end, 0.9 * end

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import harmonic, quotients, topology, verify as verify_mod
 from .errors import DomainViolation, HarmonicSpacesError, NonConvergence, UnsupportedModel
-from .numerics import stencil_nearest
+from .numerics import DEFAULT_TOL, stencil_nearest
 from .spaces import check_radius, domain, parse_model_id, theta
 from .svgfig import SvgFigure
 
@@ -42,7 +42,6 @@ MAX_TABLE_POINTS = 100_000
 #: 41 MB (peak RSS of ``quotient torus|klein 0.2,0.1 --resolution 2000
 #: --svg``, 31 MB at resolution 1; Python 3.11, numpy 2.4).
 MAX_RESOLUTION = 2000
-VERIFY_SEED = 42
 #: Raster rows per string that cmd_quotient hands to writelines.
 _WRITE_ROWS = 16
 
@@ -85,11 +84,12 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
         raise ValueError(f"r_min={args.r_min} must be below r_max={args.r_max}")
     if not 1 <= args.n <= MAX_TABLE_POINTS:
         raise ValueError(f"n must be in 1..{MAX_TABLE_POINTS}, got {args.n}")
-    closed = harmonic.has_closed_form(model)
-    if not closed and not args.numeric_only:
+    if not args.numeric_only and not harmonic.has_closed_form(model):
         raise ValueError(
             f"{model.model_id} has no closed form; numeric only with --numeric-only"
         )
+    # the one choice of phi0 for both columns: None is the quadrature phi0
+    form = None if args.numeric_only else harmonic.closed_form(model)
     p = args.precision
     grid = (
         [args.r_min + (args.r_max - args.r_min) * i / (args.n - 1) for i in range(args.n)]
@@ -113,11 +113,10 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
                 f"{model.model_id} for the residual column's finite differences; the "
                 f"nearest {name} they accept is {nearest!r}"
             )
-    form = harmonic.closed_form(model) if closed else None
     lines = [_config_line(args)]
     lines.append("r,theta,phi1,phi0_closed,phi0_numeric_diff,laplacian_residual")
     try:
-        diffs, residuals = harmonic.phi0_table(model, grid, args.r_ref, tol=args.tol)
+        diffs, residuals = harmonic.phi0_table(model, grid, args.r_ref, args.tol, form)
         for r, diff, residual in zip(grid, diffs, residuals):
             lines.append(
                 ",".join(
@@ -125,7 +124,7 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
                         _fmt(r, p),
                         _fmt(theta(model, r), p),
                         _fmt(harmonic.phi1(model, r), p),
-                        _fmt(form(r) if closed else None, p),
+                        _fmt(None if form is None else form(r), p),
                         _fmt(diff, p),
                         f"{residual:.3e}",
                     )
@@ -148,7 +147,7 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # only 'verify all' samples, so only it takes a seed and echoes one
-    seed = getattr(args, "seed", VERIFY_SEED)
+    seed = getattr(args, "seed", quotients.DEFAULT_SEED)
     if args.scope == "all":
         args.seed = seed
     elif "seed" in args:
@@ -359,7 +358,7 @@ def _true_or_false(text: str) -> bool:
 
 
 _SHARED_OPTIONS = {
-    "tol": dict(type=_tolerance, default=1e-10, help="quadrature tolerance"),
+    "tol": dict(type=_tolerance, default=DEFAULT_TOL, help="quadrature tolerance"),
     "precision": dict(type=_precision, default=12, help="CSV decimal digits (6..17)"),
 }
 
@@ -392,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument(
         "--numeric-only",
         action="store_true",
-        help="allow models without a closed form (phi0_closed column left empty)",
+        help="phi0 by quadrature on any model: phi0_closed left empty, residual of that phi0",
     )
     _add_options(pt, "tol", "precision")
     pt.set_defaults(func=cmd_phi_table)
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=argparse.SUPPRESS,
-        help=f"RNG seed for sampling (default {VERIFY_SEED}); 'verify all' only",
+        help=f"RNG seed for sampling (default {quotients.DEFAULT_SEED}); 'verify all' only",
     )
     _add_options(vf)
     vf.set_defaults(func=cmd_verify)

@@ -31,7 +31,6 @@ from .spaces import (
     domain,
     domain_end,
     log_derivative_theta,
-    parse_model_id,
     theta,
 )
 
@@ -293,11 +292,6 @@ def has_closed_form(model: SpaceModel) -> bool:
     return model.family is Family.EUCLIDEAN or model.model_id in CLOSED_FORMS
 
 
-def closed_form_models() -> list[SpaceModel]:
-    """Catalogue rows with a transcribed closed form (flat space excluded)."""
-    return [parse_model_id(mid) for mid in CLOSED_FORMS]
-
-
 def _phi0_E2(r, m=math):
     return m.log(r)
 
@@ -497,21 +491,22 @@ def harmonicity_residual(model: SpaceModel, f: Callable[[float], float], r):
 
 
 def phi0_table(
-    model: SpaceModel, rs: list[float], r_ref: float, tol: float = DEFAULT_TOL
+    model: SpaceModel, rs: list[float], r_ref: float, tol: float, form: Callable[..., float] | None
 ) -> tuple[list[float], list[float]]:
-    """phi-table's two computed columns at the radii rs, in three grid passes.
+    """phi-table's two computed columns at the radii rs.
 
-    The first is phi0(r) - phi0(r_ref) by ``phi0_numeric_grid``, and the
-    second ``harmonicity_residual`` of phi0 at each r, from one array
-    ``derivative`` per order: of the closed form, or where there is none of
-    the quadrature phi0 from r_ref at tol, with ``phi0_numeric_grid`` on
-    all the stencil points at once.  A residual that is not finite raises
-    an OverflowError naming the model and the first such radius.
+    The first is phi0(r) - phi0(r_ref) by ``phi0_numeric_grid`` at tol, and
+    the second ``harmonicity_residual`` of phi0 at each r, from one array
+    ``derivative`` per order.  phi0 there is ``form``, a ``closed_form`` of
+    the model, or for None the quadrature phi0 from r_ref at tol, with
+    ``phi0_numeric_grid`` on all the stencil points at once (three grid
+    passes in all).  The caller chooses form, so it is the phi0 of its
+    phi0_closed column too.  A residual that is not finite raises an
+    OverflowError naming the model and the first such radius.
     """
     import numpy as np  # here, so that importing harmonic does not load numpy
 
-    if has_closed_form(model):
-        form = closed_form(model)
+    if form is not None:
         phi0 = lambda x: form(x, np)
     else:
 

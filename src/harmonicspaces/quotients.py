@@ -460,6 +460,11 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+#: The seed of every sampled check when none is given: ``verify all`` and
+#: ``group_action_selfcheck``.
+DEFAULT_SEED = 42
+
+
 class SeededStream:
     """Counter-based SplitMix64 draws (Steele, Lea and Flood, OOPSLA 2014).
 
@@ -524,7 +529,7 @@ def _first_row(bad: np.ndarray):
 def group_action_selfcheck(
     group: DeckGroup,
     samples: int = 10_000,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
 ) -> SelfCheckReport:
     """Verify the defining identities of a deck-group action.
 

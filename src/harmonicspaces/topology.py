@@ -63,7 +63,7 @@ class VolumeBoundReport(NamedTuple):
     """Lower volume bounds for compact manifolds modeled on a
     negative-curvature rank-1 symmetric space."""
 
-    negative_model: SpaceModel
+    model: SpaceModel
     dual: SpaceModel
     dual_volume: float
     euler: int
@@ -74,17 +74,10 @@ class VolumeBoundReport(NamedTuple):
     notes: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.negative_model.model_id,
-            "dual": self.dual.model_id,
-            "dual_volume": self.dual_volume,
-            "euler": self.euler,
-            "signature": self.signature,
-            "gb_bound": self.gb_bound,
-            "sig_bound": self.sig_bound,
-            "epsilon": self.epsilon,
-            "notes": list(self.notes),
-        }
+        """The fields by name, with model ids for the two models."""
+        payload = self._asdict()
+        payload.update(model=self.model.model_id, dual=self.dual.model_id, notes=list(self.notes))
+        return payload
 
 
 #: The Cayley hyperbolic bound is vol(OP2)/chi(OP2) = vol(OP2)/3; an
@@ -122,7 +115,7 @@ def volume_bounds(negative_model: SpaceModel, orientable: bool = True) -> Volume
     ):
         notes.append(WOLF_SHARPENING_NOTE)
     return VolumeBoundReport(
-        negative_model=negative_model,
+        model=negative_model,
         dual=dual,
         dual_volume=vol,
         euler=chi,

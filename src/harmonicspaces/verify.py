@@ -17,7 +17,7 @@ import numpy as np
 from . import harmonic, quotients, topology
 from .errors import SelfCheckFailed
 from .harmonic import BoundaryBehavior, verify_table_entry
-from .quotients import make_group
+from .quotients import DEFAULT_SEED, make_group
 from .spaces import SpaceModel, parse_model_id, positive_curvature_catalogue
 
 
@@ -44,12 +44,12 @@ def check_table_row(model: SpaceModel) -> CheckResult:
 
 
 #: The table rows: every transcribed closed form, then the flat family.
-_TABLE_IDS = (*harmonic.CLOSED_FORMS, "E2", "E3", "E4", "E5")
+TABLE_IDS = (*harmonic.CLOSED_FORMS, "E2", "E3", "E4", "E5")
 
 
 def table_checks(models: list[SpaceModel] | None = None) -> list[CheckResult]:
     if models is None:
-        models = [parse_model_id(mid) for mid in _TABLE_IDS]
+        models = [parse_model_id(mid) for mid in TABLE_IDS]
     return [_table_result(res) for res in harmonic.verify_table_entries(models)]
 
 
@@ -71,7 +71,7 @@ def boundary_checks(models: list[SpaceModel] | None = None) -> list[CheckResult]
     return out
 
 
-def group_checks(seed: int = 42) -> list[CheckResult]:
+def group_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     out = []
     for gid in quotients.GROUPS:
         group = make_group(gid)
@@ -105,7 +105,7 @@ def _radius_gaps(group: quotients.DeckGroup, points) -> np.ndarray:
     return np.abs(0.5 * d_min - closed)
 
 
-def injectivity_checks(seed: int = 42) -> list[CheckResult]:
+def injectivity_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Brute-force orbit minima against the closed forms."""
     torus_points = quotients.SeededStream(seed).uniform(-1.0, 1.0, (20, 2))
     klein_points = [(0.0, 0.05 * i) for i in range(41)]
@@ -166,7 +166,7 @@ def topology_checks() -> list[CheckResult]:
     return out
 
 
-def run_all(scope: str = "all", seed: int = 42) -> list[CheckResult]:
+def run_all(scope: str = "all", seed: int = DEFAULT_SEED) -> list[CheckResult]:
     if scope != "all":
         model = parse_model_id(scope)
         results = table_checks([model]) if harmonic.has_closed_form(model) else []

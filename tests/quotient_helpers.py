@@ -1,6 +1,7 @@
 """Quotient constructions that only the tests use: the analytic Klein
-region, a Monte Carlo lens volume, and the flat radial extension of
-remark-style domains with its harmonicity, radiality and symmetry probes.
+region, a Monte Carlo lens volume, the flat radial extension of
+remark-style domains with its harmonicity, radiality and symmetry probes,
+and a deck group that fails its self-check.
 """
 
 import math
@@ -10,6 +11,7 @@ import numpy as np
 from harmonicspaces.errors import DomainViolation
 from harmonicspaces.numerics import derivative
 from harmonicspaces.quotients import (
+    AntipodalGroup,
     LensGroup,
     SeededStream,
     TorusGroup,
@@ -18,6 +20,13 @@ from harmonicspaces.quotients import (
     orbit_distances,
 )
 from harmonicspaces.spaces import unit_sphere_volume
+
+
+class FixedPointAntipodal(AntipodalGroup):
+    """Negative control: -id replaced by the identity, which fixes every point."""
+
+    def apply(self, eid, point):
+        return np.asarray(point, float).copy()
 
 
 def klein_fundamental_region(a: float, q) -> bool:

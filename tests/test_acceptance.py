@@ -18,7 +18,6 @@ from harmonicspaces.spaces import (
     DensityProfile,
     complex_projective,
     domain_end,
-    euclidean,
     model_volume,
     parse_model_id,
     positive_curvature_catalogue,
@@ -33,7 +32,7 @@ from quotient_helpers import (
     lens_domain_volume_mc,
 )
 
-ALL_ROWS = harmonic.closed_form_models() + [euclidean(m) for m in (2, 3, 4, 5)]
+ALL_ROWS = [parse_model_id(mid) for mid in verify.TABLE_IDS]
 
 
 @pytest.fixture(scope="module")

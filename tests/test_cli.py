@@ -68,6 +68,19 @@ def test_phi_table_numeric_only(capsys):
         assert float(cols[-1]) < 1e-5
 
 
+def test_phi_table_numeric_only_on_a_closed_form_model(capsys):
+    # --numeric-only drops the closed form from both columns that read it
+    code, out, _ = run_cli(
+        capsys, "phi-table", "S3", "0.3", "1.5", "4", "0.7854", "--numeric-only"
+    )
+    assert code == 0
+    rows = [row.split(",") for row in out.strip().splitlines()[2:]]
+    assert [cols[3] for cols in rows] == [""] * 4
+    grid = [0.3 + (1.5 - 0.3) * i / 3 for i in range(4)]
+    _, residuals = harmonic.phi0_table(parse_model_id("S3"), grid, 0.7854, 1e-10, None)
+    assert [cols[-1] for cols in rows] == [f"{residual:.3e}" for residual in residuals]
+
+
 def test_phi_table_invalid_model(capsys):
     code, _, err = run_cli(capsys, "phi-table", "Q3", "0.3", "1.5", "5", "0.7854")
     assert code == 2
@@ -243,6 +256,11 @@ def test_closed_stdout_ends_quietly_with_sigpipe_status():
         (["cpq", "1,0,0,0,0,0,0,0"], 0, ""),
         # refused before any grid is built: numpy would refuse 10^14 cells
         (["torus", "0,0", "--resolution", "10000000"], 2, "resolution must be <= 2000"),
+        # 2k+2 reals are a real vector in C^(k+1)
+        (["cpq", "0.3,-1.2,0.5,2"], 0, ""),
+        (["cpq", "1,0,0,0,0,0"], 0, ""),
+        (["cpq", "0,0,0,0"], 2, "must be nonzero"),
+        (["cpq", "1,0,0"], 2, "2k+2 reals"),
     ],
 )
 def test_quotient_rejects_bad_input_cleanly(capsys, argv, expected, message):
@@ -704,7 +722,7 @@ def test_phi_table_numeric_residual_uses_tol(capsys, monkeypatch):
     assert tols == [1e-4] * 3
     column = [row.split(",")[-1] for row in out.strip().splitlines()[2:]]
     grid = [0.3 + (1.5 - 0.3) * i / 3 for i in range(4)]
-    _, residuals = harmonic.phi0_table(model, grid, 0.7854, tol=1e-4)
+    _, residuals = harmonic.phi0_table(model, grid, 0.7854, 1e-4, None)
     assert column == [f"{residual:.3e}" for residual in residuals]
 
 

@@ -16,7 +16,6 @@ from harmonicspaces.harmonic import (
     CLOSED_FORMS,
     classify_boundary,
     closed_form,
-    closed_form_models,
     harmonicity_residual,
     laplacian_radial,
     phi0_closed,
@@ -42,6 +41,7 @@ from harmonicspaces.spaces import (
     sphere,
     theta,
 )
+from harmonicspaces.verify import TABLE_IDS
 
 # 1/(sinh(1)^3 cosh(1)), mpmath 30 digits
 PHI1_HCP2_AT_1 = 0.39927738018245308
@@ -99,10 +99,7 @@ def test_closed_form_is_resolved_once():
         closed_form(sphere(6))
 
 
-_TABLE_IDS = [*CLOSED_FORMS, "E2", "E3", "E4", "E5"]
-
-
-@pytest.mark.parametrize("mid", _TABLE_IDS)
+@pytest.mark.parametrize("mid", TABLE_IDS)
 def test_phi0_numeric_grid_matches_per_point_integrals(mid):
     # one integral per grid gap, summed outward, against one integral per point
     model = parse_model_id(mid)
@@ -113,7 +110,7 @@ def test_phi0_numeric_grid_matches_per_point_integrals(mid):
         assert scaled_residual(value, phi0_numeric(model, r, r_ref)) <= 1e-13
 
 
-@pytest.mark.parametrize("mid", _TABLE_IDS)
+@pytest.mark.parametrize("mid", TABLE_IDS)
 def test_array_closed_forms_match_scalar_forms(mid):
     # numpy's elementary functions may round apart from libm's by a few ulps
     model = parse_model_id(mid)
@@ -131,7 +128,7 @@ def test_array_flat_form_overflow_names_the_model():
         form(np.array([2.0, 0.3, 0.2]), np)
 
 
-@pytest.mark.parametrize("mid", _TABLE_IDS)
+@pytest.mark.parametrize("mid", TABLE_IDS)
 def test_theta_array_matches_theta_on_verification_grid(mid):
     # theta on an array of radii against theta on each float
     model = parse_model_id(mid)
@@ -306,7 +303,7 @@ def _batch_rows():
     the grid, at both ends and off it, and with unsorted radii that repeat;
     then gaps that bisect past their first split, and a row without gaps."""
     rows = []
-    for mid in [*_TABLE_IDS, "S9", "hS9", "CP5"]:
+    for mid in [*TABLE_IDS, "S9", "hS9", "CP5"]:
         model = parse_model_id(mid)
         grid = verification_grid(model)
         rows.append((model, grid, grid[len(grid) // 2]))
@@ -331,7 +328,7 @@ def test_phi0_numeric_grids_equal_the_one_row_calls_bit_for_bit():
 
 
 def test_verify_table_entries_equal_the_one_row_calls():
-    models = [parse_model_id(mid) for mid in _TABLE_IDS]
+    models = [parse_model_id(mid) for mid in TABLE_IDS]
     assert verify_table_entries(models) == [verify_table_entry(m) for m in models]
 
 
@@ -564,7 +561,6 @@ def test_non_finite_array_phi1_is_taken_from_the_scalar_phi1(monkeypatch):
 
 def test_closed_form_catalogue_size():
     assert len(CLOSED_FORMS) == 22
-    assert len(closed_form_models()) == 22
 
 
 @settings(max_examples=20, deadline=None)
@@ -644,4 +640,5 @@ def test_harmonicity_residual_scaled():
 def test_phi0_table_non_finite_residual_names_the_model_and_radius():
     # -coth r is finite at 900, but its array form is inf / inf there
     with pytest.raises(OverflowError, match=r"\bhS3 at r=900\.0 is not finite"):
-        phi0_table(parse_model_id("hS3"), [0.5, 900.0], 1.0)
+        model = parse_model_id("hS3")
+        phi0_table(model, [0.5, 900.0], 1.0, DEFAULT_TOL, closed_form(model))

@@ -43,6 +43,7 @@ from harmonicspaces.quotients import (
     sphere_distances,
 )
 from quotient_helpers import (
+    FixedPointAntipodal,
     flat_extension_is_radial,
     flat_extension_reflection_symmetric,
     flat_harmonic_residual,
@@ -782,13 +783,6 @@ def test_selfcheck_passes(group):
     assert "isometry_random_pairs" in report.checks
 
 
-class _FixedPointAntipodal(AntipodalGroup):
-    """Negative control: -id replaced by the identity, which fixes every point."""
-
-    def apply(self, eid, point):
-        return np.asarray(point, float).copy()
-
-
 def test_selfcheck_fixed_point_floor():
     report = group_action_selfcheck(CPInvolutionGroup(), samples=2000)
     assert report.min_sampled_displacement is not None
@@ -797,7 +791,7 @@ def test_selfcheck_fixed_point_floor():
     with pytest.raises(
         SelfCheckFailed, match=r"^rp: sampled displacement 0\.000e\+00 at or below floor 0\.1;"
     ):
-        group_action_selfcheck(_FixedPointAntipodal(), samples=100)
+        group_action_selfcheck(FixedPointAntipodal(), samples=100)
 
 
 @pytest.mark.parametrize("group", [AntipodalGroup(), LensGroup(), CPInvolutionGroup()])

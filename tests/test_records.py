@@ -55,7 +55,7 @@ RECORDS = [
     (
         VolumeBoundReport,
         {
-            "negative_model": _HS4,
+            "model": _HS4,
             "dual": _S4,
             "dual_volume": 8.0 * math.pi**2 / 3.0,
             "euler": 2,

@@ -1,10 +1,14 @@
-"""Smoke tests of scripts/: every file is written and carries its config."""
+"""Smoke tests of scripts/: every file is written and carries its config,
+and the scripts read only the package's public names."""
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
 
-from harmonicspaces.harmonic import CLOSED_FORMS
+from harmonicspaces import numerics, quotients, verify
+from harmonicspaces.cli import build_parser, main
+from harmonicspaces.verify import TABLE_IDS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -34,8 +38,27 @@ def test_tabulate_writes_every_table(tmp_path, capsys):
     module = _load("tabulate")
     module.run(tmp_path, 3)
     # the rows of verify's table checks: the closed forms, then E2..E5
-    ids = list(CLOSED_FORMS) + ["E2", "E3", "E4", "E5"]
+    ids = TABLE_IDS
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"phi_{mid}.csv" for mid in ids)
     for mid in ids:
         rows = (tmp_path / f"phi_{mid}.csv").read_text(encoding="utf-8").splitlines()
         assert rows[0].startswith("# config ") and len(rows) == 2 + 3, mid
+
+
+def test_scripts_import_public_names_and_cli_defaults_have_one_home(capsys, monkeypatch):
+    # a script that imports an underscore name copies a decision the package
+    # keeps private; the public name is the one home
+    for path in sorted(SCRIPTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("harmonicspaces"):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert private == [], (path.name, node.module, private)
+    # the CLI defaults are the package's constants, read where they live
+    args = build_parser().parse_args(["phi-table", "S3", "0.3", "1.5", "2", "0.7854"])
+    assert args.tol is numerics.DEFAULT_TOL
+    seeds = []
+    monkeypatch.setattr(quotients, "DEFAULT_SEED", 1234)
+    monkeypatch.setattr(verify, "run_all", lambda scope, seed: seeds.append(seed) or [])
+    assert main(["verify", "all"]) == 0
+    assert seeds == [1234]
+    assert '"seed": 1234' in capsys.readouterr().out.splitlines()[0]

@@ -14,6 +14,8 @@ from harmonicspaces.verify import (
     run_all,
     table_checks,
 )
+from quotient_helpers import FixedPointAntipodal
+
 
 def test_check_table_row_pass():
     res = check_table_row(parse_model_id("S3"))
@@ -117,6 +119,22 @@ def test_batched_injectivity_gaps_equal_per_point_gaps(seed):
     assert _radius_gaps(klein, klein_points).tolist() == [
         radius_gap(klein, p) for p in klein_points
     ]
+
+
+def test_verify_all_reports_a_failed_group_selfcheck(monkeypatch, capsys):
+    # a group action that fixes points fails its self-check line and its
+    # injectivity line, and the run exits 1 without an error message
+    monkeypatch.setitem(quotients.GROUPS, "rp", FixedPointAntipodal)
+    code = main(["verify", "all"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    lines = captured.out.splitlines()
+    assert any(
+        line.startswith("FAIL group rp: rp: sampled displacement 0.000e+00 at or below floor 0.1; ")
+        for line in lines
+    )
+    assert any(line.startswith("FAIL injectivity rp: brute=0.0 ") for line in lines)
+    assert lines[-1] == "# checked=63 fail=2 warn=1"
 
 
 def test_run_all_scope_flat_model():
