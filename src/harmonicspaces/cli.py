@@ -3,7 +3,11 @@
 Subcommands: phi-table, verify, quotient, bounds.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 141 a closed stdout.  A command
 raises where it finds a fault, and ``main`` alone turns the exception into
-an exit code and one ``error:`` line on stderr.  All angles are radians; CSV is the
+an exit code and one ``error:`` line on stderr.  The one handler inside a
+command is phi-table's for ``NonConvergence``: integrals that cannot
+converge from the given ``r_ref`` at ``--tol`` are bad input, not a failed
+check, and the quadrature knows neither name, so the handler makes it a
+usage error naming both.  All angles are radians; CSV is the
 single data format and SVG the single figure format, both deterministic
 for a fixed configuration.  Each subcommand accepts only the options it
 reads, and its parsed arguments are the configuration every output echoes.
@@ -130,11 +134,6 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
                     )
                 )
             )
-    except OverflowError:
-        raise OverflowError(
-            f"{model.model_id} values overflow float64 on the grid "
-            f"[{args.r_min}, {args.r_max}] with r_ref={args.r_ref}"
-        ) from None
     except NonConvergence as exc:
         where = f"{model.model_id} from r_ref={args.r_ref} at --tol={args.tol}"
         raise ValueError(f"the phi0 integrals of {where} do not converge: {exc}") from None

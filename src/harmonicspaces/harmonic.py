@@ -596,17 +596,6 @@ def verification_grid(model: SpaceModel) -> list[float]:
     return [0.1 * d + (0.8 * d) * i / 49 for i in range(50)]
 
 
-def _ode_derivative(model: SpaceModel, form, r: float) -> float:
-    """The ODE check's derivative of the closed form at one grid point,
-    with an OverflowError naming the model and the point."""
-    try:
-        return derivative(form, r, 1, interval=domain(model))
-    except OverflowError:
-        raise OverflowError(
-            f"derivative of phi0 of {model.model_id} at r={r!r} overflows float64"
-        ) from None
-
-
 def verify_table_entry(model: SpaceModel) -> TableVerification:
     """Check a closed form against the two independent oracles; the one-row
     call of ``verify_table_entries``."""
@@ -621,10 +610,11 @@ def verify_table_entries(models: list[SpaceModel]) -> list[TableVerification]:
     differences.  Each check is one array evaluation of the form per row,
     on the stencils of the whole grid and on the grid, and the quadrature
     of all rows is one ``phi0_numeric_grids`` call.  A NaN residual at any
-    grid point is kept, so the row fails.  Where the array derivative
-    overflows, the grid points are taken one at a time, so the
-    OverflowError names the model and the first failing point, as
-    ``phi1``'s does.  The ODE checks of all rows run before the quadrature.
+    grid point is kept, so the row fails.  An OverflowError is that of the
+    function that finds it: the form or ``phi1`` names the model and the
+    first failing point, and ``derivative``'s own, which names only the
+    point, gets the model id in front.  The ODE checks of all rows run
+    before the quadrature.
     """
     import numpy as np  # here, so that importing harmonic does not load numpy
 
@@ -633,12 +623,12 @@ def verify_table_entries(models: list[SpaceModel]) -> list[TableVerification]:
         form = closed_form(model)
         grid = verification_grid(model)
         rs = np.array(grid)
+        values = form(rs, np)
         try:
             fd = derivative(lambda x: form(x, np), rs, 1, interval=domain(model))
-        except OverflowError:
-            fd = np.array([_ode_derivative(model, form, r) for r in grid])
+        except OverflowError as exc:
+            raise OverflowError(f"{model.model_id}: {exc}") from None
         odes.append(float(np.max(scaled_residual(fd, phi1(model, rs)))))
-        values = form(rs, np)
         k = len(grid) // 2
         closed.append(values - values[k])
         rows.append((model, grid, grid[k]))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import harmonic, quotients, topology
 from .errors import SelfCheckFailed
-from .harmonic import BoundaryBehavior, verify_table_entry
+from .harmonic import BoundaryBehavior
 from .quotients import DEFAULT_SEED, make_group
 from .spaces import SpaceModel, parse_model_id, positive_curvature_catalogue
 
@@ -36,11 +36,6 @@ def _table_result(res: harmonic.TableVerification) -> CheckResult:
         f"match_residual={res.max_match_residual:.3e}"
     )
     return CheckResult(f"table {res.model_id}", "PASS" if res.passed else "FAIL", detail)
-
-
-def check_table_row(model: SpaceModel) -> CheckResult:
-    """Oracle verdict for one closed-form row."""
-    return _table_result(verify_table_entry(model))
 
 
 #: The table rows: every transcribed closed form, then the flat family.

@@ -37,7 +37,7 @@ ALL_ROWS = [parse_model_id(mid) for mid in verify.TABLE_IDS]
 
 @pytest.fixture(scope="module")
 def table_results():
-    return {m.model_id: verify.check_table_row(m) for m in ALL_ROWS}
+    return {m.model_id: res for m, res in zip(ALL_ROWS, verify.table_checks(ALL_ROWS))}
 
 
 def _report(n, name):

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -9,14 +10,16 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonicspaces import harmonic, spaces
+from harmonicspaces import cli, harmonic, spaces
 from harmonicspaces.cli import build_parser, main
+from harmonicspaces.errors import SelfCheckFailed
 from harmonicspaces.quotients import classify_grid, classify_points
 from harmonicspaces.spaces import parse_model_id
 from harmonicspaces.verify import make_group
@@ -319,7 +322,6 @@ def _code_rows(res):
 )
 def test_raster_rows_are_the_per_cell_lines(res, centre, data):
     # reference: each cell formatted on its own, as cmd_quotient wrote it once
-    from harmonicspaces import cli
     from harmonicspaces.quotients import REGION_TABLE, GridClassification
 
     codes = np.array(data.draw(st.lists(_code_rows(res), min_size=res, max_size=res)))
@@ -658,6 +660,30 @@ def test_verify_all_takes_every_non_negative_seed(capsys, seed):
     assert out.splitlines()[-1] == "# checked=63 fail=0 warn=1"
 
 
+def test_commands_leave_exit_codes_to_main():
+    # the module docstring's rule: a command raises where it finds a fault and
+    # main alone maps the exception; phi-table's NonConvergence mapping, which
+    # adds the reference radius and --tol, is the one handler in a command
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    handlers = [
+        (node.name, handler.type and ast.unparse(handler.type))
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+        for handler in ast.walk(node)
+        if isinstance(handler, ast.ExceptHandler)
+    ]
+    assert handlers == [("cmd_phi_table", "NonConvergence")]
+
+
+def test_verify_self_check_failure_is_exit_1(capsys, monkeypatch):
+    # a fault the suite finds in itself, not in the input: exit 1, not 2
+    def failing_run_all(scope, seed):
+        raise SelfCheckFailed("boom")
+
+    monkeypatch.setattr("harmonicspaces.cli.verify_mod.run_all", failing_run_all)
+    assert run_cli(capsys, "verify", "all") == (1, "", "error: boom\n")
+
+
 def test_verify_all_rejects_a_negative_seed(capsys):
     assert run_cli(capsys, "verify", "all", "--seed", "-1") == (
         2, "", "error: seed must be a non-negative integer, got -1\n"
@@ -768,28 +794,52 @@ def test_bounds_integrates_nothing(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["E9", "0.5", "1e300", "2", "1.0"],
-        ["hS3", "0.5", "900", "2", "1.0"],
-        ["hS9", "0.5", "900", "2", "1.0", "--numeric-only"],
+        (["E9", "0.5", "1e300", "2", "1.0"], "theta of E9 at r=5e+299 overflows float64"),
+        (
+            ["hS3", "0.5", "900", "2", "1.0"],
+            "residual of phi0 of hS3 at r=900.0 is not finite",
+        ),
+        (
+            ["hS9", "0.5", "900", "2", "1.0", "--numeric-only"],
+            "theta of hS9 at r=450.49455009099285 overflows float64",
+        ),
         # sinh^5 cosh of hCP3 leaves float64 past r = 140 without a raising power
-        ["hCP3", "100", "141.5", "3", "120"],
+        (["hCP3", "100", "141.5", "3", "120"], "theta of hCP3 at r=120.375 overflows float64"),
         # (r_max - r_min) * 2 leaves float64 while the grid is built
-        ["E2", "0.1", "1e308", "3", "1"],
+        (
+            ["E2", "0.1", "1e308", "3", "1"],
+            "the grid of 3 points on [0.1, 1e+308] would overflow float64: "
+            "(r_max - r_min) * 2 is inf",
+        ),
+        # every sample of the closed form is finite, its difference quotient is not
+        (
+            ["E590", "0.3", "1.5", "3", "0.7"],
+            "derivative at r=0.3 overflows float64 from finite samples: inf",
+        ),
     ],
+    ids=[f"argv{i}" for i in range(6)],
 )
-def test_phi_table_overflow_is_usage_error(capsys, argv):
+def test_phi_table_overflow_is_usage_error(capsys, argv, message):
+    # the message is the one of the function that found the overflow
     code, out, err = run_cli(capsys, "phi-table", *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "overflow float64" in err
+    assert err == f"error: {message}\n"
     assert "r=inf" not in err
-    assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("model_id", ["S9", "S3", "E3"])
-def test_phi_table_reference_at_the_pole_is_overflow_usage_error(capsys, model_id):
+@pytest.mark.parametrize(
+    "model_id, r",
+    [
+        ("S9", "1.92840143952926e-39"),
+        ("S3", "4.894170692521033e-155"),
+        ("E3", "4.894170692521033e-155"),
+    ],
+    ids=["S9", "S3", "E3"],
+)
+def test_phi_table_reference_at_the_pole_is_overflow_usage_error(capsys, model_id, r):
     # r_ref = 1e-300 puts the quadrature next to the pole of phi1, where
     # theta leaves float64: phi1 overflows there, never adds an inf to the sum
     code, out, err = run_cli(
@@ -797,8 +847,8 @@ def test_phi_table_reference_at_the_pole_is_overflow_usage_error(capsys, model_i
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "overflow float64" in err
-    assert "Traceback" not in err
+    assert err.startswith(f"error: phi1 of {model_id} at r={r} overflows float64: theta is ")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

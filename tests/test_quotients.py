@@ -123,6 +123,15 @@ def test_invalid_points_rejected():
         quotient_distance(AntipodalGroup(m=2), np.array([1.0, 1.0, 0.0]), E1_S2)
     with pytest.raises(InvalidPoint, match="expected 2 coordinates"):
         quotient_distance(TorusGroup(), (1.0, 2.0, 3.0), (0.0, 0.0))
+    with pytest.raises(
+        InvalidPoint,
+        match=r"^expected a flat vector or rows of points, got shape \(3, 3, 2\)$",
+    ):
+        orbit_distances(TorusGroup(), np.zeros((3, 3, 2)), np.zeros((3, 2)))
+    with pytest.raises(
+        InvalidPoint, match=r"^points of shape \(3, 2\) do not pair with rows \(2, 2\)$"
+    ):
+        orbit_distances(TorusGroup(), np.zeros((3, 2)), np.zeros((2, 2)))
 
 
 # --- quotient distances
@@ -922,6 +931,15 @@ def test_klein_cut_locus_shifted_basepoint():
 def test_cut_locus_requires_flat_group():
     with pytest.raises(UnsupportedModel):
         classify_grid(LensGroup(), np.array([1.0, 0, 0, 0]), 50)
+
+
+def test_closed_injectivity_radius_only_for_the_five_groups():
+    class OtherGroup(quotients.DeckGroup):
+        __slots__ = ()
+        name = "g"
+
+    with pytest.raises(UnsupportedModel, match="^no closed-form injectivity radius for g$"):
+        injectivity_radius_closed(OtherGroup(), (0.0, 0.0))
 
 
 def test_torus_fundamental_domain_area():

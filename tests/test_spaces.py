@@ -18,6 +18,7 @@ from harmonicspaces.spaces import (
     hyperbolic_space,
     log_derivative_theta,
     model_volume,
+    octonion_hyperbolic,
     octonion_plane,
     parse_model_id,
     positive_curvature_catalogue,
@@ -119,6 +120,8 @@ def test_gamma_half_integer_against_math_gamma():
         assert gamma_half_integer(two_x) == pytest.approx(
             math.gamma(two_x / 2.0), rel=1e-14
         )
+    with pytest.raises(ValueError, match="positive half-integer"):
+        gamma_half_integer(0)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -231,6 +234,7 @@ def test_model_id_round_trip():
            "hS3", "hCP2", "hHP4", "hOP2", "E2", "E6"]
     for mid in ids:
         assert parse_model_id(mid).model_id == mid
+    assert octonion_hyperbolic() == parse_model_id("hOP2")
 
 
 def test_parse_rejects_bad_ids():
@@ -298,6 +302,8 @@ def test_unit_sphere_volume_low_dims():
     assert unit_sphere_volume(1) == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert unit_sphere_volume(2) == pytest.approx(4.0 * math.pi, rel=1e-15)
     assert unit_sphere_volume(3) == pytest.approx(2.0 * math.pi**2, rel=1e-15)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        unit_sphere_volume(-1)
 
 
 def test_density_profiles():

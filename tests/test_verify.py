@@ -9,7 +9,6 @@ from harmonicspaces.numerics import EPS
 from harmonicspaces.spaces import euclidean, parse_model_id
 from harmonicspaces.verify import (
     _radius_gaps,
-    check_table_row,
     make_group,
     run_all,
     table_checks,
@@ -18,7 +17,7 @@ from quotient_helpers import FixedPointAntipodal
 
 
 def test_check_table_row_pass():
-    res = check_table_row(parse_model_id("S3"))
+    res = table_checks([parse_model_id("S3")])[0]
     assert res.status == "PASS"
     assert "ode_residual" in res.details
 
@@ -26,7 +25,7 @@ def test_check_table_row_pass():
 def test_check_table_row_fails_silent_disagreement(monkeypatch):
     # a corrupted row must FAIL, never WARN
     monkeypatch.setitem(harmonic.CLOSED_FORMS, "S3", lambda r, m=math: m.tan(r))
-    res = check_table_row(parse_model_id("S3"))
+    res = table_checks([parse_model_id("S3")])[0]
     assert res.status == "FAIL"
 
 
@@ -49,7 +48,7 @@ def test_nan_residual_fails_the_row(monkeypatch):
         "S3",
         lambda r, m=math: np.where(r == r_ref, math.nan, exact(r, m)),
     )
-    res = check_table_row(model)
+    res = table_checks([model])[0]
     assert res.status == "FAIL"
     assert "match_residual=nan" in res.details
 
@@ -66,7 +65,7 @@ def test_nan_at_one_stencil_point_fails_the_row(monkeypatch):
         "S3",
         lambda x, m=math: np.where(x == sample, math.nan, exact(x, m)),
     )
-    res = check_table_row(model)
+    res = table_checks([model])[0]
     assert res.status == "FAIL"
     assert "ode_residual=nan" in res.details
     assert "match_residual=nan" not in res.details
@@ -90,15 +89,35 @@ def test_overflowing_difference_is_usage_error(capsys):
     assert res.status == "PASS", res.line()
 
 
-@pytest.mark.parametrize("mid", ["E590", "E600", "E1000"])
-def test_flat_overflow_names_the_first_grid_point(capsys, mid):
-    # the array pass overflows (E590 in the difference, E600 and E1000 in
-    # r^(2-m) itself); the grid is then taken one point at a time, so the
-    # message names the model and the first grid point, as it always has
+@pytest.mark.parametrize(
+    "mid, message, array_calls",
+    [
+        # every sample is finite, the difference quotient is not: derivative's
+        # own message, with the model of the batch row in front
+        (
+            "E590",
+            "E590: derivative at r=0.30000000000000004 overflows float64 from finite samples: inf",
+            1,
+        ),
+        # r^(2-m) itself overflows on the grid, before any derivative
+        ("E600", "phi0 of E600 at r=0.30000000000000004 overflows float64", 0),
+        ("E1000", "phi0 of E1000 at r=0.30000000000000004 overflows float64", 0),
+    ],
+    ids=["E590", "E600", "E1000"],
+)
+def test_flat_overflow_names_the_first_grid_point(capsys, monkeypatch, mid, message, array_calls):
+    # the overflow is reported by the code that finds it, with no second
+    # derivative pass over the grid one float at a time
+    calls = {"array": 0, "float": 0}
+
+    def counting_derivative(f, r, *args, **kwargs):
+        calls["array" if isinstance(r, np.ndarray) else "float"] += 1
+        return numerics.derivative(f, r, *args, **kwargs)
+
+    monkeypatch.setattr(harmonic, "derivative", counting_derivative)
     assert main(["verify", mid]) == 2
-    assert capsys.readouterr().err == (
-        f"error: derivative of phi0 of {mid} at r=0.30000000000000004 overflows float64\n"
-    )
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == {"array": array_calls, "float": 0}
 
 
 @pytest.mark.parametrize("seed", [3, 7, 42])
@@ -236,5 +255,5 @@ def test_verify_all_sums_every_table_row_in_two_gk15_passes(monkeypatch):
 
 
 def test_check_result_line_format():
-    res = check_table_row(euclidean(2))
+    res = table_checks([euclidean(2)])[0]
     assert res.line().startswith("PASS table E2: ")
