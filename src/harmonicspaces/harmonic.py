@@ -64,6 +64,8 @@ def phi1(model: SpaceModel, r):
 
 # Each form reads its elementary functions from the namespace m: math for
 # one float, numpy for an array of radii, elementwise with the same formula.
+# Every one is analytic, so on a complex array numpy extends it off the real
+# axis, as the ODE check's complex step needs.
 
 
 def _csc(r, m):
@@ -302,8 +304,8 @@ def closed_form(model: SpaceModel) -> Callable[..., float]:
     The transcribed entry of ``CLOSED_FORMS``; for flat space log for
     m = 2 and r^(2-m)/(2-m) for m > 2, with an OverflowError naming the
     model (and the first such radius) where r^(2-m) leaves float64.  Every
-    form takes a float, or a numpy array with the namespace ``numpy`` as
-    its second argument.  The callable checks no domain.
+    form takes a float, or a real or complex numpy array with the namespace
+    ``numpy`` as its second argument.  The callable checks no domain.
     """
     if model.family is Family.EUCLIDEAN:
         dim = model.dimension
@@ -557,9 +559,16 @@ def classify_boundary(model: SpaceModel) -> BoundaryClassification:
 
 
 #: Largest scaled residuals a table row may show: the closed form's
-#: derivative against phi1, and its differences against quadrature.
-ODE_TOLERANCE = 1e-6
+#: derivative against phi1, and its differences against quadrature.  The
+#: derivative is exact to rounding (``COMPLEX_STEP``), and a correct row
+#: reads at most 3.0e-14 (hOP2), so 1e-12 keeps 30 times that as margin.
+ODE_TOLERANCE = 1e-12
 MATCH_TOLERANCE = 1e-8
+
+#: Imaginary step of the ODE check: f'(r) = Im f(r + ih) / h + O(h^2) for a
+#: form real on the real axis.  Nothing is subtracted, so no digit cancels,
+#: and at h = 1e-200 the O(h^2) term is far below rounding.
+COMPLEX_STEP = 1e-200
 
 
 class TableVerification(NamedTuple):
@@ -605,16 +614,15 @@ def verify_table_entry(model: SpaceModel) -> TableVerification:
 def verify_table_entries(models: list[SpaceModel]) -> list[TableVerification]:
     """Check each closed form of ``models`` against the two independent oracles.
 
-    ODE check: ``numerics.derivative`` of the closed form against phi1.
-    Match check: quadrature differences along the grid against closed-form
-    differences.  Each check is one array evaluation of the form per row,
-    on the stencils of the whole grid and on the grid, and the quadrature
-    of all rows is one ``phi0_numeric_grids`` call.  A NaN residual at any
-    grid point is kept, so the row fails.  An OverflowError is that of the
-    function that finds it: the form or ``phi1`` names the model and the
-    first failing point, and ``derivative``'s own, which names only the
-    point, gets the model id in front.  The ODE checks of all rows run
-    before the quadrature.
+    ODE check: the closed form's derivative against phi1, by complex step,
+    from one evaluation of the form at grid + i ``COMPLEX_STEP``.  Match
+    check: quadrature differences along the grid against closed-form
+    differences, from one real evaluation of the form on the grid; the
+    quadrature of all rows is one ``phi0_numeric_grids`` call.  A NaN
+    residual at any grid point, as a NaN or inf slope gives, is kept, so
+    the row fails.  An OverflowError is that of the function that finds
+    it, the form or ``phi1``, and names the model and the first failing
+    point.  The ODE checks of all rows run before the quadrature.
     """
     import numpy as np  # here, so that importing harmonic does not load numpy
 
@@ -624,11 +632,10 @@ def verify_table_entries(models: list[SpaceModel]) -> list[TableVerification]:
         grid = verification_grid(model)
         rs = np.array(grid)
         values = form(rs, np)
-        try:
-            fd = derivative(lambda x: form(x, np), rs, 1, interval=domain(model))
-        except OverflowError as exc:
-            raise OverflowError(f"{model.model_id}: {exc}") from None
-        odes.append(float(np.max(scaled_residual(fd, phi1(model, rs)))))
+        # a wrong form may give a NaN or inf slope: kept, so the row fails
+        with np.errstate(all="ignore"):
+            slope = form(rs + COMPLEX_STEP * 1j, np).imag / COMPLEX_STEP
+            odes.append(float(np.max(scaled_residual(slope, phi1(model, rs)))))
         k = len(grid) // 2
         closed.append(values - values[k])
         rows.append((model, grid, grid[k]))

@@ -49,16 +49,17 @@ def test_criterion_1_table_fidelity(table_results):
     failures = [r for r in table_results.values() if r.status != "PASS"]
     assert not failures, f"table disagreements: {failures}"
     print(f"  rows checked: {len(table_results)}")
-    _report(1, "table fidelity, 26 rows, ode<=1e-6 match<=1e-8")
+    _report(1, "table fidelity, 26 rows, ode<=1e-12 match<=1e-8")
 
 
 def test_criterion_1_residual_tolerances():
     # re-assert the stated numeric tolerances row by row
+    assert (harmonic.ODE_TOLERANCE, harmonic.MATCH_TOLERANCE) == (1e-12, 1e-8)
     for model in ALL_ROWS:
         res = harmonic.verify_table_entry(model)
-        assert res.max_ode_residual <= 1e-6, (model.model_id, res)
-        assert res.max_match_residual <= 1e-8, (model.model_id, res)
-    _report(1, "tolerances pinned at 1e-6 / 1e-8")
+        assert res.max_ode_residual <= harmonic.ODE_TOLERANCE, (model.model_id, res)
+        assert res.max_match_residual <= harmonic.MATCH_TOLERANCE, (model.model_id, res)
+    _report(1, "tolerances pinned at 1e-12 / 1e-8")
 
 
 def test_criterion_2_harmonicity():

@@ -459,19 +459,19 @@ def test_quotient_outputs_pinned_where_the_svg_strides(capsys, tmp_path, monkeyp
             ["phi-table", "S9", "0.3", "1.5", "4", "0.7854", "--numeric-only"],
             "e191be56b626930646c8dc96c1f0a35ccbfff7a512525958d8f10ced24ff6bd3",
         ),
-        (["verify", "S3"], "766552a0aa5824e080cb0be2ec60a92d9948b3fc4e8e2b27b456ceac00cc9274"),
-        (["verify", "hHP3"], "f6939f62409a6ac5f4274423a62428e1b9b7e736186ddd8e7086c783275b080f"),
+        (["verify", "S3"], "c2e258d27f39f143f6302af8b092f7052e5394eac83c3265b5108dfb4c7a1e2a"),
+        (["verify", "hHP3"], "f6e597358d25f42c7b687481355b2f927708bc8fa21e79138a8ad033411c9171"),
         (
             ["verify", "all", "--seed", "42"],
-            "14b1eadbf870eb414668494c2fade7a5b25f2a10e46acaee0d5ddeab50c35ac4",
+            "b0cbdf22df389d040d902d44fc6331e59d73e0fb770cfd9b8aa0bd4ffc86354d",
         ),
         (
             ["verify", "all", "--seed", "7"],
-            "69878f39f76f614a0bc1ec5ceee1c11f740f86d71a6c77cb0a5b9f7e01c4131e",
+            "965d07093b5164189966fd9575062ad3fb2d27c169447474fec49caf3463f607",
         ),
         (
             ["verify", "all", "--seed", "30000"],
-            "90553fd23f83b3720a18eaafb740a514cde568790d93ccccec92a97e3e4bab75",
+            "0029ea940793208c8faff8844a93e8307b2e194dd79e65b93ff4c92589b713d1",
         ),
         (
             ["bounds", "hCP2", "--orientable", "false"],
@@ -523,7 +523,10 @@ def test_phi_table_and_verify_outputs_pinned(capsys, argv, digest):
     # one array derivative per order, scaled by the Laplacian's own terms:
     # only laplacian_residual values moved.  Nine bounds digests were
     # re-captured when the volumes became Beta functions: only dual_volume,
-    # gb_bound and sig_bound moved, within 2 ulps (hCP1 now reads pi).
+    # gb_bound and sig_bound moved, within 2 ulps (hCP1 now reads pi).  The
+    # five verify digests were re-captured when the ODE check became one
+    # complex-step evaluation of the form: only the ode_residual values
+    # moved, each lower (at most 3.0e-14, from at most 2.0e-9).
     # Every digest was captured with numpy's AVX-512 kernels dispatched
     # (X86_V4): the residual digits of verify and phi-table's
     # laplacian_residual carry the last bits of numpy's SIMD elementary

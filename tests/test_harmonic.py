@@ -1,5 +1,8 @@
+import ast
+import copy
 import hashlib
 import math
+import pathlib
 import re
 from itertools import accumulate
 
@@ -563,6 +566,51 @@ def test_closed_form_catalogue_size():
     assert len(CLOSED_FORMS) == 22
 
 
+def _float_literals(node):
+    return [n for n in ast.walk(node) if isinstance(n, ast.Constant) and type(n.value) is float]
+
+
+def _transcribed_literals():
+    # (model id, function, index) of every float literal of the closed forms
+    ids = {form.__name__: mid for mid, form in CLOSED_FORMS.items()}
+    tree = ast.parse(pathlib.Path(harmonic.__file__).read_text())
+    return [
+        (ids[fn.name], fn, k)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ids
+        for k in range(len(_float_literals(fn)))
+    ]
+
+
+TRANSCRIBED_LITERALS = _transcribed_literals()
+
+
+def test_transcribed_literals_are_the_table():
+    # every literal of every transcribed form is mutated (-cot r and -coth r
+    # have none), and none is 0.0, whose mutant would be the form itself
+    assert len(TRANSCRIBED_LITERALS) == 94
+    assert {mid for mid, _, _ in TRANSCRIBED_LITERALS} == set(CLOSED_FORMS) - {"S3", "hS3"}
+    assert all(_float_literals(fn)[k].value for _, fn, k in TRANSCRIBED_LITERALS)
+
+
+@pytest.mark.parametrize(
+    "mid, fn, k",
+    TRANSCRIBED_LITERALS,
+    ids=[f"{mid}-{k}" for mid, _, k in TRANSCRIBED_LITERALS],
+)
+def test_coefficient_off_by_1e_10_fails_verification(monkeypatch, mid, fn, k):
+    # mutation gate on the ODE oracle: one literal of one transcribed form,
+    # scaled by 1 + 1e-10, must fail its row (the match check alone passes
+    # every such mutant)
+    mutant = copy.deepcopy(fn)
+    _float_literals(mutant)[k].value *= 1.0 + 1e-10
+    namespace = dict(vars(harmonic))
+    module = ast.Module(body=[mutant], type_ignores=[])
+    exec(compile(module, harmonic.__file__, "exec"), namespace)
+    monkeypatch.setitem(CLOSED_FORMS, mid, namespace[fn.name])
+    assert not verify_table_entries([parse_model_id(mid)])[0].passed
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     # a 1e-6 grid: phi0 of two adjacent doubles can round to the same value
@@ -601,7 +649,7 @@ def test_phi0_closed_flat_overflow_names_the_model():
 def test_flat_ode_residual_is_small_for_large_dimensions(m):
     # r^(2-m)/(2-m) is exact, and a plain central difference would lose
     # O(h^2 m^2 / r^2) here: the ODE check must not grow with the dimension
-    assert verify_table_entry(euclidean(m)).max_ode_residual <= 1e-9
+    assert verify_table_entry(euclidean(m)).max_ode_residual <= harmonic.ODE_TOLERANCE
 
 
 @pytest.mark.parametrize("mid", ["S2", "S3", "CP2", "hS3", "E2", "E3"])

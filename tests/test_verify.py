@@ -1,11 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from harmonicspaces import harmonic, numerics, quotients
 from harmonicspaces.cli import main
-from harmonicspaces.numerics import EPS
 from harmonicspaces.spaces import euclidean, parse_model_id
 from harmonicspaces.verify import (
     _radius_gaps,
@@ -53,61 +53,64 @@ def test_nan_residual_fails_the_row(monkeypatch):
     assert "match_residual=nan" in res.details
 
 
-def test_nan_at_one_stencil_point_fails_the_row(monkeypatch):
-    # the ODE check evaluates the form once on every stencil; r + h at one
-    # grid point is NaN there, and the NaN must reach the residual
+@pytest.mark.parametrize("slope", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_complex_step_fails_the_row(monkeypatch, capsys, slope):
+    # the ODE check evaluates the form once off the real axis; a slope that
+    # is not finite at one grid point, next to a finite phi1, is a wrong
+    # form: its residual is NaN, and the row FAILs quietly
     model = parse_model_id("S3")
     r = harmonic.verification_grid(model)[10]
-    sample = r + EPS ** (1.0 / 3.0) * max(1.0, r)
     exact = harmonic.CLOSED_FORMS["S3"]
-    monkeypatch.setitem(
-        harmonic.CLOSED_FORMS,
-        "S3",
-        lambda x, m=math: np.where(x == sample, math.nan, exact(x, m)),
-    )
-    res = table_checks([model])[0]
-    assert res.status == "FAIL"
-    assert "ode_residual=nan" in res.details
-    assert "match_residual=nan" not in res.details
+
+    def form(x, m=math):
+        value = exact(x, m)
+        if np.iscomplexobj(x):
+            value.imag[x.real == r] = slope
+        return value
+
+    monkeypatch.setitem(harmonic.CLOSED_FORMS, "S3", form)
+    assert main(["verify", "S3"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL table S3: ode_residual=nan match_residual=" in captured.out
+    assert "match_residual=nan" not in captured.out
+    assert captured.err == ""
 
 
-@pytest.mark.parametrize("mid", ["E150", "E342", "E580"])
+@pytest.mark.parametrize("mid", ["E150", "E342", "E580", "E590"])
 def test_exact_flat_rows_pass_in_high_dimension(mid):
     [res] = run_all(scope=mid)
     assert res.status == "PASS", res.line()
 
 
-def test_overflowing_difference_is_usage_error(capsys):
-    # the closed form of E590 is exact and finite on the grid, but its
-    # difference quotient at r = 0.3 overflows: a float64 limit, not a FAIL
-    assert main(["verify", "E590"]) == 2
+def test_overflowing_phi1_is_usage_error(capsys):
+    # r^(2-m)/(2-m) of E591 is finite on the grid, but phi1 = r^(1-m) is
+    # not at r = 0.3: a float64 limit, not a FAIL.  E590 is the last PASS
+    assert main(["verify", "E591"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
-    assert "E590" in captured.err and "overflows float64" in captured.err
-    [res] = run_all(scope="E589")
-    assert res.status == "PASS", res.line()
+    assert "E591" in captured.err and "overflows float64" in captured.err
 
 
 @pytest.mark.parametrize(
-    "mid, message, array_calls",
+    "mid, message",
     [
-        # every sample is finite, the difference quotient is not: derivative's
-        # own message, with the model of the batch row in front
+        # the form is finite on the grid and off it, phi1 is not; theta's
+        # last digits carry numpy's SIMD bits
         (
-            "E590",
-            "E590: derivative at r=0.30000000000000004 overflows float64 from finite samples: inf",
-            1,
+            "E591",
+            r"phi1 of E591 at r=0\.30000000000000004 overflows float64: theta is \S+e-309",
         ),
-        # r^(2-m) itself overflows on the grid, before any derivative
-        ("E600", "phi0 of E600 at r=0.30000000000000004 overflows float64", 0),
-        ("E1000", "phi0 of E1000 at r=0.30000000000000004 overflows float64", 0),
+        # r^(2-m) itself overflows on the grid, before the complex step
+        ("E592", r"phi0 of E592 at r=0\.30000000000000004 overflows float64"),
+        ("E600", r"phi0 of E600 at r=0\.30000000000000004 overflows float64"),
+        ("E1000", r"phi0 of E1000 at r=0\.30000000000000004 overflows float64"),
     ],
-    ids=["E590", "E600", "E1000"],
+    ids=["E591", "E592", "E600", "E1000"],
 )
-def test_flat_overflow_names_the_first_grid_point(capsys, monkeypatch, mid, message, array_calls):
-    # the overflow is reported by the code that finds it, with no second
-    # derivative pass over the grid one float at a time
+def test_flat_overflow_names_the_first_grid_point(capsys, monkeypatch, mid, message):
+    # the overflow is reported by the code that finds it, on one error
+    # line, and no difference quotient is taken over the grid
     calls = {"array": 0, "float": 0}
 
     def counting_derivative(f, r, *args, **kwargs):
@@ -116,8 +119,27 @@ def test_flat_overflow_names_the_first_grid_point(capsys, monkeypatch, mid, mess
 
     monkeypatch.setattr(harmonic, "derivative", counting_derivative)
     assert main(["verify", mid]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert calls == {"array": array_calls, "float": 0}
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+    assert calls == {"array": 0, "float": 0}
+
+
+def test_table_checks_take_no_difference_quotient(monkeypatch, capsys):
+    # deterministic work gate: the ODE check of every table row is one
+    # complex evaluation of its form, while phi-table's residual column
+    # keeps one array derivative per order
+    calls = 0
+
+    def counting_derivative(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return numerics.derivative(*args, **kwargs)
+
+    monkeypatch.setattr(harmonic, "derivative", counting_derivative)
+    assert main(["verify", "all"]) == 0
+    assert calls == 0
+    assert main(["phi-table", "S3", "0.3", "1.5", "5", "0.7854"]) == 0
+    assert calls == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("seed", [3, 7, 42])
