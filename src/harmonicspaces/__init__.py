@@ -21,18 +21,9 @@ from .numerics import Interval, QuadratureResult, derivative, integrate
 from .spaces import (
     Family,
     SpaceModel,
-    complex_hyperbolic,
-    complex_projective,
     domain_end,
-    euclidean,
-    hyperbolic_space,
     model_volume,
-    octonion_hyperbolic,
-    octonion_plane,
     parse_model_id,
-    quaternion_hyperbolic,
-    quaternion_projective,
-    sphere,
     theta,
     unit_sphere_volume,
 )
@@ -50,18 +41,9 @@ __all__ = [
     "integrate",
     "Family",
     "SpaceModel",
-    "complex_hyperbolic",
-    "complex_projective",
     "domain_end",
-    "euclidean",
-    "hyperbolic_space",
     "model_volume",
-    "octonion_hyperbolic",
-    "octonion_plane",
     "parse_model_id",
-    "quaternion_hyperbolic",
-    "quaternion_projective",
-    "sphere",
     "theta",
     "unit_sphere_volume",
 ]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
 from functools import cached_property
 from typing import NamedTuple
@@ -60,14 +61,23 @@ class DensityProfile(NamedTuple):
 
 
 class SpaceModel:
-    """A catalogue model: its family, real dimension m and, for the families
-    with d > 1, projective index k.  Immutable, and equal and hashed on
-    those three; ``density`` is cached in the instance ``__dict__``."""
+    """A catalogue model: its ``Family``, real dimension m and, for the
+    families with d > 1, projective index k, both ints (from any value that
+    ``operator.index`` takes).  Immutable, and equal and hashed on those
+    three; ``density`` is cached in the instance ``__dict__``."""
 
     def __init__(self, family: Family, dimension: int, projective_index: int | None = None):
-        self.__dict__.update(family=family, dimension=dimension, projective_index=projective_index)
+        if not isinstance(family, Family):
+            raise UnsupportedModel(f"family must be a Family, got {family!r}")
+        try:
+            m = operator.index(dimension)
+            k = None if projective_index is None else operator.index(projective_index)
+        except TypeError:
+            raise UnsupportedModel(
+                f"m and k must be integers, got {dimension!r} and {projective_index!r}"
+            ) from None
+        self.__dict__.update(family=family, dimension=m, projective_index=k)
         _, _, d = _ROWS[family]
-        m, k = dimension, projective_index
         if d == 8 and (m, k) != (16, 2):
             raise UnsupportedModel("only the projective plane OP2 exists in the catalogue")
         if m < 2:
@@ -122,42 +132,6 @@ class SpaceModel:
 
     def __str__(self) -> str:
         return self.model_id
-
-
-def sphere(m: int) -> SpaceModel:
-    return SpaceModel(Family.SPHERE, m)
-
-
-def complex_projective(k: int) -> SpaceModel:
-    return SpaceModel(Family.COMPLEX_PROJECTIVE, 2 * k, k)
-
-
-def quaternion_projective(k: int) -> SpaceModel:
-    return SpaceModel(Family.QUATERNION_PROJECTIVE, 4 * k, k)
-
-
-def octonion_plane() -> SpaceModel:
-    return SpaceModel(Family.OCTONION_PLANE, 16, 2)
-
-
-def hyperbolic_space(m: int) -> SpaceModel:
-    return SpaceModel(Family.HYPERBOLIC_SPACE, m)
-
-
-def complex_hyperbolic(k: int) -> SpaceModel:
-    return SpaceModel(Family.COMPLEX_HYPERBOLIC, 2 * k, k)
-
-
-def quaternion_hyperbolic(k: int) -> SpaceModel:
-    return SpaceModel(Family.QUATERNION_HYPERBOLIC, 4 * k, k)
-
-
-def octonion_hyperbolic() -> SpaceModel:
-    return SpaceModel(Family.OCTONION_HYPERBOLIC, 16, 2)
-
-
-def euclidean(m: int) -> SpaceModel:
-    return SpaceModel(Family.EUCLIDEAN, m)
 
 
 _ID_RE = re.compile(r"(h?(?:S|CP|HP|OP|E))(0|[1-9][0-9]*)")
@@ -336,8 +310,5 @@ def ball_volume(model: SpaceModel, radius: float) -> float:
 
 def positive_curvature_catalogue() -> list[SpaceModel]:
     """The compact models exercised by verification runs."""
-    models = [sphere(m) for m in range(2, 9)]
-    models += [complex_projective(k) for k in (1, 2, 3, 4)]
-    models += [quaternion_projective(k) for k in (2, 3, 4)]
-    models.append(octonion_plane())
-    return models
+    ids = "S2 S3 S4 S5 S6 S7 S8 CP1 CP2 CP3 CP4 HP2 HP3 HP4 OP2".split()
+    return [parse_model_id(model_id) for model_id in ids]

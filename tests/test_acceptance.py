@@ -16,12 +16,10 @@ from harmonicspaces.harmonic import BoundaryBehavior
 from harmonicspaces.numerics import Interval, integrate
 from harmonicspaces.spaces import (
     DensityProfile,
-    complex_projective,
     domain_end,
     model_volume,
     parse_model_id,
     positive_curvature_catalogue,
-    sphere,
 )
 from quotient_helpers import (
     flat_extension_domain,
@@ -142,7 +140,7 @@ def test_criterion_4_boundary_classification():
 def test_criterion_4_order_zero_far_end_is_extendable():
     # a synthetic density that does not vanish at pi/2: phi1 is integrable
     # there, and the boundary check must reject the model
-    model = complex_projective(2)
+    model = parse_model_id("CP2")
     model.__dict__["density"] = DensityProfile(3, 0, 1, math.pi / 2)
     assert harmonic.classify_boundary(model).at_far_end is BoundaryBehavior.EXTENDABLE
     assert not _probe_diverges(model)
@@ -154,9 +152,9 @@ def test_criterion_4_order_zero_far_end_is_extendable():
 def test_criterion_5_volumes():
     for m in range(2, 9):
         exact = 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
-        got = model_volume(sphere(m))
+        got = model_volume(parse_model_id(f"S{m}"))
         assert abs(got - exact) / exact <= 1e-9, (m, got, exact)
-    cp1 = model_volume(complex_projective(1))
+    cp1 = model_volume(parse_model_id("CP1"))
     assert abs(cp1 - math.pi) / math.pi <= 1e-9
     _report(5, "sphere volumes within 1e-9 relative; vol(CP1) = pi")
 

@@ -1052,10 +1052,10 @@ def test_scalar_radial_path_leaves_out_numpy():
     code = (
         "import sys\n"
         "from harmonicspaces.harmonic import harmonicity_residual, phi0_closed, phi0_numeric\n"
-        "from harmonicspaces.spaces import euclidean, model_volume, sphere\n"
-        "phi0_numeric(sphere(3), 1.2, 0.6)\n"
-        "model_volume(sphere(3))\n"
-        "for model in (sphere(3), euclidean(2), euclidean(5)):\n"
+        "from harmonicspaces.spaces import model_volume, parse_model_id\n"
+        "phi0_numeric(parse_model_id('S3'), 1.2, 0.6)\n"
+        "model_volume(parse_model_id('S3'))\n"
+        "for model in (parse_model_id('S3'), parse_model_id('E2'), parse_model_id('E5')):\n"
         "    phi0_closed(model, 1.2)\n"
         "    harmonicity_residual(model, lambda r: phi0_closed(model, r), 1.2)\n"
         "print('numpy' in sys.modules)"

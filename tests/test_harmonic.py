@@ -34,14 +34,9 @@ from harmonicspaces.harmonic import (
 )
 from harmonicspaces.numerics import DEFAULT_TOL, Interval, _gk15, integrate
 from harmonicspaces.spaces import (
-    complex_hyperbolic,
-    complex_projective,
-    euclidean,
-    hyperbolic_space,
     log_derivative_theta,
     parse_model_id,
     positive_curvature_catalogue,
-    sphere,
     theta,
 )
 from harmonicspaces.verify import TABLE_IDS
@@ -55,51 +50,51 @@ LAPLACIAN_S2_R_SQUARED = -3.2091995761561452
 
 
 def test_phi1_values():
-    assert phi1(sphere(3), math.pi / 2) == pytest.approx(1.0, abs=1e-15)
-    assert phi1(euclidean(4), 2.0) == pytest.approx(0.125, abs=1e-15)
-    assert phi1(complex_hyperbolic(2), 1.0) == pytest.approx(PHI1_HCP2_AT_1, rel=1e-14)
+    assert phi1(parse_model_id("S3"), math.pi / 2) == pytest.approx(1.0, abs=1e-15)
+    assert phi1(parse_model_id("E4"), 2.0) == pytest.approx(0.125, abs=1e-15)
+    assert phi1(parse_model_id("hCP2"), 1.0) == pytest.approx(PHI1_HCP2_AT_1, rel=1e-14)
 
 
 def test_phi0_closed_values():
-    assert phi0_closed(sphere(3), math.pi / 2) == pytest.approx(0.0, abs=1e-15)
-    assert phi0_closed(sphere(2), math.pi / 2) == pytest.approx(0.0, abs=1e-15)
-    assert phi0_closed(hyperbolic_space(3), 1.0) == pytest.approx(NEG_COTH_1, rel=1e-14)
+    assert phi0_closed(parse_model_id("S3"), math.pi / 2) == pytest.approx(0.0, abs=1e-15)
+    assert phi0_closed(parse_model_id("S2"), math.pi / 2) == pytest.approx(0.0, abs=1e-15)
+    assert phi0_closed(parse_model_id("hS3"), 1.0) == pytest.approx(NEG_COTH_1, rel=1e-14)
 
 
 def test_phi0_closed_flat():
-    assert phi0_closed(euclidean(2), math.e) == pytest.approx(1.0, rel=1e-14)
-    assert phi0_closed(euclidean(4), 2.0) == pytest.approx(-1.0 / 8.0, rel=1e-14)
+    assert phi0_closed(parse_model_id("E2"), math.e) == pytest.approx(1.0, rel=1e-14)
+    assert phi0_closed(parse_model_id("E4"), 2.0) == pytest.approx(-1.0 / 8.0, rel=1e-14)
 
 
 def test_phi0_closed_gates():
     with pytest.raises(UnsupportedModel):
-        phi0_closed(sphere(6), 1.0)
+        phi0_closed(parse_model_id("S6"), 1.0)
     with pytest.raises(DomainViolation):
-        phi0_closed(sphere(3), -0.5)
+        phi0_closed(parse_model_id("S3"), -0.5)
 
 
 def test_phi0_numeric_examples():
     # -cot(pi/2) + cot(pi/4) = 1
-    assert phi0_numeric(sphere(3), math.pi / 2, math.pi / 4) == pytest.approx(
+    assert phi0_numeric(parse_model_id("S3"), math.pi / 2, math.pi / 4) == pytest.approx(
         1.0, abs=1e-8
     )
-    assert phi0_numeric(sphere(3), 1.0, 1.0) == 0.0
-    assert phi0_numeric(euclidean(2), math.e, 1.0) == pytest.approx(1.0, abs=1e-8)
+    assert phi0_numeric(parse_model_id("S3"), 1.0, 1.0) == 0.0
+    assert phi0_numeric(parse_model_id("E2"), math.e, 1.0) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_phi0_numeric_antisymmetric():
-    a = phi0_numeric(complex_projective(2), 1.1, 0.4)
-    b = phi0_numeric(complex_projective(2), 0.4, 1.1)
+    a = phi0_numeric(parse_model_id("CP2"), 1.1, 0.4)
+    b = phi0_numeric(parse_model_id("CP2"), 0.4, 1.1)
     assert a == pytest.approx(-b, rel=1e-12)
 
 
 def test_closed_form_is_resolved_once():
-    assert closed_form(sphere(3)) is CLOSED_FORMS["S3"]
-    assert closed_form(euclidean(2)) is closed_form(euclidean(2))
-    assert closed_form(euclidean(2))(math.e) == math.log(math.e)
-    assert closed_form(euclidean(4))(2.0) == phi0_closed(euclidean(4), 2.0)
+    assert closed_form(parse_model_id("S3")) is CLOSED_FORMS["S3"]
+    assert closed_form(parse_model_id("E2")) is closed_form(parse_model_id("E2"))
+    assert closed_form(parse_model_id("E2"))(math.e) == math.log(math.e)
+    assert closed_form(parse_model_id("E4"))(2.0) == phi0_closed(parse_model_id("E4"), 2.0)
     with pytest.raises(UnsupportedModel):
-        closed_form(sphere(6))
+        closed_form(parse_model_id("S6"))
 
 
 @pytest.mark.parametrize("mid", TABLE_IDS)
@@ -126,7 +121,7 @@ def test_array_closed_forms_match_scalar_forms(mid):
 
 def test_array_flat_form_overflow_names_the_model():
     # 2.0^-998 is finite; 0.3 is the first radius where r^(2-m) leaves float64
-    form = closed_form(euclidean(1000))
+    form = closed_form(parse_model_id("E1000"))
     with pytest.raises(OverflowError, match=r"^phi0 of E1000 at r=0\.3 overflows float64$"):
         form(np.array([2.0, 0.3, 0.2]), np)
 
@@ -342,10 +337,10 @@ def test_phi0_numeric_grids_raise_domain_errors_before_any_density(monkeypatch):
     density = harmonic.theta
     monkeypatch.setattr(harmonic, "theta", lambda model, r: calls.append(r) or density(model, r))
     rows = [
-        (sphere(3), [0.5, 1.0], 0.7),
+        (parse_model_id("S3"), [0.5, 1.0], 0.7),
         (parse_model_id("hS4"), [0.5, 1.0], 2.0),
         (parse_model_id("CP2"), [0.5, 2.0, 1.7], 0.7),
-        (sphere(3), [-1.0], 0.7),
+        (parse_model_id("S3"), [-1.0], 0.7),
     ]
     with pytest.raises(DomainViolation) as exc:
         phi0_numeric_grids(rows)
@@ -355,7 +350,7 @@ def test_phi0_numeric_grids_raise_domain_errors_before_any_density(monkeypatch):
 
 def test_phi0_numeric_grids_overflow_names_its_row():
     rows = [
-        (sphere(3), [0.5, 1.0], 0.7),
+        (parse_model_id("S3"), [0.5, 1.0], 0.7),
         (parse_model_id("hOP2"), [100.0, 101.0], 100.0),
         (parse_model_id("hS3"), [0.5, 1.0], 0.7),
     ]
@@ -365,7 +360,7 @@ def test_phi0_numeric_grids_overflow_names_its_row():
 
 
 def test_phi0_numeric_grid_order_duplicates_and_reference():
-    model = sphere(3)
+    model = parse_model_id("S3")
     rs = [2.0, 0.5, 1.2, 0.5, 1.0, 2.0]
     got = phi0_numeric_grid(model, rs, 1.0)
     # -cot(r) + cot(1)
@@ -385,14 +380,14 @@ def test_phi0_numeric_grid_order_duplicates_and_reference():
 
 def test_phi0_numeric_grid_domain():
     with pytest.raises(DomainViolation):
-        phi0_numeric_grid(sphere(3), [0.5, math.pi, 1.0], 1.0)
+        phi0_numeric_grid(parse_model_id("S3"), [0.5, math.pi, 1.0], 1.0)
     with pytest.raises(DomainViolation):
-        phi0_numeric_grid(sphere(3), [0.5, 1.0], 0.0)
+        phi0_numeric_grid(parse_model_id("S3"), [0.5, 1.0], 0.0)
     with pytest.raises(DomainViolation):
-        phi0_numeric(euclidean(3), -1.0, 1.0)
+        phi0_numeric(parse_model_id("E3"), -1.0, 1.0)
     # the first bad radius of rs, then r_ref; not the least one
     with pytest.raises(DomainViolation, match=r"^r=4\.0 outside"):
-        phi0_numeric_grid(sphere(3), [0.5, 4.0, -1.0], -2.0)
+        phi0_numeric_grid(parse_model_id("S3"), [0.5, 4.0, -1.0], -2.0)
 
 
 _OUTSIDE = [
@@ -471,26 +466,26 @@ def test_array_phi1_raises_the_float_error_where_theta_reads_zero():
 
 
 def test_laplacian_closed_form_is_harmonic():
-    model = sphere(3)
+    model = parse_model_id("S3")
     assert abs(laplacian_radial(model, lambda r: phi0_closed(model, r), 1.0)) <= 1e-5
 
 
 def test_laplacian_constant_function():
-    assert laplacian_radial(sphere(4), lambda r: 7.5, 1.2) == 0.0
+    assert laplacian_radial(parse_model_id("S4"), lambda r: 7.5, 1.2) == 0.0
 
 
 def test_laplacian_hand_value():
-    got = laplacian_radial(sphere(2), lambda r: r * r, math.pi / 3)
+    got = laplacian_radial(parse_model_id("S2"), lambda r: r * r, math.pi / 3)
     assert got == pytest.approx(LAPLACIAN_S2_R_SQUARED, abs=1e-7)
 
 
 def test_classify_boundary():
-    assert classify_boundary(sphere(4)).at_far_end is BoundaryBehavior.DIVERGENT
+    assert classify_boundary(parse_model_id("S4")).at_far_end is BoundaryBehavior.DIVERGENT
     assert (
-        classify_boundary(complex_projective(2)).at_far_end
+        classify_boundary(parse_model_id("CP2")).at_far_end
         is BoundaryBehavior.DIVERGENT
     )
-    hs3 = classify_boundary(hyperbolic_space(3))
+    hs3 = classify_boundary(parse_model_id("hS3"))
     assert hs3.at_far_end is BoundaryBehavior.NO_BOUNDARY
     assert hs3.at_origin is BoundaryBehavior.DIVERGENT
 
@@ -533,7 +528,7 @@ def test_verify_table_entry_spot_checks(mid):
 def test_verify_flags_wrong_entry(monkeypatch):
     # a corrupted transcription must fail both oracles
     monkeypatch.setitem(CLOSED_FORMS, "S3", lambda r, m=math: +1.0 / m.tan(r))
-    res = verify_table_entry(sphere(3))
+    res = verify_table_entry(parse_model_id("S3"))
     assert not res.passed
     assert res.max_ode_residual > 1e-6
     assert res.max_match_residual > 1e-8
@@ -642,14 +637,14 @@ def test_phi1_overflow_where_theta_is_subnormal():
 
 def test_phi0_closed_flat_overflow_names_the_model():
     with pytest.raises(OverflowError, match="phi0 of E1000 at r=0.3 overflows float64"):
-        phi0_closed(euclidean(1000), 0.3)
+        phi0_closed(parse_model_id("E1000"), 0.3)
 
 
 @pytest.mark.parametrize("m", [2, 20, 150, 342])
 def test_flat_ode_residual_is_small_for_large_dimensions(m):
     # r^(2-m)/(2-m) is exact, and a plain central difference would lose
     # O(h^2 m^2 / r^2) here: the ODE check must not grow with the dimension
-    assert verify_table_entry(euclidean(m)).max_ode_residual <= harmonic.ODE_TOLERANCE
+    assert verify_table_entry(parse_model_id(f"E{m}")).max_ode_residual <= harmonic.ODE_TOLERANCE
 
 
 @pytest.mark.parametrize("mid", ["S2", "S3", "CP2", "hS3", "E2", "E3"])
@@ -667,14 +662,14 @@ def test_consistency_numeric_vs_closed_difference():
 
 def test_verification_grid_bounds():
     # the span is min(domain_end, 3), so the sphere grid ends at 2.7
-    grid = verification_grid(sphere(3))
+    grid = verification_grid(parse_model_id("S3"))
     assert len(grid) == 50
     assert grid[0] == pytest.approx(0.3)
     assert grid[-1] == pytest.approx(2.7)
-    grid_cp = verification_grid(complex_projective(2))
+    grid_cp = verification_grid(parse_model_id("CP2"))
     assert grid_cp[0] == pytest.approx(0.05 * math.pi)
     assert grid_cp[-1] == pytest.approx(0.45 * math.pi)
-    grid_inf = verification_grid(hyperbolic_space(3))
+    grid_inf = verification_grid(parse_model_id("hS3"))
     assert grid_inf[-1] == pytest.approx(2.7)
 
 

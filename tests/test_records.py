@@ -19,7 +19,7 @@ from harmonicspaces.quotients import (
     SelfCheckReport,
     TorusGroup,
 )
-from harmonicspaces.spaces import DensityProfile, Family, SpaceModel, complex_projective
+from harmonicspaces.spaces import DensityProfile, Family, SpaceModel, parse_model_id
 from harmonicspaces.svgfig import SvgFigure
 from harmonicspaces.topology import VolumeBoundReport
 from harmonicspaces.verify import CheckResult
@@ -120,8 +120,29 @@ def test_interval_and_space_model_validate_on_construction():
         SpaceModel(Family.COMPLEX_PROJECTIVE, 4, 1)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((Family.SPHERE, 2.5), "^m and k must be integers, got 2.5 and None$"),
+        ((Family.COMPLEX_PROJECTIVE, 4.0, 2.0), "^m and k must be integers, got 4.0 and 2.0$"),
+        (("sphere", 3), "^family must be a Family, got 'sphere'$"),
+    ],
+    ids=["float-dimension", "float-index", "family-name"],
+)
+def test_space_model_takes_a_family_and_integers(args, message):
+    with pytest.raises(UnsupportedModel, match=message):
+        SpaceModel(*args)
+
+
+def test_space_model_stores_an_index_as_int():
+    # any integer that operator.index accepts
+    model = SpaceModel(Family.COMPLEX_PROJECTIVE, np.int64(4), np.int64(2))
+    assert type(model.dimension) is type(model.projective_index) is int
+    assert model == parse_model_id("CP2")
+
+
 def test_space_models_differ_from_other_models_and_tuples():
     # equal models and the dict key are checked above and in test_spaces
-    model = complex_projective(2)
-    assert model != complex_projective(3) and model != _S4
+    model = parse_model_id("CP2")
+    assert model != parse_model_id("CP3") and model != _S4
     assert model != (Family.COMPLEX_PROJECTIVE, 4, 2)

@@ -1,30 +1,25 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonicspaces import spaces
+from harmonicspaces import cli, spaces
 from harmonicspaces.errors import DomainViolation, UnsupportedModel
 from harmonicspaces.numerics import derivative
 from harmonicspaces.spaces import (
     Family,
     SpaceModel,
     ball_volume,
-    complex_projective,
     domain_end,
-    euclidean,
     gamma_half_integer,
-    hyperbolic_space,
     log_derivative_theta,
     model_volume,
-    octonion_hyperbolic,
-    octonion_plane,
     parse_model_id,
     positive_curvature_catalogue,
     positive_dual,
-    quaternion_hyperbolic,
-    sphere,
     theta,
     unit_sphere_volume,
 )
@@ -36,27 +31,27 @@ THETA_TILDE_CP1_AT_HALF = 0.8414709848078965
 
 
 def test_theta_sphere_equator():
-    assert theta(sphere(2), math.pi / 2) == pytest.approx(1.0, abs=1e-15)
+    assert theta(parse_model_id("S2"), math.pi / 2) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_theta_cp2():
     # sin^3(pi/4) cos(pi/4) = (sqrt(2)/2)^4 = 1/4
-    assert theta(complex_projective(2), math.pi / 4) == pytest.approx(0.25, abs=1e-15)
+    assert theta(parse_model_id("CP2"), math.pi / 4) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_theta_quaternion_hyperbolic():
-    assert theta(quaternion_hyperbolic(2), 1.0) == pytest.approx(
+    assert theta(parse_model_id("hHP2"), 1.0) == pytest.approx(
         SINH7_COSH3_AT_1, rel=1e-14
     )
 
 
 def test_theta_domain_violation():
     with pytest.raises(DomainViolation):
-        theta(sphere(3), math.pi)
+        theta(parse_model_id("S3"), math.pi)
     with pytest.raises(DomainViolation):
-        theta(sphere(3), 0.0)
+        theta(parse_model_id("S3"), 0.0)
     with pytest.raises(DomainViolation):
-        theta(complex_projective(2), 2.0)
+        theta(parse_model_id("CP2"), 2.0)
 
 
 def _theta_tilde(model, r):
@@ -66,15 +61,15 @@ def _theta_tilde(model, r):
 
 def test_theta_tilde_limits():
     # sin^2(r)/r^2 -> 1 like O(r^2)
-    assert abs(_theta_tilde(sphere(3), 1e-3) - 1.0) < 1e-5
-    assert _theta_tilde(euclidean(5), 2.0) == 1.0
-    assert _theta_tilde(complex_projective(1), 0.5) == pytest.approx(
+    assert abs(_theta_tilde(parse_model_id("S3"), 1e-3) - 1.0) < 1e-5
+    assert _theta_tilde(parse_model_id("E5"), 2.0) == 1.0
+    assert _theta_tilde(parse_model_id("CP1"), 0.5) == pytest.approx(
         THETA_TILDE_CP1_AT_HALF, rel=1e-15
     )
 
 
 @pytest.mark.parametrize("model", positive_curvature_catalogue() + [
-    hyperbolic_space(3), quaternion_hyperbolic(2), euclidean(4),
+    parse_model_id("hS3"), parse_model_id("hHP2"), parse_model_id("E4"),
 ])
 def test_theta_tilde_normalization(model):
     # |theta_tilde - 1| <= C r^2 with C fitted at r = 1e-2; the quartic
@@ -91,9 +86,9 @@ def test_theta_positive(model):
 
 
 def test_log_derivative_closed_forms():
-    assert log_derivative_theta(sphere(4), math.pi / 2) == pytest.approx(0.0, abs=1e-12)
+    assert log_derivative_theta(parse_model_id("S4"), math.pi / 2) == pytest.approx(0.0, abs=1e-12)
     # 3 cot(pi/4) - tan(pi/4) = 2
-    assert log_derivative_theta(complex_projective(2), math.pi / 4) == pytest.approx(
+    assert log_derivative_theta(parse_model_id("CP2"), math.pi / 4) == pytest.approx(
         2.0, abs=1e-12
     )
 
@@ -101,13 +96,13 @@ def test_log_derivative_closed_forms():
 @pytest.mark.parametrize(
     "model,r",
     [
-        (sphere(2), 0.8),
-        (sphere(6), 2.2),
-        (complex_projective(3), 0.9),
-        (quaternion_hyperbolic(2), 1.3),
-        (hyperbolic_space(4), 0.7),
-        (euclidean(5), 1.9),
-        (octonion_plane(), 1.1),
+        (parse_model_id("S2"), 0.8),
+        (parse_model_id("S6"), 2.2),
+        (parse_model_id("CP3"), 0.9),
+        (parse_model_id("hHP2"), 1.3),
+        (parse_model_id("hS4"), 0.7),
+        (parse_model_id("E5"), 1.9),
+        (parse_model_id("OP2"), 1.1),
     ],
 )
 def test_log_derivative_matches_finite_difference(model, r):
@@ -127,12 +122,12 @@ def test_gamma_half_integer_against_math_gamma():
 @pytest.mark.parametrize("m", range(2, 9))
 def test_sphere_volumes(m):
     exact = 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
-    assert model_volume(sphere(m)) == pytest.approx(exact, rel=1e-9)
+    assert model_volume(parse_model_id(f"S{m}")) == pytest.approx(exact, rel=1e-9)
 
 
 def test_cp1_volume_is_pi():
     # 2 pi * int_0^(pi/2) sin cos dr = pi; CP^1 is the radius-1/2 sphere
-    assert model_volume(complex_projective(1)) == pytest.approx(math.pi, rel=1e-9)
+    assert model_volume(parse_model_id("CP1")) == pytest.approx(math.pi, rel=1e-9)
 
 
 def test_projective_volumes_closed_forms():
@@ -150,7 +145,7 @@ def test_projective_volumes_closed_forms():
         assert model.family is Family.OCTONION_PLANE
         return 6.0 * math.pi**8 / math.factorial(11)
 
-    models = positive_curvature_catalogue() + [complex_projective(5), parse_model_id("HP5")]
+    models = positive_curvature_catalogue() + [parse_model_id("CP5"), parse_model_id("HP5")]
     for model in models:
         exact = textbook(model)
         assert abs(model_volume(model) - exact) <= 1e-15 * exact, model
@@ -179,14 +174,14 @@ def test_model_volume_theta_calls_bounded(monkeypatch):
 
 def test_model_volume_rejects_noncompact():
     with pytest.raises(UnsupportedModel):
-        model_volume(hyperbolic_space(3))
+        model_volume(parse_model_id("hS3"))
     with pytest.raises(UnsupportedModel):
-        model_volume(euclidean(2))
+        model_volume(parse_model_id("E2"))
 
 
 def test_ball_volume_flat():
     # vol(B_R) in E^3 is 4/3 pi R^3
-    assert ball_volume(euclidean(3), 1.5) == pytest.approx(
+    assert ball_volume(parse_model_id("E3"), 1.5) == pytest.approx(
         4.0 / 3.0 * math.pi * 1.5**3, rel=1e-9
     )
 
@@ -194,16 +189,16 @@ def test_ball_volume_flat():
 def test_ball_volume_large_radius():
     # theta is large at these radii but regular, so the radius is a closed
     # end: vol(B_R) in H^3 is pi (sinh 2R - 2R), in E^4 pi^2 R^4 / 2
-    assert ball_volume(hyperbolic_space(3), 3.0) == pytest.approx(
+    assert ball_volume(parse_model_id("hS3"), 3.0) == pytest.approx(
         math.pi * (math.sinh(6.0) - 6.0), rel=1e-12
     )
-    assert ball_volume(euclidean(4), 10.0) == pytest.approx(
+    assert ball_volume(parse_model_id("E4"), 10.0) == pytest.approx(
         math.pi**2 / 2.0 * 1e4, rel=1e-12
     )
 
 
 def test_ball_volume_rejects_non_finite_radius():
-    for model in (hyperbolic_space(3), euclidean(3)):
+    for model in (parse_model_id("hS3"), parse_model_id("E3")):
         for radius in (math.inf, math.nan):
             with pytest.raises(DomainViolation, match=r"outside \(0, inf\)"):
                 ball_volume(model, radius)
@@ -211,7 +206,7 @@ def test_ball_volume_rejects_non_finite_radius():
 
 def test_ball_volume_hyperbolic_small_radius():
     # tiny hyperbolic balls are nearly Euclidean
-    assert ball_volume(hyperbolic_space(3), 1e-2) == pytest.approx(
+    assert ball_volume(parse_model_id("hS3"), 1e-2) == pytest.approx(
         4.0 / 3.0 * math.pi * 1e-6, rel=1e-3
     )
 
@@ -234,7 +229,77 @@ def test_model_id_round_trip():
            "hS3", "hCP2", "hHP4", "hOP2", "E2", "E6"]
     for mid in ids:
         assert parse_model_id(mid).model_id == mid
-    assert octonion_hyperbolic() == parse_model_id("hOP2")
+
+
+#: (id, family, m, k) written out, not derived from spaces._ROWS: the one
+#: check that sees a wrong d in the flat row (see test_rows_mutation_gate)
+ID_TABLE = [
+    ("S3", Family.SPHERE, 3, None),
+    ("CP2", Family.COMPLEX_PROJECTIVE, 4, 2),
+    ("HP3", Family.QUATERNION_PROJECTIVE, 12, 3),
+    ("OP2", Family.OCTONION_PLANE, 16, 2),
+    ("hS4", Family.HYPERBOLIC_SPACE, 4, None),
+    ("hCP3", Family.COMPLEX_HYPERBOLIC, 6, 3),
+    ("hHP2", Family.QUATERNION_HYPERBOLIC, 8, 2),
+    ("hOP2", Family.OCTONION_HYPERBOLIC, 16, 2),
+    ("E5", Family.EUCLIDEAN, 5, None),
+]
+
+
+def _model_key(model_id):
+    model = parse_model_id(model_id)
+    return model.family, model.dimension, model.projective_index
+
+
+@pytest.mark.parametrize("model_id, family, m, k", ID_TABLE, ids=[e[0] for e in ID_TABLE])
+def test_model_id_names_family_dimension_and_index(model_id, family, m, k):
+    assert _model_key(model_id) == (family, m, k)
+
+
+#: the hyperbolic duals with a Gauss-Bonnet bound (even dimension)
+BOUNDS_IDS = [
+    "hS2", "hS4", "hS6", "hS8", "hCP1", "hCP2", "hCP3", "hCP4", "hHP2", "hHP3", "hHP4", "hOP2",
+]
+ROW_MUTANTS = [(family, field) for family in Family for field in ("sign", "d")]
+
+
+def _run(capsys, *argv):
+    # an exception out of main is a traceback and exit status 1 in a shell
+    try:
+        code = cli.main(list(argv))
+    except Exception as exc:
+        code = type(exc).__name__
+    return (code, *capsys.readouterr())
+
+
+def _bounds_outputs(capsys):
+    return [_run(capsys, "bounds", model_id) for model_id in BOUNDS_IDS]
+
+
+# a mutant puts closed forms outside their domain (the log of a negative tan),
+# where numpy warns; the exit code and the bounds are the verdict
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "family, field",
+    ROW_MUTANTS,
+    ids=[f"{spaces._ROWS[family][0]}-{field}" for family, field in ROW_MUTANTS],
+)
+def test_rows_mutation_gate(capsys, monkeypatch, family, field):
+    # mutation gate on spaces._ROWS, the one home of each family's curvature
+    # sign and d: the sign flips (flat becomes 1), d steps 1 -> 2 -> 4 -> 8 -> 1,
+    # and verify all must fail or a bound must move.  The flat family's d
+    # survives: E<n> becomes a 2n-dimensional flat model that is consistent
+    # in itself, so only the written-out ID_TABLE sees it
+    stem, sign, d = spaces._ROWS[family]
+    row = (stem, -sign or 1, d) if field == "sign" else (stem, sign, {1: 2, 2: 4, 4: 8, 8: 1}[d])
+    before = _bounds_outputs(capsys)
+    monkeypatch.setitem(spaces._ROWS, family, row)
+    caught = _run(capsys, "verify", "all")[0] != 0 or _bounds_outputs(capsys) != before
+    if (stem, field) == ("E", "d"):
+        assert not caught
+        assert [mid for mid, *key in ID_TABLE if _model_key(mid) != tuple(key)] == ["E5"]
+    else:
+        assert caught
 
 
 def test_parse_rejects_bad_ids():
@@ -261,7 +326,7 @@ def test_parse_rejects_bad_ids():
 
 def test_dual_of_wrong_sign_rejected():
     with pytest.raises(UnsupportedModel) as exc:
-        positive_dual(sphere(2))
+        positive_dual(parse_model_id("S2"))
     assert str(exc.value) == "S2 has no positive-curvature dual"
 
 
@@ -280,11 +345,11 @@ def test_model_invariants():
 
 
 def test_domain_ends():
-    assert domain_end(sphere(4)) == math.pi
-    assert domain_end(complex_projective(2)) == math.pi / 2
-    assert domain_end(octonion_plane()) == math.pi / 2
-    assert domain_end(hyperbolic_space(3)) == math.inf
-    assert domain_end(euclidean(2)) == math.inf
+    assert domain_end(parse_model_id("S4")) == math.pi
+    assert domain_end(parse_model_id("CP2")) == math.pi / 2
+    assert domain_end(parse_model_id("OP2")) == math.pi / 2
+    assert domain_end(parse_model_id("hS3")) == math.inf
+    assert domain_end(parse_model_id("E2")) == math.inf
 
 
 def test_unit_sphere_volume_raises_where_gamma_overflows():
@@ -307,9 +372,9 @@ def test_unit_sphere_volume_low_dims():
 
 
 def test_density_profiles():
-    prof = octonion_plane().density
+    prof = parse_model_id("OP2").density
     assert (prof.sine_exponent, prof.cosine_exponent) == (15, 7)
-    assert sphere(9).density.cosine_exponent == 0
+    assert parse_model_id("S9").density.cosine_exponent == 0
     assert parse_model_id("hCP3").density.cosine_exponent == 1
     for mid, sign in (("S3", 1), ("CP2", 1), ("OP2", 1), ("hHP3", -1), ("E3", 0)):
         assert parse_model_id(mid).density.curvature_sign == sign
@@ -341,11 +406,11 @@ def test_density_bits_pinned(mid, r, theta_hex, log_derivative_hex):
 
 
 def test_density_resolved_once_per_model():
-    model = complex_projective(2)
+    model = parse_model_id("CP2")
     assert model.density is model.density
     assert model.density.domain_end == domain_end(model) == math.pi / 2
     # the cached profile is not part of the model's identity
-    fresh = complex_projective(2)
+    fresh = parse_model_id("CP2")
     assert model == fresh and hash(model) == hash(fresh)
     assert repr(model) == (
         "SpaceModel(family=<Family.COMPLEX_PROJECTIVE: 'complex_projective'>, "
@@ -367,3 +432,21 @@ def test_model_volume_gamma_overflow_raises(model_id):
     model = parse_model_id(model_id)
     with pytest.raises(OverflowError, match=f"^the volume of {model_id} has a Gamma factor"):
         model_volume(model)
+
+
+def test_only_parse_model_id_builds_a_model():
+    # one construction path in the package, so a family's d is read from its
+    # spaces._ROWS row alone and no helper restates it in a SpaceModel call
+    calls = []
+    for path in sorted(Path(spaces.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node -> name of the innermost function around it
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                owner[child] = node.name if isinstance(node, ast.FunctionDef) else owner.get(node)
+        calls += [
+            (path.name, owner.get(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "SpaceModel"
+        ]
+    assert calls == [("spaces.py", "parse_model_id")]

@@ -6,7 +6,7 @@ import pytest
 
 from harmonicspaces import harmonic, numerics, quotients
 from harmonicspaces.cli import main
-from harmonicspaces.spaces import euclidean, parse_model_id
+from harmonicspaces.spaces import parse_model_id
 from harmonicspaces.verify import (
     _radius_gaps,
     make_group,
@@ -277,5 +277,5 @@ def test_verify_all_sums_every_table_row_in_two_gk15_passes(monkeypatch):
 
 
 def test_check_result_line_format():
-    res = table_checks([euclidean(2)])[0]
+    res = table_checks([parse_model_id("E2")])[0]
     assert res.line().startswith("PASS table E2: ")
