@@ -170,8 +170,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _group_and_basepoint(group_id: str, text: str | None):
     """The deck group and the basepoint parsed from `text`, or the group's
-    default basepoint.  Sphere and projective groups size themselves from
-    the number of reals."""
+    default basepoint.  A curved group sizes itself from the number of
+    reals, and its basepoint is scaled to unit norm."""
     if text is None:
         group = quotients.make_group(group_id)
         return group, group.basepoint()
@@ -186,38 +186,27 @@ def _group_and_basepoint(group_id: str, text: str | None):
         if n < 3:
             raise ValueError("rp basepoints live on S^m, m >= 2: give m+1 reals")
         group = quotients.make_group(group_id, m=n - 1)
-        return group, _normalized(np.asarray(values), "sphere")
-    if group_id == "lens":
+    elif group_id in ("lens", "cpq"):
         if n < 4 or n % 2 != 0:
-            raise ValueError("lens basepoints live on S^(2k+1): give 2k+2 reals")
+            space = "S^(2k+1)" if group_id == "lens" else "CP^(2k+1)"
+            raise ValueError(f"{group_id} basepoints live on {space}: give 2k+2 reals")
         group = quotients.make_group(group_id, k=n // 2 - 1)
-        return group, _normalized(np.asarray(values), "sphere")
-    if group_id == "cpq":
-        # 4k+4 reals are interleaved re,im; 2k+2 reals a real vector
-        if n % 4 == 0 and n >= 8:
-            v = np.asarray(values[0::2]) + 1j * np.asarray(values[1::2])
-        elif n % 2 == 0 and n >= 4:
-            v = np.asarray(values, dtype=complex)
-        else:
-            raise ValueError("cpq basepoints take 2k+2 reals or 4k+4 interleaved re,im")
-        group = quotients.make_group(group_id, k=len(v) // 2 - 1)
-        return group, _normalized(v, "projective")
-    group = quotients.make_group(group_id)
-    if n != 2:
-        raise ValueError("flat basepoints take 2 coordinates")
-    return group, np.asarray(values)
-
-
-def _normalized(v: np.ndarray, kind: str) -> np.ndarray:
+    else:
+        group = quotients.make_group(group_id)
+        if n != 2:
+            raise ValueError("flat basepoints take 2 coordinates")
+        return group, np.asarray(values)
+    v = np.asarray(values)
     # scaling by the largest modulus first keeps the norm from overflowing
     scale = np.max(np.abs(v))
     if scale == 0:
+        kind = "projective" if group.ambient == "cproj" else "sphere"
         raise ValueError(f"{kind} basepoint must be nonzero")
     v = v / scale
-    return v / np.linalg.norm(v)
+    return group, v / np.linalg.norm(v)
 
 
-def _quotient_svg(group, base, grid, config_line: str) -> str:
+def _quotient_svg(group, base, grid, radius: float, config_line: str) -> str:
     fig = SvgFigure(metadata=config_line)
     if group.ambient == "flat":
         hw = quotients.RASTER_HALFWIDTH
@@ -230,25 +219,26 @@ def _quotient_svg(group, base, grid, config_line: str) -> str:
         fig.dot((cx, cy), radius=3.0, color="#b02020")
         fig.text((cx + 0.05, cy + 0.05), "P")
     else:
-        # schematic slice: unit circle, fundamental wedge at 45 degrees,
-        # cap of radius pi/4 about the pole
+        # schematic slice: unit circle, and the cap of the injectivity
+        # radius about the pole with the wedge that bounds it
         fig.x_range = (-1.3, 1.3)
         fig.y_range = (-1.3, 1.3)
         fig.circle((0.0, 0.0), 1.0, color="#888888")
-        s = math.sqrt(0.5)
-        fig.line((0.0, 0.0), (s, s), color="#1f3b70", width=1.5)
-        fig.line((0.0, 0.0), (-s, s), color="#1f3b70", width=1.5)
+        s, c = math.sin(radius), math.cos(radius)
+        fig.line((0.0, 0.0), (s, c), color="#1f3b70", width=1.5)
+        fig.line((0.0, 0.0), (-s, c), color="#1f3b70", width=1.5)
         steps = 64
         arc = [
             (math.sin(t), math.cos(t))
-            for t in [(-0.25 + 0.5 * i / steps) * math.pi for i in range(steps + 1)]
+            for t in [radius * (2 * i / steps - 1) for i in range(steps + 1)]
         ]
         fig.polyline(arc, color="#b02020", width=2.0)
         fig.dot((0.0, 1.0), radius=3.0, color="#b02020")
         fig.text((0.05, 1.08), "P")
-        label = "lens slice: 90-degree wedge" if group.name == "lens" else (
-            "projective slice: 45-degree cone"
-        )
+        if group.name == "lens":
+            label = f"lens slice: {math.degrees(2 * radius):.0f}-degree wedge"
+        else:
+            label = f"projective slice: {math.degrees(radius):.0f}-degree cone"
         fig.text((-1.2, -1.15), label)
     return fig.render()
 
@@ -312,7 +302,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
         out.write("\n".join(lines) + "\n")
         out.writelines(rows)
         if svg is not None:
-            svg.write(_quotient_svg(group, base, grid, config_line))
+            svg.write(_quotient_svg(group, base, grid, report.radius, config_line))
     return 0
 
 

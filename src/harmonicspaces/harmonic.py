@@ -7,8 +7,6 @@ closed forms are transcribed verbatim from machine-generated tables, so
 every entry is checked against the quadrature oracle rather than trusted.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import sys

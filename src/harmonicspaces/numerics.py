@@ -10,8 +10,6 @@ divergent one is halved until float64 cannot halve it and raises
 ``integrate`` and ``harmonic.phi0_numeric_grids`` are its two callers.
 """
 
-from __future__ import annotations
-
 import heapq
 import math
 import sys

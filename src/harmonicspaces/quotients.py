@@ -23,8 +23,6 @@ immediate neighbours.  Non-finite coordinates, and a point whose length is
 not the group's ``ambient_dim``, raise InvalidPoint.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import operator
@@ -109,25 +107,6 @@ def cproj_distances(a, b) -> np.ndarray:
 _DISTANCES = {"flat": flat_distances, "sphere": sphere_distances, "cproj": cproj_distances}
 #: The clipped cosines whose arccosines are the curved distances.
 _COSINES = {"sphere": _sphere_cosines, "cproj": _cproj_cosines}
-
-
-def _validate_points(kind: str, p, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
-    """p as a point (ndim 1) or rows of points (ndim 2) of the ambient kind:
-    finite coordinates, two of them on the plane, unit norm otherwise."""
-    arr = np.asarray(p, dtype=complex if kind == "cproj" else float)
-    if arr.ndim not in ndims:
-        shapes = " or ".join({1: "a flat vector", 2: "rows of points"}[d] for d in ndims)
-        raise InvalidPoint(f"expected {shapes}, got shape {arr.shape}")
-    if kind == "flat" and arr.shape[-1] != 2:
-        raise InvalidPoint(f"expected 2 coordinates, got {arr.shape[-1]}")
-    if not np.isfinite(arr).all():
-        raise InvalidPoint("point coordinates must be finite")
-    if kind != "flat":
-        norms = _row_norm(arr)
-        off = np.abs(norms - 1.0) > UNIT_NORM_TOL
-        if off.any():
-            raise InvalidPoint(f"point must be unit norm, |v| = {norms[off].flat[0]!r}")
-    return arr
 
 
 # --- deck groups -------------------------------------------------------------
@@ -331,12 +310,22 @@ def make_group(group_id: str, **kwargs) -> DeckGroup:
 
 
 def _group_points(group: DeckGroup, p, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
-    """p validated as in _validate_points, with group.ambient_dim coordinates."""
-    arr = _validate_points(group.ambient, p, ndims)
+    """p as a point (ndim 1) or rows of points (ndim 2) of the group's
+    ambient space: group.ambient_dim finite coordinates, of unit norm off
+    the plane."""
+    arr = np.asarray(p, dtype=complex if group.ambient == "cproj" else float)
+    if arr.ndim not in ndims:
+        shapes = " or ".join({1: "a flat vector", 2: "rows of points"}[d] for d in ndims)
+        raise InvalidPoint(f"expected {shapes}, got shape {arr.shape}")
     if arr.shape[-1] != group.ambient_dim:
-        raise InvalidPoint(
-            f"{group.name} points have {group.ambient_dim} coordinates, got {arr.shape[-1]}"
-        )
+        raise InvalidPoint(f"expected {group.ambient_dim} coordinates, got {arr.shape[-1]}")
+    if not np.isfinite(arr).all():
+        raise InvalidPoint("point coordinates must be finite")
+    if group.ambient != "flat":
+        norms = _row_norm(arr)
+        off = np.abs(norms - 1.0) > UNIT_NORM_TOL
+        if off.any():
+            raise InvalidPoint(f"point must be unit norm, |v| = {norms[off].flat[0]!r}")
     return arr
 
 
@@ -728,7 +717,7 @@ def classify_grid(
     """
     if group.ambient != "flat":
         raise UnsupportedModel("grid sampling requires a flat deck group")
-    p = _validate_points("flat", p)
+    p = _group_points(group, p)
     spacing = 2.0 * halfwidth / resolution
     # the float step near |p| + halfwidth is at most (|p| + halfwidth) * eps
     if (np.max(np.abs(p)) + halfwidth) * np.finfo(float).eps >= spacing:

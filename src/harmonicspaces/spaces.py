@@ -14,8 +14,6 @@ followed by m // d: m for S, hS and E, k for CP, HP and their duals, and 2
 for the octonion plane OP2 and its dual hOP2, the only octonionic models.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import operator

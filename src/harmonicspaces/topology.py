@@ -8,8 +8,6 @@ OP2 is the projective plane with k = 2 here, so the projective formulas give
 its chi = 3, signature 1 and order set {1}.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import UnsupportedModel

@@ -8,8 +8,6 @@ vanishing order of its density.  Brute-force injectivity radii must equal
 advisory notes; the suite fails only on disagreement.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

@@ -22,6 +22,7 @@ from harmonicspaces.cli import build_parser, main
 from harmonicspaces.errors import SelfCheckFailed
 from harmonicspaces.quotients import classify_grid, classify_points
 from harmonicspaces.spaces import parse_model_id
+from harmonicspaces.svgfig import SIZE
 from harmonicspaces.verify import make_group
 
 
@@ -169,6 +170,31 @@ def test_quotient_lens_and_cpq(capsys, tmp_path):
     assert code == 0
     assert "iota=0.785398163" in out
     assert svg_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, radius",
+    [
+        (["rp"], math.pi / 2),
+        (["rp", "0,3,4,0"], math.pi / 2),
+        (["lens"], math.pi / 4),
+        (["cpq"], math.pi / 4),
+    ],
+    ids=["rp", "rp-4", "lens", "cpq"],
+)
+def test_curved_schematic_draws_the_reported_radius(capsys, tmp_path, argv, radius):
+    # the cap's arc runs from -iota to iota about the pole, read back from
+    # the polyline's end points in the slice's coordinates
+    svg_path = tmp_path / "fig.svg"
+    code, out, _ = run_cli(capsys, "quotient", *argv, "--svg", str(svg_path))
+    assert code == 0 and f"iota={radius:.12g} " in out
+    points = re.search(r'<polyline points="([^"]*)"', svg_path.read_text()).group(1).split()
+    ends = []
+    for point in (points[0], points[-1]):
+        sx, sy = (float(v) / SIZE for v in point.split(","))
+        # SVG units back to the slice, whose range is (-1.3, 1.3) on each axis
+        ends.append(math.atan2(2.6 * sx - 1.3, 1.3 - 2.6 * sy))
+    assert ends == pytest.approx([-radius, radius], abs=1e-3)
 
 
 def test_quotient_rp(capsys):
@@ -375,13 +401,46 @@ def test_quotient_fuzz_exit_codes(r, group, x, y):
             "b9222bee5579b491da6500c963638bb58976569e1de3a028009d771d6d16ae73",
             "5a8ae90a2de8b088c5ec09cc24f91ab8e9f9944d02c12b58747f90ecb23374a8",
         ),
+        (
+            ["lens"],
+            "d4b91265376b9cdcbead06bbc1176bb72f06202bca3907219249b1a312114aba",
+            "982ebbb05d12fa16cf35ff96ba6c78d825b8fe4fddfac291600ed89fa3b76485",
+        ),
+        (
+            ["cpq"],
+            "89582302afa1c877419f0176ded7fa7803a3dd84ad52448089dfe6cecd273df5",
+            "86de061797405dfec716b1395be33edc7736f8f35fbffdb3e318967cc9c99b35",
+        ),
+        (
+            ["lens", "0.3,-1.2,0.5,2"],
+            "c0b1d140efdfc178d8657e5b000044d961b9d1f6ccd9e1d2c66e586fb44a4039",
+            "f301db243b44eb53f2f8b6f4943cca6a1e52047285fed79933f24a91324a8c31",
+        ),
+        (
+            ["cpq", "0.3,-1.2,0.5,2"],
+            "7eef5eef386804d8ac10a42a0cf63fa1b688d94848ad480cddb8b95bb47e421a",
+            "0a74497e07156c1194264364cf67068571c6426697fada2c2dc52116b2786f32",
+        ),
+        (
+            ["cpq", "0.3,-1.2,0.5,2,-0.7,0.1,0.4,1.1"],
+            "d21130e6b97295742c88da3a6ed6b3a8e56d1db93ab498eb74c9ae1cd4b37c0a",
+            "c6f86897bce6c0271ec9e5cd466b0d60187a934eda83d2fdf4b9dd3365f0c983",
+        ),
+        (
+            ["rp", "0.2,-0.5,0.9"],
+            "2695b4ed96ef55512a60101d70ff0bf6d5059eafe6a48668792a64128465a412",
+            "784a5909f9983057d4136ca9599d025c2522de5b6a50221fc457f69bca12d3f5",
+        ),
     ],
-    ids=["torus", "klein", "klein-p17"],
+    ids=["torus", "klein", "klein-p17", "lens", "cpq", "lens-4", "cpq-4", "cpq-8", "rp"],
 )
 def test_quotient_outputs_pinned(capsys, tmp_path, monkeypatch, argv, csv_sha, svg_sha):
-    # digests of the outputs of the earlier depth-bounded orbit search, with
-    # the never-used --seed and --tol since deleted from the config line: they
-    # guard byte reproducibility across versions, not just within one build
+    # the flat digests are outputs of the earlier depth-bounded orbit search,
+    # with the never-used --seed and --tol since deleted from the config line;
+    # the curved ones were taken when cpq still also read 4k+4 reals as
+    # interleaved complex coordinates (cpq-8 was k = 1 then, k = 3 now), bar
+    # rp's SVG, whose cap now has the reported radius pi/2.  They guard byte
+    # reproducibility across versions, not just within one build
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(
         capsys, "quotient", "--resolution", "40", "--svg", "fig.svg", *argv
@@ -1063,6 +1122,22 @@ def test_scalar_radial_path_leaves_out_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_makes_no_forward_refs():
+    # a fresh interpreter: with postponed annotations every field of a
+    # NamedTuple record is a string, which typing compiles into a ForwardRef
+    code = (
+        "import typing\n"
+        "made = []\n"
+        "init = typing.ForwardRef.__init__\n"
+        "typing.ForwardRef.__init__ = lambda self, *a, **k: made.append(a) or init(self, *a, **k)\n"
+        "import harmonicspaces.cli\n"
+        "print(len(made))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 @pytest.mark.parametrize(

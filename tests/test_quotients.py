@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmonicspaces import quotients
+from harmonicspaces import cli, quotients
 from harmonicspaces.errors import (
     DomainViolation,
     InvalidPoint,
@@ -25,9 +25,9 @@ from harmonicspaces.quotients import (
     SeededStream,
     TorusGroup,
     _grid_distances,
+    _group_points,
     _random_points,
     _row_norm,
-    _validate_points,
     classify_grid,
     classify_points,
     cproj_distances,
@@ -61,7 +61,7 @@ E1_S2 = np.array([1.0, 0.0, 0.0])
 
 def lens_domain(q) -> bool:
     """Open fundamental domain of the lens quotient at e1: x1 > |x2|."""
-    v = _validate_points("sphere", q)
+    v = _group_points(LensGroup(k=1), q)
     return bool(v[0] > abs(v[1]))
 
 
@@ -74,14 +74,14 @@ def cp_quotient_distance(z) -> float:
     modulus instead, which fails the two-element orbit oracle already at
     the basepoint.
     """
-    v = _validate_points("cproj", z)
+    v = _group_points(CPInvolutionGroup(k=1), z)
     return math.acos(min(1.0, max(abs(complex(v[0])), abs(complex(v[1])))))
 
 
 def cp_domain(z) -> bool:
     """Open fundamental domain of the projective involution at <e1>:
     |z2| < |z1|."""
-    v = _validate_points("cproj", z)
+    v = _group_points(CPInvolutionGroup(k=1), z)
     return bool(abs(complex(v[1])) < abs(complex(v[0])))
 
 
@@ -895,6 +895,65 @@ def test_selfcheck_catches_corruption():
 def test_selfcheck_names_the_violated_identity(group, message):
     with pytest.raises(SelfCheckFailed, match=message):
         group_action_selfcheck(group, samples=100)
+
+
+def _pairs(v, f):
+    """v with each coordinate pair (a, b) replaced by f(a, b)."""
+    out = np.empty_like(v)
+    out[..., 0::2], out[..., 1::2] = f(v[..., 0::2], v[..., 1::2])
+    return out
+
+
+def _cp_map(f):
+    return lambda self, eid, point: _pairs(np.asarray(point, complex), f)
+
+
+#: One slip in one deck-group map each: (class, attribute, replacement).
+#: The torus's (i, j) -> (j, i) is left out: it is the same lattice, and
+#: verify all meets it only at points whose nearest cell is the origin,
+#: where the ring about that cell is symmetric under the swap.
+DECK_MUTANTS = {
+    "klein-glide-keeps-y": (
+        KleinGroup,
+        "apply",
+        lambda self, n, p: np.stack(np.broadcast_arrays(p[..., 0] + n, p[..., 1]), axis=-1),
+    ),
+    "klein-parity-swapped": (
+        KleinGroup,
+        "apply",
+        lambda self, n, p: np.stack(
+            (p[..., 0] + n, np.where(self.even(n), -p[..., 1], p[..., 1])), axis=-1
+        ),
+    ),
+    "lens-sign-dropped": (LensGroup, "_t", lambda self, v: _pairs(v, lambda a, b: (b, a))),
+    "lens-pairs-unswapped": (LensGroup, "_t", lambda self, v: _pairs(v, lambda a, b: (a, -b))),
+    "cpq-sign-dropped": (
+        CPInvolutionGroup, "apply", _cp_map(lambda a, b: (np.conj(b), np.conj(a)))
+    ),
+    "cpq-conjugate-unswapped": (
+        CPInvolutionGroup, "apply", _cp_map(lambda a, b: (-np.conj(a), np.conj(b)))
+    ),
+    "cpq-swap-unconjugated": (CPInvolutionGroup, "apply", _cp_map(lambda a, b: (-b, a))),
+    "torus-half-cell": (
+        TorusGroup, "apply", lambda self, eid, p: np.asarray(p, float) + 0.5 * np.asarray(eid)
+    ),
+    "rp-identity": (AntipodalGroup, "apply", lambda self, eid, p: np.asarray(p, float)),
+}
+
+
+@pytest.mark.parametrize("mutant", DECK_MUTANTS)
+def test_deck_group_mutation_gate(capsys, monkeypatch, mutant):
+    # mutation gate on the deck-group maps: verify all must report a FAIL
+    # line, so exit 1 and not a usage error from a mutant that crashes.  The
+    # one survivor is cpq's T(z) = (-z2, z1, ...): it is complex-linear
+    # with T^2 = -id, so it is a projective involution and an isometry, and
+    # its sampled displacements stay above the floor, yet it fixes the
+    # projective points of its eigenvectors, so that quotient is no manifold
+    cls, name, replacement = DECK_MUTANTS[mutant]
+    monkeypatch.setattr(cls, name, replacement)
+    code = cli.main(["verify", "all"])
+    capsys.readouterr()
+    assert code == (0 if mutant == "cpq-swap-unconjugated" else cli.VERIFY_FAIL)
 
 
 # --- cut locus sampling and measures
