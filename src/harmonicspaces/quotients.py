@@ -220,6 +220,17 @@ class KleinGroup(DeckGroup):
         return np.stack((pt[..., 0] + n, flipped), axis=-1)
 
 
+def _group_index(name: str, label: str, value, least: int) -> int:
+    """value as an int of at least ``least``: the parameter of a curved group."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise UnsupportedModel(f"{name}: {label} must be an integer, got {value!r}") from None
+    if n < least:
+        raise UnsupportedModel(f"{name}: {label} must be >= {least}, got {n}")
+    return n
+
+
 class AntipodalGroup(DeckGroup):
     """{id, -id} on the m-sphere; the quotient is real projective space."""
 
@@ -229,7 +240,7 @@ class AntipodalGroup(DeckGroup):
     ring = ("-id",)
 
     def __init__(self, m: int = 2):
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _group_index(self.name, "m", m, 1))
 
     @property
     def ambient_dim(self) -> int:
@@ -248,7 +259,7 @@ class LensGroup(DeckGroup):
     ring = ("T", "T^2", "T^3")
 
     def __init__(self, k: int = 1):
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", _group_index(self.name, "k", k, 0))
 
     @property
     def ambient_dim(self) -> int:
@@ -281,7 +292,7 @@ class CPInvolutionGroup(DeckGroup):
     ring = ("T",)
 
     def __init__(self, k: int = 1):
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", _group_index(self.name, "k", k, 0))
 
     @property
     def ambient_dim(self) -> int:
@@ -432,8 +443,6 @@ class SelfCheckReport(NamedTuple):
 _ISOMETRY_TOL = 1e-12
 #: Random point pairs of group_action_selfcheck's isometry check.
 _SELFCHECK_PAIRS = 200
-#: Smallest sampled displacement a fixed-point-free action may show.
-_DISPLACEMENT_FLOOR = 0.1
 
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -523,32 +532,29 @@ def group_action_selfcheck(
     """Verify the defining identities of a deck-group action.
 
     Raises SelfCheckFailed naming the violated identity, at the first
-    violation in sample order.  Checks: the group law on generators (flat
+    violation in sample order.  Checks: the group law on ring x ring (flat
     groups), T^4 = id and T^2 = -id (lens), the projective involution
-    identity (cp), fixed-point freeness via sampled displacements above
-    _DISPLACEMENT_FLOOR (rp, lens, cp), and the isometry property on
-    _SELFCHECK_PAIRS random pairs (all).
+    identity (cp), a least sampled displacement of twice the closed
+    injectivity radius (rp, lens, cp: their maps are Clifford translations,
+    which move every point equally), and the isometry property of each ring
+    element on _SELFCHECK_PAIRS random pairs (all).
     """
     rng = SeededStream(seed)
     distance = _DISTANCES[group.ambient]
     checks: list[str] = []
     min_disp: float | None = None
 
-    if isinstance(group, (TorusGroup, KleinGroup)):
-        # group law closure on generators up to depth 2, broadcast over
-        # 20 points x e1 x e2
-        if isinstance(group, TorusGroup):
-            ids = [(i, j) for i in (-2, -1, 0, 1, 2) for j in (-2, -1, 0, 1, 2)]
-        else:
-            ids = [-2, -1, 0, 1, 2]
-        e = np.array(ids)
+    if group.ambient == "flat":
+        # group law closure on ring products, which reach depth 2,
+        # broadcast over 20 points x e1 x e2
+        e = np.array(group.ring)
         q = _random_points(group, rng, 20)[:, None, None]
         lhs = group.apply(e[:, None], group.apply(e[None, :], q))
         rhs = group.apply(e[:, None] + e[None, :], q)
         hit = _first_row(_row_norm(lhs - rhs) > _ISOMETRY_TOL)
         if hit is not None:
             raise SelfCheckFailed(
-                f"{group.name}: group law violated at {ids[hit[1]]} o {ids[hit[2]]}"
+                f"{group.name}: group law violated at {group.ring[hit[1]]} o {group.ring[hit[2]]}"
             )
         checks.append("group_law_depth2")
 
@@ -573,7 +579,7 @@ def group_action_selfcheck(
             raise SelfCheckFailed("cp involution: <T>^2 != id projectively")
         checks.append("involution_projective")
 
-    if isinstance(group, (AntipodalGroup, LensGroup, CPInvolutionGroup)):
+    if group.ambient != "flat":
         q = _random_points(group, rng, samples)
         cosine = _COSINES[group.ambient]
         # acos decreases, so the least displacement is one acos of the
@@ -581,26 +587,20 @@ def group_action_selfcheck(
         largest = max(
             float(np.max(cosine(q, group.apply(eid, q)), initial=-1.0)) for eid in group.ring
         )
-        worst = math.acos(largest) if len(q) else math.inf
-        min_disp = worst
-        if worst <= _DISPLACEMENT_FLOOR:
+        min_disp = math.acos(largest) if len(q) else math.inf
+        closed = 2.0 * injectivity_radius_closed(group, group.basepoint())
+        if len(q) and abs(largest - math.cos(closed)) > _ISOMETRY_TOL:
             raise SelfCheckFailed(
-                f"{group.name}: sampled displacement {worst:.3e} at or below "
-                f"floor {_DISPLACEMENT_FLOOR}; action may have fixed points"
+                f"{group.name}: sampled displacement {min_disp:.3e} is not the closed "
+                f"{closed:.3e}; action may have fixed points"
             )
         checks.append("fixed_point_free_sampled")
 
-    if group.ambient != "flat":
-        isometry_ids = list(group.ring)
-    elif isinstance(group, TorusGroup):
-        isometry_ids = [(1, 0), (0, 1), (-1, 1), (2, -2)]
-    else:
-        isometry_ids = [-2, -1, 1, 2]
     pts = _random_points(group, rng, 2 * _SELFCHECK_PAIRS)
     p, q = pts.reshape(_SELFCHECK_PAIRS, 2, pts.shape[-1]).transpose(1, 0, 2)
     d = distance(p, q)
     broken = []
-    for eid in isometry_ids:
+    for eid in group.ring:
         gp, gq = group.apply(eid, p), group.apply(eid, q)
         if group.ambient != "flat":
             gp = gp / _row_norm(gp)[:, None]
@@ -608,7 +608,7 @@ def group_action_selfcheck(
         broken.append(np.abs(distance(gp, gq) - d) > _ISOMETRY_TOL)
     hit = _first_row(np.stack(broken, axis=1))
     if hit is not None:
-        raise SelfCheckFailed(f"{group.name}: element {isometry_ids[hit[1]]} is not an isometry")
+        raise SelfCheckFailed(f"{group.name}: element {group.ring[hit[1]]} is not an isometry")
     checks.append("isometry_random_pairs")
 
     return SelfCheckReport(tuple(checks), min_disp)

@@ -94,11 +94,9 @@ def volume_bounds(negative_model: SpaceModel, orientable: bool = True) -> Volume
     if negative_model.curvature_sign != -1:
         raise UnsupportedModel(f"{negative_model} is not a negative-curvature model")
     dual = positive_dual(negative_model)
-    if dual.dimension % 2 != 0:
-        raise UnsupportedModel(
-            f"gauss-bonnet bound needs even dimension, {dual} has chi = 0"
-        )
     chi = euler_characteristic(dual)
+    if chi == 0:
+        raise UnsupportedModel(f"gauss-bonnet bound needs even dimension, {dual} has chi = 0")
     sig = signature(dual)
     eps = 1.0 if orientable else 0.5
     vol = model_volume(dual)

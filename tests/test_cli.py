@@ -615,6 +615,47 @@ def test_verify_all_differs_by_simd_target_only_in_residual_digits():
     assert runs[0].count("_residual=?") == 52
 
 
+#: The five pinned phi-table argvs, and a long quadrature table on hHP5.
+SIMD_PHI_TABLES = [
+    ["phi-table", "S3", "0.3", "1.5", "5", "0.7854"],
+    ["phi-table", "hHP3", "0.3", "2.5", "5", "1.0"],
+    ["phi-table", "OP2", "0.2", "1.3", "5", "0.7"],
+    ["phi-table", "E4", "0.5", "2", "4", "1.0"],
+    ["phi-table", "S9", "0.3", "1.5", "4", "0.7854", "--numeric-only"],
+    ["phi-table", "hHP5", "0.3", "2.7", "50", "1.0", "--numeric-only"],
+]
+
+
+def test_phi_tables_differ_by_simd_target_only_in_the_residual_column():
+    # as above, for phi-table: under a CPU without AVX-512 only the last
+    # column, laplacian_residual, may differ.  One interpreter per target
+    # prints the six tables, each after a marker line
+    script = (
+        "from harmonicspaces.cli import main\n"
+        f"for argv in {SIMD_PHI_TABLES!r}:\n"
+        "    print('## table', flush=True)\n"
+        "    assert main(argv) == 0\n"
+    )
+    argv = [sys.executable, "-W", "always::ImportWarning", "-c", script]
+    disabled = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    runs = []
+    for extra in ({}, disabled):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        proc = subprocess.run(argv, capture_output=True, text=True, env={**env, **extra})
+        if extra and "cannot disable CPU features" in proc.stderr:
+            pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES: {proc.stderr.strip()}")
+        assert proc.returncode == 0, proc.stderr
+        tables = proc.stdout.split("## table\n")[1:]
+        assert len(tables) == len(SIMD_PHI_TABLES)
+        runs.append([t.splitlines() for t in tables])
+    for table, other in zip(*runs):
+        assert table[0] == other[0]  # the config line
+        assert table[1] == "r,theta,phi1,phi0_closed,phi0_numeric_diff,laplacian_residual"
+        assert [line.rsplit(",", 1)[0] for line in table[1:]] == [
+            line.rsplit(",", 1)[0] for line in other[1:]
+        ]
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-10", "abc"])
 @pytest.mark.parametrize(
     "argv",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -785,20 +786,51 @@ def test_cp_distance_gauge_invariance(phase):
 
 @pytest.mark.parametrize(
     "group",
-    [TorusGroup(), KleinGroup(), AntipodalGroup(), LensGroup(), CPInvolutionGroup()],
+    [
+        TorusGroup(), KleinGroup(), AntipodalGroup(), LensGroup(), CPInvolutionGroup(),
+        # the least parameters: RP^1, the circle turned by a quarter, and
+        # CP^1 by its antipodal map
+        AntipodalGroup(m=1), LensGroup(k=0), CPInvolutionGroup(k=0),
+    ],
 )
 def test_selfcheck_passes(group):
     report = group_action_selfcheck(group, samples=500)
     assert "isometry_random_pairs" in report.checks
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: AntipodalGroup(m=2.5), "rp: m must be an integer, got 2.5"),
+        (lambda: AntipodalGroup(m=0), "rp: m must be >= 1, got 0"),
+        (lambda: LensGroup(k=-1), "lens: k must be >= 0, got -1"),
+        (lambda: LensGroup(k=None), "lens: k must be an integer, got None"),
+        (lambda: CPInvolutionGroup(k="1"), "cpq: k must be an integer, got '1'"),
+        (lambda: CPInvolutionGroup(k=-3), "cpq: k must be >= 0, got -3"),
+    ],
+    ids=["rp-float", "rp-zero", "lens-negative", "lens-none", "cpq-string", "cpq-negative"],
+)
+def test_curved_groups_refuse_a_bad_parameter(make, message):
+    with pytest.raises(UnsupportedModel, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_curved_group_parameter_is_stored_as_int():
+    # operator.index turns a numpy integer into an int
+    assert type(AntipodalGroup(m=np.int64(40)).m) is int
+    assert type(LensGroup(k=np.int8(2)).k) is int
+    assert type(CPInvolutionGroup(k=np.uint16(2)).k) is int
+
+
 def test_selfcheck_fixed_point_floor():
     report = group_action_selfcheck(CPInvolutionGroup(), samples=2000)
     assert report.min_sampled_displacement is not None
-    assert report.min_sampled_displacement > 0.1
+    # the involution moves every point by twice the closed radius, pi/2
+    assert abs(report.min_sampled_displacement - 0.5 * math.pi) <= 1e-12
     # an antipodal map that fixes every point displaces none of them
     with pytest.raises(
-        SelfCheckFailed, match=r"^rp: sampled displacement 0\.000e\+00 at or below floor 0\.1;"
+        SelfCheckFailed,
+        match=r"^rp: sampled displacement 0\.000e\+00 is not the closed 3\.142e\+00;",
     ):
         group_action_selfcheck(FixedPointAntipodal(), samples=100)
 
@@ -875,6 +907,16 @@ class _DilatingTorus(TorusGroup):
         return np.stack((pt[..., 0] * 2.0 ** e[..., 0], pt[..., 1] + e[..., 1]), axis=-1)
 
 
+class _LinearCP(CPInvolutionGroup):
+    """Negative control: T(z) = (-z2, z1, ...) without conj.  It is unitary
+    with T^2 = -id, so a projective involution and an isometry, but it fixes
+    the projective points of its eigenvectors (z2 = +-i z1), and it moves
+    the points near them less than the conjugate-swap's pi/2."""
+
+    def apply(self, eid, point):
+        return _pairs(np.asarray(point, complex), lambda a, b: (-b, a))
+
+
 def test_selfcheck_catches_corruption():
     with pytest.raises(SelfCheckFailed, match=r"^lens: T\^4 != id$"):
         group_action_selfcheck(_CorruptedLens(), samples=100)
@@ -888,9 +930,13 @@ def test_selfcheck_catches_corruption():
         (_EvenFlipKlein(), r"^klein: group law violated at -2 o -2$"),
         (_Order2Lens(), r"^lens: T\^4 != id$"),
         (_HalfConjCP(), r"^cp involution: <T>\^2 != id projectively$"),
-        (_DilatingTorus(), r"^torus: element \(1, 0\) is not an isometry$"),
+        (_DilatingTorus(), r"^torus: element \(-1, -1\) is not an isometry$"),
+        (
+            _LinearCP(),
+            r"^cpq: sampled displacement 2\.877e-01 is not the closed 1\.571e\+00; ",
+        ),
     ],
-    ids=["even-flip-klein", "order-2-lens", "half-conj-cp", "dilating-torus"],
+    ids=["even-flip-klein", "order-2-lens", "half-conj-cp", "dilating-torus", "linear-cp"],
 )
 def test_selfcheck_names_the_violated_identity(group, message):
     with pytest.raises(SelfCheckFailed, match=message):
@@ -944,16 +990,15 @@ DECK_MUTANTS = {
 @pytest.mark.parametrize("mutant", DECK_MUTANTS)
 def test_deck_group_mutation_gate(capsys, monkeypatch, mutant):
     # mutation gate on the deck-group maps: verify all must report a FAIL
-    # line, so exit 1 and not a usage error from a mutant that crashes.  The
-    # one survivor is cpq's T(z) = (-z2, z1, ...): it is complex-linear
-    # with T^2 = -id, so it is a projective involution and an isometry, and
-    # its sampled displacements stay above the floor, yet it fixes the
-    # projective points of its eigenvectors, so that quotient is no manifold
+    # line, so exit 1 and not a usage error from a mutant that crashes.
+    # cpq's T(z) = (-z2, z1, ...) is a projective involution and an
+    # isometry; only its displacements, below the closed pi/2, give it away
     cls, name, replacement = DECK_MUTANTS[mutant]
     monkeypatch.setattr(cls, name, replacement)
     code = cli.main(["verify", "all"])
-    capsys.readouterr()
-    assert code == (0 if mutant == "cpq-swap-unconjugated" else cli.VERIFY_FAIL)
+    out = capsys.readouterr().out
+    assert code == cli.VERIFY_FAIL
+    assert any(line.startswith("FAIL ") for line in out.splitlines())
 
 
 # --- cut locus sampling and measures

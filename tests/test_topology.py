@@ -1,9 +1,11 @@
+import ast
 import json
 import math
+import pathlib
 
 import pytest
 
-from harmonicspaces import topology
+from harmonicspaces import cli, topology
 from harmonicspaces.errors import UnsupportedModel
 from harmonicspaces.spaces import model_volume, parse_model_id
 from harmonicspaces.topology import (
@@ -150,3 +152,70 @@ def test_report_json_fields():
     assert payload["epsilon"] == 0.5
     assert OP2_STATEMENT_NOTE in payload["notes"]
     json.dumps(payload)  # serializable
+
+
+#: One slip in one characteristic number each: (function, text, mutated text).
+TOPOLOGY_MUTANTS = {
+    "sphere-chi-parity-swapped": (
+        "euler_characteristic",
+        "2 if model.dimension % 2 == 0 else 0",
+        "0 if model.dimension % 2 == 0 else 2",
+    ),
+    "projective-chi-k": (
+        "euler_characteristic", "model.projective_index + 1", "model.projective_index"
+    ),
+    "projective-chi-k-plus-2": (
+        "euler_characteristic", "model.projective_index + 1", "model.projective_index + 2"
+    ),
+    "signature-in-every-even-dimension": (
+        "signature", "model.dimension % 4 != 0", "model.dimension % 2 != 0"
+    ),
+    "sphere-signature-1": ("signature", "return 0\n", "return 1\n"),
+    "projective-signature-parity-swapped": (
+        "signature",
+        "1 if model.projective_index % 2 == 0 else 0",
+        "0 if model.projective_index % 2 == 0 else 1",
+    ),
+}
+
+#: Every hyperbolic family with odd and even duals, so that chi = 0 is met.
+MUTANT_BOUNDS_IDS = [f"h{stem}{n}" for stem in ("S", "CP", "HP") for n in range(1, 9)] + ["hOP2"]
+
+
+def _mutant(name: str, text: str, mutated: str):
+    """topology's function `name` compiled with its one `text` replaced."""
+    source = pathlib.Path(topology.__file__).read_text()
+    (node,) = [n for n in ast.parse(source).body if getattr(n, "name", None) == name]
+    segment = ast.get_source_segment(source, node)
+    assert segment.count(text) == 1
+    namespace = dict(vars(topology))
+    exec(compile(segment.replace(text, mutated), topology.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+@pytest.mark.parametrize("mutant", TOPOLOGY_MUTANTS)
+def test_topology_mutation_gate(capsys, monkeypatch, mutant):
+    # mutation gate on the characteristic numbers: verify all must report a
+    # FAIL line, and bounds must keep to main's exit codes (a bound, or a
+    # usage error where chi reads 0), never an exception out of main
+    name, text, mutated = TOPOLOGY_MUTANTS[mutant]
+    monkeypatch.setattr(topology, name, _mutant(name, text, mutated))
+    code = cli.main(["verify", "all"])
+    out = capsys.readouterr().out
+    assert code == cli.VERIFY_FAIL
+    assert any(line.startswith("FAIL topology ") for line in out.splitlines())
+    for model_id in MUTANT_BOUNDS_IDS:
+        for orientable in ("true", "false"):
+            code = cli.main(["bounds", model_id, "--orientable", orientable])
+            assert code in (0, cli.USAGE_ERROR), (model_id, orientable)
+    capsys.readouterr()
+
+
+def test_chi_zero_refuses_the_bound_whatever_the_dimension(monkeypatch):
+    # the Gauss-Bonnet bound divides by chi, so it is refused where chi
+    # reads 0, with the one message, even if that were an even dimension
+    name, text, mutated = TOPOLOGY_MUTANTS["sphere-chi-parity-swapped"]
+    monkeypatch.setattr(topology, name, _mutant(name, text, mutated))
+    with pytest.raises(UnsupportedModel, match="^gauss-bonnet bound needs even dimension, S2 has"):
+        volume_bounds(parse_model_id("hS2"))
+    assert volume_bounds(parse_model_id("hS3")).euler == 2

@@ -170,10 +170,8 @@ def test_verify_all_reports_a_failed_group_selfcheck(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert (code, captured.err) == (1, "")
     lines = captured.out.splitlines()
-    assert any(
-        line.startswith("FAIL group rp: rp: sampled displacement 0.000e+00 at or below floor 0.1; ")
-        for line in lines
-    )
+    failed = "FAIL group rp: rp: sampled displacement 0.000e+00 is not the closed 3.142e+00; "
+    assert any(line.startswith(failed) for line in lines)
     assert any(line.startswith("FAIL injectivity rp: brute=0.0 ") for line in lines)
     assert lines[-1] == "# checked=63 fail=2 warn=1"
 
