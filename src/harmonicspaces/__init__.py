@@ -16,6 +16,7 @@ from .errors import (
     NonConvergence,
     SelfCheckFailed,
     UnsupportedModel,
+    UsageError,
 )
 from .numerics import Interval, QuadratureResult, derivative, integrate
 from .spaces import (
@@ -35,6 +36,7 @@ __all__ = [
     "NonConvergence",
     "SelfCheckFailed",
     "UnsupportedModel",
+    "UsageError",
     "Interval",
     "QuadratureResult",
     "derivative",

@@ -3,7 +3,9 @@
 Subcommands: phi-table, verify, quotient, bounds.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 141 a closed stdout.  A command
 raises where it finds a fault, and ``main`` alone turns the exception into
-an exit code and one ``error:`` line on stderr.  The one handler inside a
+an exit code and one ``error:`` line on stderr.  A refused argument raises
+``UsageError``; any other ``ValueError`` is a fault of the program, and it
+propagates instead of reading as bad input.  The one handler inside a
 command is phi-table's for ``NonConvergence``: integrals that cannot
 converge from the given ``r_ref`` at ``--tol`` are bad input, not a failed
 check, and the quadrature knows neither name, so the handler makes it a
@@ -28,7 +30,13 @@ from typing import TextIO
 import numpy as np
 
 from . import harmonic, quotients, topology, verify as verify_mod
-from .errors import DomainViolation, HarmonicSpacesError, NonConvergence, UnsupportedModel
+from .errors import (
+    DomainViolation,
+    HarmonicSpacesError,
+    NonConvergence,
+    UnsupportedModel,
+    UsageError,
+)
 from .numerics import DEFAULT_TOL, stencil_nearest
 from .spaces import check_radius, domain, parse_model_id, theta
 from .svgfig import SvgFigure
@@ -85,11 +93,11 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
     model = parse_model_id(args.model)
     check_radius(model, args.r_min, args.r_max, args.r_ref)
     if not args.r_min < args.r_max:
-        raise ValueError(f"r_min={args.r_min} must be below r_max={args.r_max}")
+        raise UsageError(f"r_min={args.r_min} must be below r_max={args.r_max}")
     if not 1 <= args.n <= MAX_TABLE_POINTS:
-        raise ValueError(f"n must be in 1..{MAX_TABLE_POINTS}, got {args.n}")
+        raise UsageError(f"n must be in 1..{MAX_TABLE_POINTS}, got {args.n}")
     if not args.numeric_only and not harmonic.has_closed_form(model):
-        raise ValueError(
+        raise UsageError(
             f"{model.model_id} has no closed form; numeric only with --numeric-only"
         )
     # the one choice of phi0 for both columns: None is the quadrature phi0
@@ -102,7 +110,7 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
     )
     # (r_max - r_min) * i grows with i, so only the last point can overflow
     if not math.isfinite(grid[-1]):
-        raise ValueError(
+        raise UsageError(
             f"the grid of {args.n} points on [{args.r_min}, {args.r_max}] would "
             f"overflow float64: (r_max - r_min) * {args.n - 1} is inf"
         )
@@ -136,7 +144,7 @@ def cmd_phi_table(args: argparse.Namespace) -> int:
             )
     except NonConvergence as exc:
         where = f"{model.model_id} from r_ref={args.r_ref} at --tol={args.tol}"
-        raise ValueError(f"the phi0 integrals of {where} do not converge: {exc}") from None
+        raise UsageError(f"the phi0 integrals of {where} do not converge: {exc}") from None
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -150,7 +158,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.scope == "all":
         args.seed = seed
     elif "seed" in args:
-        raise ValueError(
+        raise UsageError(
             f"--seed applies only to 'verify all'; {args.scope!r} samples nothing"
         )
     results = verify_mod.run_all(scope=args.scope, seed=seed)
@@ -178,30 +186,30 @@ def _group_and_basepoint(group_id: str, text: str | None):
     try:
         values = [float(tok) for tok in text.split(",")]
     except ValueError:
-        raise ValueError(f"basepoint {text!r} is not comma-separated reals") from None
+        raise UsageError(f"basepoint {text!r} is not comma-separated reals") from None
     if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"basepoint {text!r} has a non-finite coordinate")
+        raise UsageError(f"basepoint {text!r} has a non-finite coordinate")
     n = len(values)
     if group_id == "rp":
         if n < 3:
-            raise ValueError("rp basepoints live on S^m, m >= 2: give m+1 reals")
+            raise UsageError("rp basepoints live on S^m, m >= 2: give m+1 reals")
         group = quotients.make_group(group_id, m=n - 1)
     elif group_id in ("lens", "cpq"):
         if n < 4 or n % 2 != 0:
             space = "S^(2k+1)" if group_id == "lens" else "CP^(2k+1)"
-            raise ValueError(f"{group_id} basepoints live on {space}: give 2k+2 reals")
+            raise UsageError(f"{group_id} basepoints live on {space}: give 2k+2 reals")
         group = quotients.make_group(group_id, k=n // 2 - 1)
     else:
         group = quotients.make_group(group_id)
         if n != 2:
-            raise ValueError("flat basepoints take 2 coordinates")
+            raise UsageError("flat basepoints take 2 coordinates")
         return group, np.asarray(values)
     v = np.asarray(values)
     # scaling by the largest modulus first keeps the norm from overflowing
     scale = np.max(np.abs(v))
     if scale == 0:
         kind = "projective" if group.ambient == "cproj" else "sphere"
-        raise ValueError(f"{kind} basepoint must be nonzero")
+        raise UsageError(f"{kind} basepoint must be nonzero")
     v = v / scale
     return group, v / np.linalg.norm(v)
 
@@ -273,9 +281,9 @@ def _raster_rows(grid, p: int) -> Iterator[str]:
 
 def cmd_quotient(args: argparse.Namespace) -> int:
     if args.resolution < 1:
-        raise ValueError("resolution must be >= 1")
+        raise UsageError("resolution must be >= 1")
     if args.resolution > MAX_RESOLUTION:
-        raise ValueError(f"resolution must be <= {MAX_RESOLUTION}, got {args.resolution}")
+        raise UsageError(f"resolution must be <= {MAX_RESOLUTION}, got {args.resolution}")
     group, base = _group_and_basepoint(args.group, args.basepoint)
     res, p = args.resolution, args.precision
     # the raster first: classify_grid refuses a basepoint too far out for its
@@ -438,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader closed stdout: end quietly, as a shell reports SIGPIPE
         return BROKEN_PIPE
-    except (UnsupportedModel, DomainViolation, ValueError, OverflowError, OSError) as exc:
+    except (UnsupportedModel, DomainViolation, UsageError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except HarmonicSpacesError as exc:

@@ -25,3 +25,8 @@ class InvalidPoint(HarmonicSpacesError):
 
 class SelfCheckFailed(HarmonicSpacesError):
     """A deck-group action violated one of its defining identities."""
+
+
+class UsageError(HarmonicSpacesError, ValueError):
+    """An argument was refused; a ValueError, so callers that catch one
+    still do."""

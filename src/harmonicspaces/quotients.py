@@ -35,6 +35,7 @@ from .errors import (
     InvalidPoint,
     SelfCheckFailed,
     UnsupportedModel,
+    UsageError,
 )
 
 UNIT_NORM_TOL = 1e-12
@@ -314,7 +315,7 @@ def make_group(group_id: str, **kwargs) -> DeckGroup:
     try:
         return GROUPS[group_id](**kwargs)
     except KeyError:
-        raise ValueError(f"unknown group id {group_id!r}") from None
+        raise UsageError(f"unknown group id {group_id!r}") from None
 
 
 # --- quotient metric and domains ---------------------------------------------
@@ -474,7 +475,7 @@ class SeededStream:
     def __init__(self, seed: int):
         seed = operator.index(seed)
         if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+            raise UsageError(f"seed must be a non-negative integer, got {seed}")
         key = np.zeros(1, dtype=np.uint64)
         for shift in range(0, max(seed.bit_length(), 1), 64):
             key = _splitmix64(key + _GOLDEN_GAMMA + ((seed >> shift) & (2**64 - 1)))

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DomainViolation, UnsupportedModel
-from .numerics import Interval, integrate
+from .numerics import Interval
 
 
 class Family(enum.Enum):
@@ -263,9 +263,6 @@ def unit_sphere_volume(n: int) -> float:
     return volume
 
 
-_VOLUME_TOL = 1e-11
-
-
 def model_volume(model: SpaceModel) -> float:
     """Total volume of a compact (positive-curvature) model, exactly.
 
@@ -276,9 +273,7 @@ def model_volume(model: SpaceModel) -> float:
     factor leaves float64, which a plain quotient would turn into 0.0 or nan.
     """
     if model.curvature_sign != 1:
-        raise UnsupportedModel(
-            f"{model} is not compact; use ball_volume with an explicit radius"
-        )
+        raise UnsupportedModel(f"{model} is not compact: its volume is infinite")
     # first, so that a dimension beyond float64 stops before the Gamma recursion
     sphere_volume = unit_sphere_volume(model.dimension - 1)
     prof = model.density
@@ -289,21 +284,6 @@ def model_volume(model: SpaceModel) -> float:
     if not 0.0 < volume < math.inf:
         raise OverflowError(f"the volume of {model} has a Gamma factor outside float64")
     return volume
-
-
-def ball_volume(model: SpaceModel, radius: float) -> float:
-    """Volume of the geodesic ball of the given radius about the basepoint."""
-    end = domain_end(model)
-    if not (0.0 < radius <= end and radius < math.inf):
-        raise DomainViolation(
-            f"radius {radius!r} outside (0, {end}{']' if end < math.inf else ')'}"
-        )
-    # theta vanishes at 0 and at a compact model's diameter; only those
-    # ends are open, since a panel next to an open end must shrink until
-    # its whole value is below tolerance
-    iv = Interval(0.0, radius, (True, radius == end))
-    result = integrate(lambda r: theta(model, r), iv, tol=_VOLUME_TOL)
-    return unit_sphere_volume(model.dimension - 1) * result.value
 
 
 def positive_curvature_catalogue() -> list[SpaceModel]:

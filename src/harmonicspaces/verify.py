@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import harmonic, quotients, topology
-from .errors import SelfCheckFailed
+from .errors import SelfCheckFailed, UsageError
 from .harmonic import BoundaryBehavior
 from .quotients import DEFAULT_SEED, make_group
 from .spaces import SpaceModel, parse_model_id, positive_curvature_catalogue
@@ -166,7 +166,7 @@ def run_all(scope: str = "all", seed: int = DEFAULT_SEED) -> list[CheckResult]:
         if model.curvature_sign == 1:
             results += boundary_checks([model])
         if not results:
-            raise ValueError(f"nothing to verify for {scope!r}")
+            raise UsageError(f"nothing to verify for {scope!r}")
         return results
     results = table_checks()
     results += boundary_checks()

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonicspaces import cli, harmonic, spaces
+from harmonicspaces import cli, harmonic, quotients, spaces
 from harmonicspaces.cli import build_parser, main
-from harmonicspaces.errors import SelfCheckFailed
+from harmonicspaces.errors import SelfCheckFailed, UsageError
 from harmonicspaces.quotients import classify_grid, classify_points
 from harmonicspaces.spaces import parse_model_id
 from harmonicspaces.svgfig import SIZE
@@ -595,22 +595,41 @@ def test_phi_table_and_verify_outputs_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def test_verify_all_differs_by_simd_target_only_in_residual_digits():
-    # numpy's own switch NPY_DISABLE_CPU_FEATURES makes a fresh interpreter
-    # use the kernels of a CPU without AVX-512; only the *_residual= values
-    # of verify all may then differ from a run on the default target.  numpy
-    # refuses a feature it did not build kernels for with an ImportWarning
-    argv = [sys.executable, "-W", "always::ImportWarning", "-m", "harmonicspaces"]
-    argv += ["verify", "all", "--seed", "42"]
-    disabled = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-    runs = []
-    for extra in ({}, disabled):
-        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+#: numpy's own switch NPY_DISABLE_CPU_FEATURES, per lower dispatch target: a
+#: CPU without AVX-512 (X86_V3), and one without AVX2 and FMA3 either
+#: (X86_V2, numpy's baseline).  numpy refuses a feature it built no
+#: dispatched kernels for (AVX2, FMA3, AVX or F16C by name, or any feature
+#: on another build) with an ImportWarning, on which these tests skip
+SIMD_TARGETS = {
+    "X86_V3": "X86_V4 AVX512_ICL AVX512_SPR",
+    "X86_V2": "X86_V4 AVX512_ICL AVX512_SPR X86_V3",
+}
+
+
+def _run_on_targets(argv, disabled):
+    """The two completed runs of argv, each in a fresh interpreter: on the
+    default target, then with the numpy features ``disabled`` switched off."""
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    argv = [sys.executable, "-W", "always::ImportWarning", *argv]
+    procs = []
+    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": disabled}):
         proc = subprocess.run(argv, capture_output=True, text=True, env={**env, **extra})
         if extra and "cannot disable CPU features" in proc.stderr:
             pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES: {proc.stderr.strip()}")
         assert proc.returncode == 0, proc.stderr
-        runs.append(re.sub(r"(_residual=)\S+", r"\1?", proc.stdout))
+        procs.append(proc)
+    return procs
+
+
+@pytest.mark.parametrize("disabled", list(SIMD_TARGETS.values()), ids=list(SIMD_TARGETS))
+def test_verify_all_differs_by_simd_target_only_in_residual_digits(disabled):
+    # on a lower target only the *_residual= values of verify all may
+    # differ from a run on the default target
+    argv = ["-m", "harmonicspaces", "verify", "all", "--seed", "42"]
+    runs = [
+        re.sub(r"(_residual=)\S+", r"\1?", proc.stdout)
+        for proc in _run_on_targets(argv, disabled)
+    ]
     assert runs[0] == runs[1]
     assert runs[0].count("_residual=?") == 52
 
@@ -626,25 +645,19 @@ SIMD_PHI_TABLES = [
 ]
 
 
-def test_phi_tables_differ_by_simd_target_only_in_the_residual_column():
-    # as above, for phi-table: under a CPU without AVX-512 only the last
-    # column, laplacian_residual, may differ.  One interpreter per target
-    # prints the six tables, each after a marker line
+@pytest.mark.parametrize("disabled", list(SIMD_TARGETS.values()), ids=list(SIMD_TARGETS))
+def test_phi_tables_differ_by_simd_target_only_in_the_residual_column(disabled):
+    # as above, for phi-table: on a lower target only the last column,
+    # laplacian_residual, may differ.  One interpreter per target prints the
+    # six tables, each after a marker line
     script = (
         "from harmonicspaces.cli import main\n"
         f"for argv in {SIMD_PHI_TABLES!r}:\n"
         "    print('## table', flush=True)\n"
         "    assert main(argv) == 0\n"
     )
-    argv = [sys.executable, "-W", "always::ImportWarning", "-c", script]
-    disabled = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
     runs = []
-    for extra in ({}, disabled):
-        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-        proc = subprocess.run(argv, capture_output=True, text=True, env={**env, **extra})
-        if extra and "cannot disable CPU features" in proc.stderr:
-            pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES: {proc.stderr.strip()}")
-        assert proc.returncode == 0, proc.stderr
+    for proc in _run_on_targets(["-c", script], disabled):
         tables = proc.stdout.split("## table\n")[1:]
         assert len(tables) == len(SIMD_PHI_TABLES)
         runs.append([t.splitlines() for t in tables])
@@ -654,6 +667,37 @@ def test_phi_tables_differ_by_simd_target_only_in_the_residual_column():
         assert [line.rsplit(",", 1)[0] for line in table[1:]] == [
             line.rsplit(",", 1)[0] for line in other[1:]
         ]
+
+
+#: Every deck group: the flat rasters, one at a far basepoint, and the three
+#: curved groups, each run with --svg.
+SIMD_QUOTIENTS = [
+    ["quotient", "torus", "0,0", "--resolution", "400"],
+    ["quotient", "torus", "3.7,-2.2", "--resolution", "200"],
+    ["quotient", "klein", "0,0.25", "--resolution", "400"],
+    ["quotient", "rp", "0,0,1"],
+    ["quotient", "lens"],
+    ["quotient", "cpq"],
+]
+
+
+@pytest.mark.parametrize("disabled", list(SIMD_TARGETS.values()), ids=list(SIMD_TARGETS))
+def test_quotient_bytes_do_not_depend_on_the_simd_target(tmp_path, disabled):
+    # the orbit search, CSV and SVG carry no bits of numpy's SIMD kernels:
+    # each interpreter prints the SHA-256 of every job's CSV and SVG
+    script = (
+        "import hashlib, sys\n"
+        "from harmonicspaces.cli import main\n"
+        f"for argv in {SIMD_QUOTIENTS!r}:\n"
+        "    assert main([*argv, '--out', sys.argv[1], '--svg', sys.argv[2]]) == 0\n"
+        "    for path in sys.argv[1:]:\n"
+        "        with open(path, 'rb') as f:\n"
+        "            print(hashlib.sha256(f.read()).hexdigest())\n"
+    )
+    argv = ["-c", script, str(tmp_path / "q.csv"), str(tmp_path / "q.svg")]
+    runs = [proc.stdout.split() for proc in _run_on_targets(argv, disabled)]
+    assert len(runs[0]) == 2 * len(SIMD_QUOTIENTS)
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-10", "abc"])
@@ -787,6 +831,39 @@ def test_verify_self_check_failure_is_exit_1(capsys, monkeypatch):
     assert run_cli(capsys, "verify", "all") == (1, "", "error: boom\n")
 
 
+def test_a_value_error_from_a_fault_is_not_a_usage_error(capsys, monkeypatch):
+    # a Klein map that returns a third coordinate breaks the self-check's
+    # array arithmetic with numpy's ValueError: a fault of the program, so it
+    # propagates instead of exiting 2 as if the input were bad
+    apply = quotients.KleinGroup.apply
+
+    def three_coordinates(self, eid, point):
+        image = apply(self, eid, point)
+        return np.concatenate((image, image[..., :1]), axis=-1)
+
+    monkeypatch.setattr(quotients.KleinGroup, "apply", three_coordinates)
+    with pytest.raises(ValueError, match="could not be broadcast") as exc:
+        main(["verify", "all"])
+    assert not isinstance(exc.value, UsageError)
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda: quotients.make_group("moebius"),
+        lambda: quotients.SeededStream(-1),
+        lambda: cli.verify_mod.run_all("hS6"),
+    ],
+    ids=["group-id", "seed", "nothing-to-verify"],
+)
+def test_refused_arguments_are_usage_errors_and_value_errors(refuse):
+    # main maps UsageError to exit 2; library callers still catch ValueError
+    with pytest.raises(UsageError) as exc:
+        refuse()
+    assert isinstance(exc.value, ValueError)
+
+
 def test_verify_all_rejects_a_negative_seed(capsys):
     assert run_cli(capsys, "verify", "all", "--seed", "-1") == (
         2, "", "error: seed must be a non-negative integer, got -1\n"
@@ -889,11 +966,21 @@ def test_numeric_phi_table_work_bounded(capsys, monkeypatch):
 
 
 def test_bounds_integrates_nothing(capsys, monkeypatch):
-    # the dual's volume is a Beta function, not a quadrature of theta
-    counts = _count_work(monkeypatch, spaces)
+    # the dual's volume is a Beta function, not a quadrature of theta, and
+    # the catalogue module holds no quadrature to run one
+    assert not hasattr(spaces, "integrate")
+    points = 0
+    theta = spaces.theta
+
+    def counting_theta(model, r):
+        nonlocal points
+        points += np.size(r)
+        return theta(model, r)
+
+    monkeypatch.setattr(spaces, "theta", counting_theta)
     code, _, _ = run_cli(capsys, "bounds", "hOP2")
     assert code == 0
-    assert counts == {"integrate": 0, "theta_points": 0}
+    assert points == 0
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from harmonicspaces import cli, spaces
 from harmonicspaces.errors import DomainViolation, UnsupportedModel
-from harmonicspaces.numerics import derivative
+from harmonicspaces.numerics import Interval, derivative, integrate
 from harmonicspaces.spaces import (
     Family,
     SpaceModel,
-    ball_volume,
+    domain,
     domain_end,
     gamma_half_integer,
     log_derivative_theta,
@@ -151,10 +151,17 @@ def test_projective_volumes_closed_forms():
         assert abs(model_volume(model) - exact) <= 1e-15 * exact, model
 
 
+def _quadrature_volume(model, iv):
+    """The volume of the ball over ``iv`` by quadrature of theta: the unit
+    sphere's volume times the integral of theta over the radii."""
+    value = integrate(lambda r: spaces.theta(model, r), iv, tol=1e-11).value
+    return unit_sphere_volume(model.dimension - 1) * value
+
+
 def test_model_volume_theta_calls_bounded(monkeypatch):
-    # the volumes are Beta functions and evaluate no density; the ball
-    # quadrature of the whole catalogue to the diameter takes 9,675 theta
-    # calls (80,145 when open ends were approached by a geometric march)
+    # the volumes are Beta functions and evaluate no density; the quadrature
+    # of theta over (0, D) on the whole catalogue takes 9,675 theta calls
+    # (80,145 when open ends were approached by a geometric march)
     calls = 0
     real_theta = spaces.theta
 
@@ -168,47 +175,35 @@ def test_model_volume_theta_calls_bounded(monkeypatch):
         model_volume(model)
     assert calls == 0
     for model in positive_curvature_catalogue():
-        ball_volume(model, domain_end(model))
+        _quadrature_volume(model, domain(model))
     assert 0 < calls < 15_000
 
 
 def test_model_volume_rejects_noncompact():
-    with pytest.raises(UnsupportedModel):
+    with pytest.raises(UnsupportedModel, match="^hS3 is not compact: its volume is infinite$"):
         model_volume(parse_model_id("hS3"))
     with pytest.raises(UnsupportedModel):
         model_volume(parse_model_id("E2"))
 
 
-def test_ball_volume_flat():
-    # vol(B_R) in E^3 is 4/3 pi R^3
-    assert ball_volume(parse_model_id("E3"), 1.5) == pytest.approx(
-        4.0 / 3.0 * math.pi * 1.5**3, rel=1e-9
-    )
-
-
-def test_ball_volume_large_radius():
-    # theta is large at these radii but regular, so the radius is a closed
-    # end: vol(B_R) in H^3 is pi (sinh 2R - 2R), in E^4 pi^2 R^4 / 2
-    assert ball_volume(parse_model_id("hS3"), 3.0) == pytest.approx(
-        math.pi * (math.sinh(6.0) - 6.0), rel=1e-12
-    )
-    assert ball_volume(parse_model_id("E4"), 10.0) == pytest.approx(
-        math.pi**2 / 2.0 * 1e4, rel=1e-12
-    )
-
-
-def test_ball_volume_rejects_non_finite_radius():
-    for model in (parse_model_id("hS3"), parse_model_id("E3")):
-        for radius in (math.inf, math.nan):
-            with pytest.raises(DomainViolation, match=r"outside \(0, inf\)"):
-                ball_volume(model, radius)
-
-
-def test_ball_volume_hyperbolic_small_radius():
-    # tiny hyperbolic balls are nearly Euclidean
-    assert ball_volume(parse_model_id("hS3"), 1e-2) == pytest.approx(
-        4.0 / 3.0 * math.pi * 1e-6, rel=1e-3
-    )
+@pytest.mark.parametrize(
+    "model_id, radius, volume, rel",
+    [
+        # vol(B_R) in E^3 is 4/3 pi R^3
+        ("E3", 1.5, 4.0 / 3.0 * math.pi * 1.5**3, 1e-9),
+        # theta is large at these radii but regular, so the radius is a
+        # closed end: vol(B_R) in H^3 is pi (sinh 2R - 2R), in E^4 pi^2 R^4 / 2
+        ("hS3", 3.0, math.pi * (math.sinh(6.0) - 6.0), 1e-12),
+        ("E4", 10.0, math.pi**2 / 2.0 * 1e4, 1e-12),
+        # tiny hyperbolic balls are nearly Euclidean
+        ("hS3", 1e-2, 4.0 / 3.0 * math.pi * 1e-6, 1e-3),
+    ],
+    ids=["E3-1.5", "hS3-3", "E4-10", "hS3-0.01"],
+)
+def test_theta_integrates_to_the_ball_volume(model_id, radius, volume, rel):
+    # theta vanishes at 0 only, so (0, R] is open at 0 alone
+    iv = Interval(0.0, radius, (True, False))
+    assert _quadrature_volume(parse_model_id(model_id), iv) == pytest.approx(volume, rel=rel)
 
 
 @settings(max_examples=30, deadline=None)
@@ -423,7 +418,7 @@ def test_model_volume_is_ball_of_diameter():
     # the Beta-function volume against the quadrature of theta over (0, D)
     for model in positive_curvature_catalogue():
         exact = model_volume(model)
-        assert abs(exact - ball_volume(model, domain_end(model))) <= 1e-12 * exact, model
+        assert abs(exact - _quadrature_volume(model, domain(model))) <= 1e-12 * exact, model
 
 
 @pytest.mark.parametrize("model_id", ["S343", "CP171", "HP85"])
