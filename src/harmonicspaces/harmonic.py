@@ -353,15 +353,14 @@ def phi0_numeric_grid(
 
 def _panels_by_model(models, owner, a, b):
     """``gk15_panels`` on the panels [a[i], b[i]] of models[owner[i]], in
-    their order.  The pass groups the panels by model, stably, and each
-    model's density is one ``phi1`` call on its own nodes as one contiguous
-    (15, n) array: the array a pass over that model's panels alone would
-    evaluate, so every value is that pass's, bit for bit."""
+    their order, for owners that never decrease.  Each model's density is
+    one ``phi1`` call on its own nodes as one contiguous (15, n) array: the
+    array a pass over that model's panels alone would evaluate, so every
+    value is that pass's, bit for bit."""
     if len(models) == 1:
         return gk15_panels(lambda nodes: phi1(models[0], nodes), a, b)
     import numpy as np  # here, so that importing harmonic does not load numpy
 
-    order = np.argsort(owner, kind="stable")
     stops = np.cumsum(np.bincount(owner, minlength=len(models))).tolist()
 
     def density(nodes):
@@ -371,8 +370,7 @@ def _panels_by_model(models, owner, a, b):
                 values[:, lo:hi] = phi1(model, np.ascontiguousarray(nodes[:, lo:hi]))
         return values
 
-    back = np.argsort(order)
-    return [x[back] for x in gk15_panels(density, a[order], b[order])]
+    return gk15_panels(density, a, b)
 
 
 def phi0_numeric_grids(rows, tol: float = DEFAULT_TOL) -> list[list[float]]:
@@ -392,18 +390,13 @@ def phi0_numeric_grids(rows, tol: float = DEFAULT_TOL) -> list[list[float]]:
     """
     import numpy as np  # here, so that importing harmonic does not load numpy
 
+    for model, rs, r_ref in rows:
+        check_radius(model, np.asarray(rs, dtype=float), r_ref)
     models = [model for model, _, _ in rows]
     # sorted() and not np.unique, which loads numpy.ma (13 ms) on numpy 2
     grids = [sorted({*rs, r_ref}) for _, rs, r_ref in rows]
     sizes = [len(grid) for grid in grids]
     points = np.array([r for grid in grids for r in grid])
-    # without NaN each grid is sorted, so its ends bound it
-    if not (
-        np.isfinite(points).all()
-        and all(grid[0] > 0.0 and grid[-1] < m.density.domain_end for grid, m in zip(grids, models))
-    ):
-        for model, rs, r_ref in rows:
-            check_radius(model, *rs, r_ref)
     # the gaps between neighbouring points of each row, row after row;
     # the last point of a row begins none
     a, b = points[:-1], points[1:]

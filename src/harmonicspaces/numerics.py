@@ -174,10 +174,11 @@ def bisect(panels, gaps, open_ends=(False, False)) -> list[QuadratureResult]:
     error of its one panel, and the tolerance of ``converged``.  Each pass
     pops the worst panel of every gap still above tolerance and evaluates
     all the halves in one call ``panels(owner, los, his)``, which returns
-    their values and errors: left halves in gap order, then right ones,
-    ``owner`` giving each half's gap by index.  ``open_ends`` holds for
-    every gap.  Returns a QuadratureResult per gap; ``integrate``'s
-    NonConvergence names the first gap, in pass order, that fails.
+    their values and errors: each gap's left half and then its right one,
+    gap after gap, ``owner`` giving each half's gap by index, so the owners
+    of a pass never decrease.  ``open_ends`` holds for every gap.  Returns
+    a QuadratureResult per gap; ``integrate``'s NonConvergence names the
+    first gap, in pass order, that fails.
     """
     work = []
     for a, b, v, e, tol in gaps:
@@ -213,9 +214,10 @@ def bisect(panels, gaps, open_ends=(False, False)) -> list[QuadratureResult]:
             popped.append((neg_e0, a0, m, b0, v0))
         if not owner:
             return work
-        _, los, mids, his, _ = zip(*popped)
-        values, errors = panels(owner + owner, los + mids, mids + his)
-        halves = zip(owner, popped, values, values[len(owner) :], errors, errors[len(owner) :])
+        los = [x for _, a0, m, _, _ in popped for x in (a0, m)]
+        his = [x for _, _, m, b0, _ in popped for x in (m, b0)]
+        values, errors = panels([i for i in owner for _ in (0, 1)], los, his)
+        halves = zip(owner, popped, values[0::2], values[1::2], errors[0::2], errors[1::2])
         for i, (neg_e0, a0, m, b0, v0), v1, v2, e1, e2 in halves:
             a, b, _, total_v, total_e, heap = work[i]
             if open_ends[0] and a0 == a:

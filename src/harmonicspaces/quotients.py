@@ -709,8 +709,9 @@ def classify_grid(
     tol: float | None = None,
 ) -> GridClassification:
     """Classify a square grid of side 2*halfwidth about p; tol defaults to
-    2 * grid spacing (raster band for cut-locus pictures).  DomainViolation
-    when p is so far out that neighbouring cells round to the same float.
+    2 * grid spacing (raster band for cut-locus pictures).  UsageError for
+    a resolution below 1; DomainViolation when p is so far out that
+    neighbouring cells round to the same float.
 
     Cell k is (p[0] + centers[k % resolution], p[1] + centers[k // resolution]),
     and the orbit distances come from the per-axis kernel _grid_distances,
@@ -719,6 +720,8 @@ def classify_grid(
     if group.ambient != "flat":
         raise UnsupportedModel("grid sampling requires a flat deck group")
     p = _group_points(group, p)
+    if resolution < 1:
+        raise UsageError(f"resolution must be >= 1, got {resolution}")
     spacing = 2.0 * halfwidth / resolution
     # the float step near |p| + halfwidth is at most (|p| + halfwidth) * eps
     if (np.max(np.abs(p)) + halfwidth) * np.finfo(float).eps >= spacing:

@@ -592,7 +592,20 @@ def test_phi_table_and_verify_outputs_pinned(capsys, argv, digest):
     # functions, which differ by dispatch target (see the test below)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, dispatch_target_note()
+
+
+def dispatch_target_note() -> str:
+    """The message of a failed pinned digest: the highest X86_V* level that
+    numpy dispatches on this host, against X86_V4, under which the pins
+    were captured."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1
+        from numpy.core._multiarray_umath import __cpu_features__
+    levels = [k for k, on in __cpu_features__.items() if k.startswith("X86_V") and on]
+    target = max(levels, key=lambda k: int(k[len("X86_V") :]), default="no X86_V* level")
+    return f"numpy dispatches {target} on this host; the pinned digests were captured under X86_V4"
 
 
 #: numpy's own switch NPY_DISABLE_CPU_FEATURES, per lower dispatch target: a

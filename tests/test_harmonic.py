@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonicspaces import harmonic
+from harmonicspaces import harmonic, numerics
 from harmonicspaces.cli import main
 from harmonicspaces.errors import DomainViolation, NonConvergence, UnsupportedModel
 from harmonicspaces.harmonic import (
@@ -40,6 +40,7 @@ from harmonicspaces.spaces import (
     theta,
 )
 from harmonicspaces.verify import TABLE_IDS
+from test_cli import dispatch_target_note
 
 # 1/(sinh(1)^3 cosh(1)), mpmath 30 digits
 PHI1_HCP2_AT_1 = 0.39927738018245308
@@ -275,7 +276,7 @@ def test_numeric_only_tables_bisect_without_restarting(capsys, monkeypatch, argv
     assert main(["phi-table", *argv, "--numeric-only"]) == 0
     out = capsys.readouterr().out
     assert (calls, passes, points) == work
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, dispatch_target_note()
 
 
 @settings(max_examples=40, deadline=None)
@@ -323,6 +324,37 @@ def test_phi0_numeric_grids_equal_the_one_row_calls_bit_for_bit():
         [v.hex() for v in values] for values in singles
     ]
     assert phi0_numeric_grids([]) == []
+
+
+def _recording_bisect(monkeypatch, module):
+    """Patch ``module.bisect`` to record the (owner, los, his) of each pass."""
+    passes, bisect = [], numerics.bisect
+
+    def recording_bisect(panels, gaps, open_ends=(False, False)):
+        def recording_panels(owner, los, his):
+            passes.append((list(owner), list(los), list(his)))
+            return panels(owner, los, his)
+
+        return bisect(recording_panels, gaps, open_ends)
+
+    monkeypatch.setattr(module, "bisect", recording_bisect)
+    return passes
+
+
+def test_bisect_passes_each_gaps_halves_together_in_gap_order(monkeypatch):
+    # within a pass the owners never decrease, and each gap's left half is
+    # followed by its right one, which begins where the left one ends
+    scalar = _recording_bisect(monkeypatch, numerics)
+    assert integrate(math.sqrt, Interval(0.0, 1.0)).evaluations > 45
+    batch = _recording_bisect(monkeypatch, harmonic)
+    phi0_numeric_grids(_batch_rows())
+    assert len(scalar) > 1
+    assert max(len(set(owner)) for owner, _, _ in batch) > 1
+    for owner, los, his in scalar + batch:
+        assert owner == sorted(owner)
+        assert owner[0::2] == owner[1::2]
+        assert his[0::2] == los[1::2]
+        assert all(lo < m < hi for lo, m, hi in zip(los[0::2], his[0::2], his[1::2]))
 
 
 def test_verify_table_entries_equal_the_one_row_calls():

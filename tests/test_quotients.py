@@ -14,6 +14,7 @@ from harmonicspaces.errors import (
     InvalidPoint,
     SelfCheckFailed,
     UnsupportedModel,
+    UsageError,
 )
 from harmonicspaces.quotients import (
     ANALYTIC_TOL,
@@ -1060,6 +1061,17 @@ def test_classify_grid_refuses_a_basepoint_past_float_resolution(p):
         fundamental_domain_area(TorusGroup(), p, 400)
     with pytest.raises(DomainViolation, match="too far out"):
         classify_grid(KleinGroup(), p, 400)
+
+
+@pytest.mark.parametrize(
+    "sample, resolution",
+    [(classify_grid, 0), (classify_grid, -3), (fundamental_domain_area, 0)],
+    ids=["classify_grid-0", "classify_grid-minus3", "fundamental_domain_area-0"],
+)
+def test_classify_grid_refuses_a_resolution_below_one(sample, resolution):
+    # refused before the spacing 2 * halfwidth / resolution is computed
+    with pytest.raises(UsageError, match=f"^resolution must be >= 1, got {resolution}$"):
+        sample(TorusGroup(), (0.0, 0.0), resolution)
 
 
 def _grid_reference(group, p, points):
